@@ -33,8 +33,11 @@
 //! touched block a fresh partner and move the marked nodes; a fully
 //! covered block dies and its partner takes its place (the compound queue
 //! is told via `replace`). This keeps every mutation expressible as a
-//! per-node chain move — the cost is within the same `O(|Succ| · deg · k)`
-//! envelope the scan already pays, and no block ever has stale counts.
+//! per-node chain move — the cost is within the same
+//! `O(|Succ(I)| · deg · k)` envelope that the splitter scan and the
+//! kernel's parent probe (each parent of a `Succ(I)` member is tested
+//! through its level-`j` ancestor) already pay, and no block ever has
+//! stale counts.
 
 use super::{ABlockId, AkIndex};
 use crate::kernel::{self, CompoundQueue, MergeDriver, SplitDriver};
@@ -49,8 +52,36 @@ impl SplitDriver for AkIndex {
         self.weight(b)
     }
 
-    fn scan_succ(&mut self, g: &Graph, roots: &[ABlockId]) -> Vec<NodeId> {
-        self.collect_succ(g, roots)
+    fn scan_succ(&mut self, g: &Graph, b: ABlockId) -> Vec<NodeId> {
+        self.collect_succ(g, b)
+    }
+
+    fn with_parent_in(
+        &mut self,
+        g: &Graph,
+        cands: &[NodeId],
+        blocks: &[ABlockId],
+        level: usize,
+    ) -> (Vec<NodeId>, u64) {
+        // `split_full` is free between stabilizations; here it marks the
+        // probed level-`level` blocks, and each parent is tested through
+        // its level-`level` ancestor.
+        self.split_full.begin();
+        for &b in blocks {
+            self.split_full.set(b.raw(), true);
+        }
+        let mut out = Vec::new();
+        let mut probed = 0u64;
+        for &x in cands {
+            for p in g.pred(x) {
+                probed += 1;
+                if self.split_full.get(self.block_of_at(p, level).raw()) == Some(true) {
+                    out.push(x);
+                    break;
+                }
+            }
+        }
+        (out, probed)
     }
 
     fn stabilize(

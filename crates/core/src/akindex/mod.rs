@@ -172,6 +172,8 @@ pub struct AkIndex {
     epoch: u32,
     /// Split-pass scratch (indexed by block slot), reused across updates
     /// so the hot `split_levels_by` path allocates nothing per call.
+    /// Between splits the compound loop's parent probe borrows
+    /// `split_full` to mark the probed blocks.
     split_counts: ScratchTable<u32>,
     split_full: ScratchTable<bool>,
     split_partner: ScratchTable<ABlockId>,
@@ -790,13 +792,13 @@ impl AkIndex {
         self.release_block(src);
     }
 
-    /// Collects the deduplicated dnode successors of the extents under the
-    /// given blocks (any levels).
-    pub(crate) fn collect_succ(&mut self, g: &Graph, roots: &[ABlockId]) -> Vec<NodeId> {
+    /// Collects the deduplicated dnode successors of the extents under
+    /// block `root` (any level).
+    pub(crate) fn collect_succ(&mut self, g: &Graph, root: ABlockId) -> Vec<NodeId> {
         self.epoch += 1;
         let epoch = self.epoch;
         let mut out = Vec::new();
-        let mut stack: Vec<ABlockId> = roots.to_vec();
+        let mut stack: Vec<ABlockId> = vec![root];
         while let Some(b) = stack.pop() {
             if self.blocks[b].level as usize == self.k {
                 for i in 0..self.blocks[b].extent.len() {

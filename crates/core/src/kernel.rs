@@ -4,19 +4,21 @@
 //!
 //! Before this module, `oneindex/maintain.rs` and `akindex/maintain.rs`
 //! each carried a private compound queue, a private copy of the
-//! "extract smallest member, re-enqueue the rest, stabilize against both
-//! splitter scans" loop, and a private copy of the "group successors by
-//! merge key, fold each group, requeue survivors" loop. The mechanics
+//! "extract smallest member, re-enqueue the rest, stabilize" loop, and a
+//! private copy of the "group successors by merge key, fold each group,
+//! requeue survivors" loop. The mechanics
 //! were line-for-line parallel; only the primitive operations differed
 //! (flat partition vs refinement tree). The kernel factors the mechanics
 //! into two small traits:
 //!
-//! * [`SplitDriver`] — weights, splitter scans, and the family-specific
-//!   stabilization primitive (`split_by_set` for the 1-index,
-//!   `split_levels_by` for the A(k) chain). [`process_compounds`] runs
-//!   the propagation loop over a [`CompoundQueue`]; [`refine_to_fixpoint`]
-//!   layers from-scratch refinement (construction, rebuild) on the same
-//!   loop by seeding it with one scan per initial block.
+//! * [`SplitDriver`] — weights, the splitter scan `Succ(I)`, the
+//!   parent probe that carves `Succ(I) ∩ Succ(S − I)` out of it, and the
+//!   family-specific stabilization primitive (`split_by_set` for the
+//!   1-index, `split_levels_by` for the A(k) chain). [`process_compounds`]
+//!   runs the propagation loop over a [`CompoundQueue`];
+//!   [`refine_to_fixpoint`] layers from-scratch refinement (construction,
+//!   rebuild) on the same stabilization primitive with one scan per
+//!   queued block.
 //! * [`MergeDriver`] — successor enumeration, the merge-equivalence key,
 //!   and the family-specific group merge. [`merge_fold`] runs the
 //!   worklist.
@@ -146,9 +148,20 @@ pub trait SplitDriver {
     type Block: Copy + Ord + Debug;
     /// Number of dnodes under `b` (extent size or subtree weight).
     fn weight_of(&self, b: Self::Block) -> usize;
-    /// The deduplicated dnode successors of the extents under `roots` —
-    /// the splitter set `Succ(·)`.
-    fn scan_succ(&mut self, g: &Graph, roots: &[Self::Block]) -> Vec<NodeId>;
+    /// The deduplicated dnode successors of the extent under `b` — the
+    /// splitter set `Succ(b)`.
+    fn scan_succ(&mut self, g: &Graph, b: Self::Block) -> Vec<NodeId>;
+    /// The members of `cands` with a dnode parent under one of the
+    /// level-`level` blocks `blocks`, in `cands` order, plus the number of
+    /// parent edges probed. Costs the candidates' in-degrees, never a
+    /// scan of `blocks`' extents.
+    fn with_parent_in(
+        &mut self,
+        g: &Graph,
+        cands: &[NodeId],
+        blocks: &[Self::Block],
+        level: usize,
+    ) -> (Vec<NodeId>, u64);
     /// Stabilizes the partition against `marked`, where `level` is the
     /// splitter's level (un-leveled families ignore it).
     fn stabilize(
@@ -162,14 +175,24 @@ pub trait SplitDriver {
 }
 
 /// The Paige–Tarjan propagation loop: repeatedly extract the
-/// lowest-level compound, remove a small member `I`, re-enqueue the rest
-/// if still compound, and stabilize the partition against `Succ(I)` and
-/// `Succ(rest)`.
+/// lowest-level compound `S`, remove a small member `I`, re-enqueue the
+/// rest if still compound, and split the partition three ways against
+/// `I` and `S − I` while scanning only the small half `Succ(I)`.
 ///
-/// The loop invariant — every block is stable w.r.t. the *union* of each
-/// queued compound — means blocks outside `ISucc(I)` are entirely inside
-/// or outside both splitter sets, so the two stabilization scans touch
-/// exactly the blocks the paper's three-way split (K₁₁/K₁₂/K₂) does.
+/// The loop invariant is that every block is stable w.r.t. the *union*
+/// of each queued compound, so every block lies wholly inside or wholly
+/// outside `Succ(S)`. After stabilizing against `Succ(I)`, a block
+/// outside `Succ(I)` is therefore inside or outside `Succ(S − I)` as a
+/// whole, and a block inside `Succ(I)` meets `Succ(S − I)` in exactly
+/// `Succ(I) ∩ Succ(S − I)`. Stabilizing against that intersection — the
+/// members of `Succ(I)` with a parent in `S − I` — moves the same nodes
+/// as stabilizing against `Succ(S − I)`, without touching the (large)
+/// remainder's extents: the paper's K₁₁/K₁₂/K₂ split at `O(|Succ(I)|)`
+/// plus the probed parent edges.
+///
+/// The probe runs before the first stabilization: on a cyclic graph
+/// `Succ(I)` can split a block of `S − I`, and the second splitter must
+/// be taken against the node set `S − I` as it was popped.
 pub fn process_compounds<D: SplitDriver>(
     d: &mut D,
     g: &Graph,
@@ -179,8 +202,8 @@ pub fn process_compounds<D: SplitDriver>(
     stats.queue_peak = stats.queue_peak.max(cq.work_size());
     while let Some((level, mut compound)) = cq.pop_lowest() {
         // One CompoundProcess span per Fig. 7 iteration: the whole
-        // extract/re-enqueue/double-scan body is in-span so the span
-        // sum accounts for (nearly) the whole split phase.
+        // extract/re-enqueue/scan/probe/stabilize body is in-span so the
+        // span sum accounts for (nearly) the whole split phase.
         let sp = SpanGuard::enter(SpanKind::CompoundProcess);
         sp.add_blocks(compound.len() as u64);
         sp.set_queue_depth(cq.work_size() as u64);
@@ -192,24 +215,33 @@ pub fn process_compounds<D: SplitDriver>(
             .expect("invariant: compound splitters contain at least one block");
         let small = compound.swap_remove(min_pos);
         let rest = compound;
-        if rest.len() >= 2 {
-            cq.push(level, rest.clone());
-        }
-        {
+        let splitter = {
             let scan = SpanGuard::enter(SpanKind::KernelScan);
-            let splitter = d.scan_succ(g, &[small]);
+            let splitter = d.scan_succ(g, small);
             scan.add_blocks(1);
             scan.add_elems(splitter.len() as u64);
             sp.add_elems(splitter.len() as u64);
-            d.stabilize(g, &splitter, level, cq, stats);
+            splitter
+        };
+        let second = {
+            // The probe's own work: `rest` blocks marked, parent edges
+            // probed — so the §5.1 counters still account for every
+            // kernel step.
+            let probe = SpanGuard::enter(SpanKind::KernelScan);
+            let (second, probed) = d.with_parent_in(g, &splitter, &rest, level);
+            probe.add_blocks(rest.len() as u64);
+            probe.add_elems(probed);
+            sp.add_elems(probed);
+            second
+        };
+        if rest.len() >= 2 {
+            cq.push(level, rest);
         }
-        {
-            let scan = SpanGuard::enter(SpanKind::KernelScan);
-            let splitter = d.scan_succ(g, &rest);
-            scan.add_blocks(rest.len() as u64);
-            scan.add_elems(splitter.len() as u64);
-            sp.add_elems(splitter.len() as u64);
-            d.stabilize(g, &splitter, level, cq, stats);
+        d.stabilize(g, &splitter, level, cq, stats);
+        // `second ⊆ splitter`; when they are equal every block inside
+        // `Succ(I)` is already inside `Succ(S − I)`.
+        if second.len() < splitter.len() {
+            d.stabilize(g, &second, level, cq, stats);
         }
         stats.queue_peak = stats.queue_peak.max(cq.work_size());
     }
@@ -222,16 +254,14 @@ pub fn process_compounds<D: SplitDriver>(
 /// level.
 ///
 /// This deliberately does NOT go through [`process_compounds`]: the
-/// compound loop's double scan (`Succ(I)` and `Succ(rest)`) is the
-/// right move for *maintenance*, where the queue invariant — stability
-/// w.r.t. each compound's union — holds and keeps `rest` scans cheap.
-/// From scratch no such invariant exists, a fragmenting seed block
-/// accretes all of its pieces into one compound, and every pop rescans
-/// the whole remainder: quadratic in the fragment count of a seed
-/// (measured 2.2× on `1index_build` at xmark scale 0.05). Single-block
-/// scans keep construction at one scan per queued block. Splits the
-/// driver reports into `cq` are drained back into the worklist after
-/// every stabilization, so `cq` leaves empty.
+/// compound loop's three-way split is sound only under the queue
+/// invariant of *maintenance* — stability w.r.t. each compound's union —
+/// which lets it derive the `S − I` splitter from `Succ(I)` alone. From
+/// scratch no such invariant exists (the seed blocks are not stable
+/// w.r.t. one another), so every block must be scanned as a splitter in
+/// its own right. Single-block scans keep construction at one scan per
+/// queued block. Splits the driver reports into `cq` are drained back
+/// into the worklist after every stabilization, so `cq` leaves empty.
 pub fn refine_to_fixpoint<D: SplitDriver>(
     d: &mut D,
     g: &Graph,
@@ -249,7 +279,7 @@ pub fn refine_to_fixpoint<D: SplitDriver>(
         if d.weight_of(b) == 0 {
             continue;
         }
-        let splitter = d.scan_succ(g, &[b]);
+        let splitter = d.scan_succ(g, b);
         span.add_blocks(1);
         span.add_elems(splitter.len() as u64);
         d.stabilize(g, &splitter, level, cq, stats);

@@ -6,8 +6,8 @@
 //! * the **split phase** restores correctness: if the updated node `v` is
 //!   no longer bisimilar to the rest of its inode, it is singled out, and
 //!   the split is propagated with Paige–Tarjan compound-block processing
-//!   (stabilize against the small half `Succ(I)` and against the rest
-//!   `Succ(𝓘 − {I})`);
+//!   (a three-way split against the small half `I` and the rest
+//!   `𝓘 − {I}` that scans only `Succ(I)`);
 //! * the **merge phase** restores minimality: starting from `I[v]`, merge
 //!   any inode with a label-and-index-parent twin, then iteratively
 //!   consider the index successors of freshly merged inodes.
@@ -43,8 +43,18 @@ impl SplitDriver for OneIndex {
         self.p.size(b)
     }
 
-    fn scan_succ(&mut self, g: &Graph, roots: &[BlockId]) -> Vec<NodeId> {
-        self.p.collect_succ(g, roots)
+    fn scan_succ(&mut self, g: &Graph, b: BlockId) -> Vec<NodeId> {
+        self.p.collect_succ(g, b)
+    }
+
+    fn with_parent_in(
+        &mut self,
+        g: &Graph,
+        cands: &[NodeId],
+        blocks: &[BlockId],
+        _level: usize,
+    ) -> (Vec<NodeId>, u64) {
+        self.p.with_parent_in(g, cands, blocks)
     }
 
     fn stabilize(

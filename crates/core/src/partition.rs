@@ -141,7 +141,8 @@ pub struct Partition {
     /// Per-split scratch: |K ∩ marked| by block slot index.
     split_counts: ScratchTable<u32>,
     /// Per-split scratch: the frozen "this block properly intersects"
-    /// decision by block slot index.
+    /// decision by block slot index. Between splits,
+    /// [`Partition::with_parent_in`] borrows it to mark probed blocks.
     split_flag: ScratchTable<bool>,
     /// Per-split scratch: partner block by split block slot index.
     split_partner: ScratchTable<BlockId>,
@@ -429,25 +430,55 @@ impl Partition {
         }
     }
 
-    /// Collects `Succ(blocks)` — the deduplicated dnode successors of the
-    /// given blocks' extents — in one scan, as required by the splitter
-    /// steps of both construction and incremental maintenance.
-    pub fn collect_succ(&mut self, g: &Graph, blocks: &[BlockId]) -> Vec<NodeId> {
+    /// Collects `Succ(b)` — the deduplicated dnode successors of block
+    /// `b`'s extent — in one scan, as required by the splitter steps of
+    /// both construction and incremental maintenance.
+    pub fn collect_succ(&mut self, g: &Graph, b: BlockId) -> Vec<NodeId> {
         self.epoch += 1;
         let epoch = self.epoch;
         let mut out = Vec::new();
-        for &b in blocks {
-            for i in 0..self.blocks[b].extent.len() {
-                let u = self.blocks[b].extent[i];
-                for v in g.succ(u) {
-                    if self.mark[v.index()] != epoch {
-                        self.mark[v.index()] = epoch;
-                        out.push(v);
-                    }
+        for i in 0..self.blocks[b].extent.len() {
+            let u = self.blocks[b].extent[i];
+            for v in g.succ(u) {
+                if self.mark[v.index()] != epoch {
+                    self.mark[v.index()] = epoch;
+                    out.push(v);
                 }
             }
         }
         out
+    }
+
+    /// The members of `cands` with a dnode parent in one of `blocks` —
+    /// `cands ∩ Succ(blocks)` — in `cands` order, plus the number of
+    /// parent edges probed. The compound loop's second splitter: it
+    /// costs the candidates' in-degrees, not a scan of `blocks`.
+    pub(crate) fn with_parent_in(
+        &mut self,
+        g: &Graph,
+        cands: &[NodeId],
+        blocks: &[BlockId],
+    ) -> (Vec<NodeId>, u64) {
+        self.split_flag.begin();
+        for &b in blocks {
+            self.split_flag.set(b.idx(), true);
+        }
+        let mut out = Vec::new();
+        let mut probed = 0u64;
+        for &x in cands {
+            for p in g.pred(x) {
+                probed += 1;
+                let hit = self
+                    .node_block
+                    .get(p.index())
+                    .is_some_and(|b| self.split_flag.get(b.idx()) == Some(true));
+                if hit {
+                    out.push(x);
+                    break;
+                }
+            }
+        }
+        (out, probed)
     }
 
     /// Stabilizes the whole partition against the node set `marked`
@@ -1131,11 +1162,25 @@ mod more_tests {
         let merged = p.merge_group(&[blocks[2], blocks[3]]);
         // Succ of the merged b-block = {c} exactly once, despite two
         // supporting dedges.
-        let succ = p.collect_succ(&g, &[merged]);
+        let succ = p.collect_succ(&g, merged);
         assert_eq!(succ.len(), 1);
-        // Succ over multiple blocks dedups across them too.
-        let succ = p.collect_succ(&g, &[blocks[1], merged]);
-        assert_eq!(succ.len(), 3); // b1, b2 (from a), c (from merged)
+        // Succ of a's block = {b1, b2}: distinct successors all appear.
+        let succ = p.collect_succ(&g, blocks[1]);
+        assert_eq!(succ.len(), 2);
+    }
+
+    #[test]
+    fn with_parent_in_keeps_candidates_with_a_parent_in_the_blocks() {
+        let (g, mut p, blocks) = diamond();
+        // Candidates: every non-root node. Parents in {a}: b1, b2.
+        let cands: Vec<NodeId> = blocks[1..].iter().map(|&b| p.extent(b)[0]).collect();
+        let (hits, probed) = p.with_parent_in(&g, &cands, &[blocks[1]]);
+        assert_eq!(hits, vec![cands[1], cands[2]]);
+        // a (1 parent), b1 and b2 (hit on their only parent), c (2 misses).
+        assert_eq!(probed, 5);
+        // Parents in {b2} ∪ {root}: a and c, each found on some edge.
+        let (hits, _) = p.with_parent_in(&g, &cands, &[blocks[0], blocks[3]]);
+        assert_eq!(hits, vec![cands[0], cands[3]]);
     }
 
     #[test]
