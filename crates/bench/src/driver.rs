@@ -2,16 +2,19 @@
 //! a chosen maintenance algorithm, sampling the quality metric and
 //! separating update time from reconstruction time.
 //!
-//! Since the [`StructuralIndex`] refactor there is exactly **one** driver
-//! loop, [`run_mixed_updates`], generic over `&mut dyn StructuralIndex` —
-//! the per-family `enum`-match dispatch copies are gone. The
-//! [`Algo1`]/[`AlgoAk`] entry points used by the experiment binaries map
-//! an algorithm name to a boxed index plus a rebuild-policy flag and
-//! delegate.
+//! There is exactly **one** driver loop, [`run_mixed_updates`], and it
+//! runs through an [`UpdateEngine`]: the engine's fan-out core times the
+//! maintenance hooks and its rebuild policy triggers and times the
+//! reconstructions, so experiments measure the same pipeline every other
+//! caller uses. The [`Algo1`]/[`AlgoAk`] entry points used by the
+//! experiment binaries map an algorithm name to a boxed index plus a
+//! rebuild-policy flag and delegate.
 
-use std::time::{Duration, Instant};
-use xsi_core::rebuild::RebuildPolicy;
-use xsi_core::{check, AkIndex, OneIndex, PropagateOneIndex, SimpleAkIndex, StructuralIndex};
+use std::time::Duration;
+use xsi_core::{
+    check, AkIndex, IndexHandle, OneIndex, PropagateOneIndex, SimpleAkIndex, StructuralIndex,
+    UpdateEngine,
+};
 use xsi_graph::{EdgeKind, Graph};
 use xsi_workload::EdgePool;
 
@@ -81,86 +84,65 @@ impl RunSummary {
 }
 
 /// Runs `pairs` insert+delete pairs through any [`StructuralIndex`]'s
-/// maintenance hooks (mutate the graph, then observe — the
-/// [`xsi_core::StructuralIndex`] contract). Quality is sampled every
-/// `sample_every` pairs against the family's freshly built minimum index
-/// ([`StructuralIndex::minimum_block_count`], not charged to the run).
-/// With `with_rebuild`, the 5 %-growth [`RebuildPolicy`] triggers
+/// maintenance hooks, with `idx` (built over `g`) registered in an
+/// [`UpdateEngine`] that owns `g` for the run and hands it back after.
+/// Quality is sampled every `sample_every` pairs against the family's
+/// freshly built minimum index ([`StructuralIndex::minimum_block_count`],
+/// not charged to the run). With `with_rebuild` the index is registered
+/// with the engine's 5 %-growth rebuild policy, which triggers
 /// [`StructuralIndex::rebuild`] after any update that exceeds the
-/// threshold, with the time booked separately.
+/// threshold; the summary's times are the engine's
+/// [`xsi_core::EngineStats`] update and rebuild times.
 pub fn run_mixed_updates(
     g: &mut Graph,
     pool: &mut EdgePool,
     pairs: usize,
     sample_every: usize,
-    idx: &mut dyn StructuralIndex,
+    idx: Box<dyn StructuralIndex>,
     with_rebuild: bool,
 ) -> RunSummary {
-    let mut policy = with_rebuild.then(|| RebuildPolicy::new(idx.block_count()));
-    let mut summary = RunSummary {
-        samples: Vec::new(),
-        update_time: Duration::ZERO,
-        rebuild_time: Duration::ZERO,
-        rebuild_count: 0,
-        updates: 0,
-        final_size: idx.block_count(),
+    let mut engine = UpdateEngine::new(std::mem::take(g));
+    let h = if with_rebuild {
+        engine.register_with_policy(idx)
+    } else {
+        engine.register(idx)
     };
-    push_sample(&mut summary, g, idx, 0);
+    let mut samples = vec![sample(&engine, h, 0)];
     for pair in 1..=pairs {
         let Some((u, v)) = pool.next_insert() else {
             break;
         };
-        g.insert_edge(u, v, EdgeKind::IdRef).expect("insert");
-        let t = Instant::now();
-        idx.on_edge_inserted(g, u, v);
-        summary.update_time += t.elapsed();
-        summary.updates += 1;
-        maybe_rebuild(&mut summary, &mut policy, g, idx);
-
+        engine.insert_edge(u, v, EdgeKind::IdRef).expect("insert");
         let Some((u, v)) = pool.next_delete() else {
             break;
         };
-        g.delete_edge(u, v).expect("delete");
-        let t = Instant::now();
-        idx.on_edge_deleted(g, u, v);
-        summary.update_time += t.elapsed();
-        summary.updates += 1;
-        maybe_rebuild(&mut summary, &mut policy, g, idx);
-
+        engine.delete_edge(u, v).expect("delete");
         if pair % sample_every == 0 || pair == pairs {
-            let updates = summary.updates;
-            push_sample(&mut summary, g, idx, updates);
+            samples.push(sample(&engine, h, engine.stats().ops));
         }
     }
-    summary.final_size = idx.block_count();
-    summary
-}
-
-fn maybe_rebuild(
-    summary: &mut RunSummary,
-    policy: &mut Option<RebuildPolicy>,
-    g: &Graph,
-    idx: &mut dyn StructuralIndex,
-) {
-    if let Some(policy) = policy {
-        if policy.should_rebuild(idx.block_count()) {
-            let t = Instant::now();
-            idx.rebuild(g);
-            summary.rebuild_time += t.elapsed();
-            summary.rebuild_count += 1;
-            policy.on_rebuilt(idx.block_count());
-        }
+    let stats = *engine.stats();
+    let final_size = engine.index(h).block_count();
+    *g = engine.into_parts().0;
+    RunSummary {
+        samples,
+        update_time: stats.update_time,
+        rebuild_time: stats.rebuild_time,
+        rebuild_count: stats.rebuilds,
+        updates: stats.ops,
+        final_size,
     }
 }
 
-fn push_sample(summary: &mut RunSummary, g: &Graph, idx: &dyn StructuralIndex, updates: usize) {
-    let minimum = idx.minimum_block_count(g);
-    summary.samples.push(QualitySample {
+fn sample(engine: &UpdateEngine, h: IndexHandle, updates: usize) -> QualitySample {
+    let idx = engine.index(h);
+    let minimum = idx.minimum_block_count(engine.graph());
+    QualitySample {
         updates,
         index_size: idx.block_count(),
         minimum_size: minimum,
         quality: check::quality(idx.block_count(), minimum),
-    });
+    }
 }
 
 /// Runs `pairs` insert+delete pairs on the 1-index with the given
@@ -173,12 +155,12 @@ pub fn run_mixed_updates_1index(
     sample_every: usize,
     algo: Algo1,
 ) -> RunSummary {
-    let (mut idx, with_rebuild): (Box<dyn StructuralIndex>, bool) = match algo {
+    let (idx, with_rebuild): (Box<dyn StructuralIndex>, bool) = match algo {
         Algo1::SplitMerge => (Box::new(OneIndex::build(g)), false),
         Algo1::Propagate => (Box::new(PropagateOneIndex::build(g)), false),
         Algo1::PropagateWithRebuild => (Box::new(PropagateOneIndex::build(g)), true),
     };
-    run_mixed_updates(g, pool, pairs, sample_every, idx.as_mut(), with_rebuild)
+    run_mixed_updates(g, pool, pairs, sample_every, idx, with_rebuild)
 }
 
 /// Runs `pairs` insert+delete pairs on the A(k)-index with the given
@@ -191,12 +173,12 @@ pub fn run_mixed_updates_ak(
     sample_every: usize,
     algo: AlgoAk,
 ) -> RunSummary {
-    let (mut idx, with_rebuild): (Box<dyn StructuralIndex>, bool) = match algo {
+    let (idx, with_rebuild): (Box<dyn StructuralIndex>, bool) = match algo {
         AlgoAk::SplitMerge => (Box::new(AkIndex::build(g, k)), false),
         AlgoAk::Simple => (Box::new(SimpleAkIndex::build(g, k)), false),
         AlgoAk::SimpleWithRebuild => (Box::new(SimpleAkIndex::build(g, k)), true),
     };
-    run_mixed_updates(g, pool, pairs, sample_every, idx.as_mut(), with_rebuild)
+    run_mixed_updates(g, pool, pairs, sample_every, idx, with_rebuild)
 }
 
 #[cfg(test)]
@@ -270,9 +252,12 @@ mod tests {
     #[test]
     fn generic_runner_drives_any_family() {
         let (mut g, mut pool) = setup(0.01);
-        let mut idx = SimpleAkIndex::build(&g, 2);
-        let s = run_mixed_updates(&mut g, &mut pool, 10, 5, &mut idx, true);
+        let idx = Box::new(SimpleAkIndex::build(&g, 2));
+        let s = run_mixed_updates(&mut g, &mut pool, 10, 5, idx, true);
         assert_eq!(s.updates, 20);
+        // The engine hands the churned graph back.
+        assert!(g.edge_count() > 0);
+        assert_eq!(s.final_size, s.samples.last().unwrap().index_size);
         for sample in &s.samples {
             assert!(sample.index_size >= sample.minimum_size);
         }

@@ -156,7 +156,7 @@ impl StructuralIndex for FaultyOneIndex {
         self
     }
 
-    fn query_view<'a>(&'a self, g: &'a Graph) -> Option<Box<dyn IndexQueryView + 'a>> {
+    fn query_view<'a>(&'a self, g: &'a Graph) -> Box<dyn IndexQueryView + 'a> {
         self.as_dyn().query_view(g)
     }
 

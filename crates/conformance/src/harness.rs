@@ -37,7 +37,6 @@
 
 use crate::fault::{one_index_canonical, one_index_partition, FaultyOneIndex};
 use crate::scenario::{Scenario, ScenarioOp};
-use crate::view::DerivedView;
 use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use xsi_core::obs::event::EventPayload;
@@ -193,12 +192,13 @@ fn run_scenario_impl(
         let outcome = catch_unwind(AssertUnwindSafe(|| -> Result<bool, Failure> {
             if matches!(op, ScenarioOp::Freeze) {
                 let snaps = engine.freeze();
-                let checks = check_freeze_live(&engine, &hs, scenario.k, &queries, &snaps)
-                    .map_err(|(check, detail)| Failure {
+                let checks = check_freeze_live(&engine, &hs, &queries, &snaps).map_err(
+                    |(check, detail)| Failure {
                         step: Some(i),
                         check,
                         detail,
-                    })?;
+                    },
+                )?;
                 report.checks += checks;
                 frozen.push((i, snaps));
                 return Ok(true);
@@ -521,21 +521,12 @@ fn check_all(
     passed += 1;
 
     // --- query agreement across every view ---
+    let views = [hs.one, hs.prop, hs.ak, hs.simple].map(|h| engine.index(h).query_view(g));
     for (text, expr) in queries {
         let mut expected = eval_graph(g, expr);
         expected.sort_unstable();
         expected.dedup();
-        let derived = DerivedView::from_assignment(g, &assignment, Some(k));
-        let views: [(&str, Box<dyn xsi_core::IndexQueryView + '_>); 4] = [
-            ("one", one.query_view(g).expect("1-index view")),
-            (
-                "prop",
-                engine.index(hs.prop).query_view(g).expect("propagate view"),
-            ),
-            ("ak", engine.index(hs.ak).query_view(g).expect("A(k) view")),
-            ("simple", Box::new(derived)),
-        ];
-        for (name, view) in &views {
+        for (name, view) in SLOT_NAMES.iter().zip(&views) {
             let mut got = eval_index(g, view.as_ref(), expr);
             got.sort_unstable();
             got.dedup();
@@ -565,7 +556,6 @@ const SLOT_NAMES: [&str; 4] = ["one", "prop", "ak", "simple"];
 fn check_freeze_live(
     engine: &UpdateEngine,
     hs: &Handles,
-    k: usize,
     queries: &[(String, PathExpr)],
     snaps: &[Option<IndexSnapshot>],
 ) -> Result<usize, (String, String)> {
@@ -583,24 +573,9 @@ fn check_freeze_live(
             ));
         }
         passed += 1;
-        // The live reference view: the index's own query view, or the
-        // assignment-derived view for the simple baseline (which has
-        // none). Faulty slot-0 indexes still expose their inner view.
-        let idx = engine.index(handle);
-        let live: Box<dyn xsi_core::IndexQueryView + '_> = match idx.query_view(g) {
-            Some(v) => v,
-            None => {
-                let simple = idx
-                    .as_any()
-                    .downcast_ref::<SimpleAkIndex>()
-                    .expect("invariant: every non-simple family exposes a query view");
-                Box::new(DerivedView::from_assignment(
-                    g,
-                    &simple.assignment(g),
-                    Some(k),
-                ))
-            }
-        };
+        // The live reference view: the index's own query view (faulty
+        // slot-0 indexes expose their inner view).
+        let live = engine.index(handle).query_view(g);
         for (text, expr) in queries {
             let frozen_ans = eval_index_raw(snap, expr);
             let live_ans = eval_index_raw(live.as_ref(), expr);

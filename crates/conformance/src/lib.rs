@@ -21,9 +21,9 @@
 //!   exact k-bisimulation classes; the `propagate` baseline must stay
 //!   valid and within the size bounds;
 //! * **query agreement** — every generated label-path query evaluated
-//!   through each index's [`xsi_core::IndexQueryView`] (the `simple`
-//!   baseline through a [`DerivedView`]) must return the same node set as
-//!   naive data-graph evaluation.
+//!   through each index's own [`xsi_core::IndexQueryView`] (the `simple`
+//!   baseline's is the block graph its class assignment induces) must
+//!   return the same node set as naive data-graph evaluation.
 //!
 //! When any check fails, the [`shrink`] module runs a delta-debugging
 //! minimizer over the (base graph, op sequence, queries) triple and
@@ -43,14 +43,12 @@ pub mod gen;
 pub mod harness;
 pub mod scenario;
 pub mod shrink;
-pub mod view;
 
 pub use fault::{FaultSpec, FaultyOneIndex};
 pub use gen::{generate_scenario, GenConfig};
 pub use harness::{run_scenario, run_scenario_traced, Failure, RunReport, TRACE_CAP};
 pub use scenario::{Scenario, ScenarioOp};
 pub use shrink::{shrink, ShrinkResult};
-pub use view::DerivedView;
 
 /// Installs the silent postmortem hook: expected panics (the harness
 /// converts them into shrinkable [`Failure`]s) stop spamming stderr

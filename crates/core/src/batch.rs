@@ -1,11 +1,12 @@
-//! Batched update application.
+//! Batched updates: the op vocabulary and its validation.
 //!
 //! Applications rarely see one edge at a time — an XML document change
 //! arrives as a group of node and edge operations. [`UpdateOp`] describes
-//! one operation; [`apply_batch`] applies a group through incremental
-//! maintenance in dependency-safe order (node additions first, then edge
-//! insertions, then edge deletions, then node removals), validating that
-//! the batch is internally consistent before touching anything.
+//! one operation; [`crate::UpdateEngine::apply_batch`] applies a group
+//! through incremental maintenance in dependency-safe order (node
+//! additions first, then edge insertions, then edge deletions, then node
+//! removals), after `validate` has checked that the batch is
+//! internally consistent. A batch that fails validation touches nothing.
 //!
 //! Each operation still runs through the split/merge machinery, so the
 //! minimality/minimum guarantees hold at every intermediate step; the
@@ -14,19 +15,11 @@
 //! is what Figure 6 does for subgraphs — use
 //! [`crate::OneIndex::add_subgraph`] for that case.)
 //!
-//! Since the [`StructuralIndex`] refactor there is exactly **one**
-//! application path: [`apply_batch_traced`] drives any set of trait-object
-//! indexes over one graph (this is what [`crate::UpdateEngine`] calls),
-//! and [`apply_batch`] / [`apply_batch_1index`] / [`apply_batch_ak`] are
-//! thin single-index wrappers over it. The per-index-type macro that used
-//! to stamp out parallel copies of this logic is gone.
+//! There is no batch application code here: the engine runs the phases
+//! through the same fan-out core as its single-op entry points, so a
+//! batch and the equivalent single ops produce the same index states,
+//! stats and events (plus the batch's `batch-segment` events).
 
-use crate::akindex::AkIndex;
-use crate::index::StructuralIndex;
-use crate::obs::event::{BatchSegment, EventPayload, IndexFamily, OpKind};
-use crate::obs::span::{SpanGuard, SpanKind};
-use crate::obs::ObsHub;
-use crate::oneindex::OneIndex;
 use crate::stats::UpdateStats;
 use std::collections::HashSet;
 use xsi_graph::{EdgeKind, Graph, GraphError, NodeId};
@@ -58,6 +51,17 @@ pub enum NodeRef {
     Existing(NodeId),
     /// The i-th `AddNode` of this batch (0-based).
     New(usize),
+}
+
+impl NodeRef {
+    /// The host id this reference names, given the ids `created` so far
+    /// by the batch's `AddNode`s.
+    pub(crate) fn resolve(self, created: &[NodeId]) -> Result<NodeId, BatchError> {
+        match self {
+            NodeRef::Existing(n) => Ok(n),
+            NodeRef::New(i) => created.get(i).copied().ok_or(BatchError::BadNewRef(i)),
+        }
+    }
 }
 
 /// Errors from batch validation and application.
@@ -105,7 +109,11 @@ pub struct BatchResult {
     pub ops_applied: usize,
 }
 
-fn validate(g: &Graph, batch: &[UpdateOp]) -> Result<(), BatchError> {
+/// Checks that a batch is internally consistent against `g` before
+/// anything is applied: every `NodeRef::New` names one of the batch's
+/// `AddNode`s, every existing endpoint is alive, and no node is removed
+/// twice or is the root.
+pub(crate) fn validate(g: &Graph, batch: &[UpdateOp]) -> Result<(), BatchError> {
     let new_count = batch
         .iter()
         .filter(|op| matches!(op, UpdateOp::AddNode { .. }))
@@ -147,293 +155,11 @@ fn validate(g: &Graph, batch: &[UpdateOp]) -> Result<(), BatchError> {
     Ok(())
 }
 
-/// The single batch-application core: applies a batch to `g` and fans
-/// every mutation out to all `indexes`, returning the combined
-/// [`BatchResult`] plus the per-index aggregate [`UpdateStats`] (same
-/// order as `indexes`).
-///
-/// Operations are applied in phase order (add-node → insert-edge →
-/// delete-edge → remove-node); within a phase, batch order is preserved.
-/// A node removal first deletes the node's *remaining* incident edges
-/// (incoming first, then outgoing) through the regular edge-deletion
-/// fan-out — so a batch may freely mix explicit `DeleteEdge`s on a node's
-/// edges with a `RemoveNode` of that node — then notifies
-/// [`StructuralIndex::on_node_removing`], then removes the node from the
-/// graph.
-///
-/// The batch is validated up front — a structurally invalid batch leaves
-/// graph and indexes untouched. Graph-level failures mid-application
-/// (e.g. duplicate edge inserts) abort with the error; operations already
-/// applied remain applied, and every index is consistent with the graph
-/// at every step.
-pub fn apply_batch_traced(
-    indexes: &mut [&mut dyn StructuralIndex],
-    g: &mut Graph,
-    batch: &[UpdateOp],
-) -> Result<(BatchResult, Vec<UpdateStats>), BatchError> {
-    let mut obs = ObsHub::disabled();
-    apply_batch_traced_obs(indexes, &[], g, batch, &mut obs)
-}
-
-/// Per-edge-mutation fan-out: every index observes the (already applied)
-/// mutation; when the hub is active each observation is timed and
-/// emitted as an `index-dispatch` event (plus the split/merge phase
-/// breakdown, see [`ObsHub::observe_index_dispatch`]).
-#[allow(clippy::too_many_arguments)]
-fn observe_edge_fanout(
-    g: &Graph,
-    u: NodeId,
-    v: NodeId,
-    inserted: bool,
-    indexes: &mut [&mut dyn StructuralIndex],
-    families: &[IndexFamily],
-    result: &mut BatchResult,
-    per_index: &mut [UpdateStats],
-    obs: &mut ObsHub,
-) {
-    let op = if inserted {
-        OpKind::InsertEdge
-    } else {
-        OpKind::DeleteEdge
-    };
-    let active = obs.is_active();
-    if active {
-        obs.emit(EventPayload::OpReceived { op });
-    }
-    let op_span = SpanGuard::enter(SpanKind::Op);
-    for (i, (idx, acc)) in indexes.iter_mut().zip(per_index.iter_mut()).enumerate() {
-        let family = families.get(i).copied().unwrap_or(IndexFamily::NONE);
-        let t = if active {
-            Some(std::time::Instant::now())
-        } else {
-            None
-        };
-        let dispatch = SpanGuard::enter_family(SpanKind::IndexDispatch, family);
-        let s = if inserted {
-            idx.on_edge_inserted(g, u, v)
-        } else {
-            idx.on_edge_deleted(g, u, v)
-        };
-        dispatch.add_blocks(s.splits as u64 + s.merges as u64);
-        dispatch.set_queue_depth(s.queue_peak as u64);
-        drop(dispatch);
-        if let Some(t) = t {
-            obs.observe_index_dispatch(family, op, &s, t.elapsed().as_nanos() as u64);
-        }
-        acc.absorb(&s);
-        result.stats.absorb(&s);
-    }
-    drop(op_span);
-    result.ops_applied += 1;
-}
-
-/// [`apply_batch_traced`] with observability: the same phase-ordered
-/// core, additionally emitting `op-received` / `index-dispatch` /
-/// `batch-segment` events (and per-phase metrics) into `obs`. This is
-/// the instrumented path the [`crate::UpdateEngine`] calls; `families`
-/// gives each index's [`IndexFamily`] handle in `indexes` order (may be
-/// empty when tracing is off).
-pub fn apply_batch_traced_obs(
-    indexes: &mut [&mut dyn StructuralIndex],
-    families: &[IndexFamily],
-    g: &mut Graph,
-    batch: &[UpdateOp],
-    obs: &mut ObsHub,
-) -> Result<(BatchResult, Vec<UpdateStats>), BatchError> {
-    validate(g, batch)?;
-    debug_assert!(families.is_empty() || families.len() == indexes.len());
-    // Accumulators fold from the absorb identity (`no_op: true`), so a
-    // batch of pure no-ops reports `no_op = true` — the satellite-1 fix.
-    let mut result = BatchResult {
-        stats: UpdateStats::identity(),
-        ..BatchResult::default()
-    };
-    let mut per_index = vec![UpdateStats::identity(); indexes.len()];
-    let active = obs.is_active();
-    let segment = |obs: &mut ObsHub, seg: BatchSegment, ops: usize| {
-        if ops > 0 {
-            obs.emit(EventPayload::BatchSegment {
-                segment: seg,
-                ops: ops.min(u32::MAX as usize) as u32,
-            });
-        }
-    };
-
-    // Phase 1: node additions.
-    let seg_span = SpanGuard::enter(SpanKind::BatchSegment);
-    let mut seg_ops = 0usize;
-    for op in batch {
-        if let UpdateOp::AddNode { label } = op {
-            if active {
-                obs.emit(EventPayload::OpReceived {
-                    op: OpKind::AddNode,
-                });
-            }
-            let n = g.add_node(label, None);
-            for idx in indexes.iter_mut() {
-                idx.on_node_added(g, n);
-            }
-            result.created.push(n);
-            result.ops_applied += 1;
-            seg_ops += 1;
-        }
-    }
-    seg_span.add_elems(seg_ops as u64);
-    drop(seg_span);
-    if active {
-        segment(obs, BatchSegment::AddNodes, seg_ops);
-    }
-    let resolve = |r: &NodeRef, created: &[NodeId]| match r {
-        NodeRef::Existing(n) => *n,
-        NodeRef::New(i) => created[*i],
-    };
-    // Phase 2: edge insertions.
-    let seg_span = SpanGuard::enter(SpanKind::BatchSegment);
-    let mut seg_ops = 0usize;
-    for op in batch {
-        if let UpdateOp::InsertEdge { from, to, kind } = op {
-            let (u, v) = (resolve(from, &result.created), resolve(to, &result.created));
-            g.insert_edge(u, v, *kind)?;
-            observe_edge_fanout(
-                g,
-                u,
-                v,
-                true,
-                indexes,
-                families,
-                &mut result,
-                &mut per_index,
-                obs,
-            );
-            seg_ops += 1;
-        }
-    }
-    seg_span.add_elems(seg_ops as u64);
-    drop(seg_span);
-    if active {
-        segment(obs, BatchSegment::InsertEdges, seg_ops);
-    }
-    // Phase 3: edge deletions.
-    let seg_span = SpanGuard::enter(SpanKind::BatchSegment);
-    let mut seg_ops = 0usize;
-    for op in batch {
-        if let UpdateOp::DeleteEdge { from, to } = op {
-            g.delete_edge(*from, *to)?;
-            observe_edge_fanout(
-                g,
-                *from,
-                *to,
-                false,
-                indexes,
-                families,
-                &mut result,
-                &mut per_index,
-                obs,
-            );
-            seg_ops += 1;
-        }
-    }
-    seg_span.add_elems(seg_ops as u64);
-    drop(seg_span);
-    if active {
-        segment(obs, BatchSegment::DeleteEdges, seg_ops);
-    }
-    // Phase 4: node removals (after explicit edge deletions, so edges
-    // already deleted in phase 3 are not double-processed; any edges the
-    // node still has are deleted here through the same fan-out).
-    let seg_span = SpanGuard::enter(SpanKind::BatchSegment);
-    let mut seg_ops = 0usize;
-    for op in batch {
-        if let UpdateOp::RemoveNode { node } = op {
-            if active {
-                obs.emit(EventPayload::OpReceived {
-                    op: OpKind::RemoveNode,
-                });
-            }
-            let parents: Vec<NodeId> = g.pred(*node).collect();
-            for p in parents {
-                g.delete_edge(p, *node)?;
-                observe_edge_fanout(
-                    g,
-                    p,
-                    *node,
-                    false,
-                    indexes,
-                    families,
-                    &mut result,
-                    &mut per_index,
-                    obs,
-                );
-                seg_ops += 1;
-            }
-            let children: Vec<NodeId> = g.succ(*node).collect();
-            for c in children {
-                g.delete_edge(*node, c)?;
-                observe_edge_fanout(
-                    g,
-                    *node,
-                    c,
-                    false,
-                    indexes,
-                    families,
-                    &mut result,
-                    &mut per_index,
-                    obs,
-                );
-                seg_ops += 1;
-            }
-            for idx in indexes.iter_mut() {
-                idx.on_node_removing(g, *node);
-            }
-            g.remove_node(*node)?;
-            result.ops_applied += 1;
-            seg_ops += 1;
-        }
-    }
-    seg_span.add_elems(seg_ops as u64);
-    drop(seg_span);
-    if active {
-        segment(obs, BatchSegment::RemoveNodes, seg_ops);
-    }
-    Ok((result, per_index))
-}
-
-/// Applies a batch of updates through any [`StructuralIndex`]'s
-/// incremental maintenance. See [`apply_batch_traced`] for ordering and
-/// failure semantics.
-pub fn apply_batch(
-    idx: &mut dyn StructuralIndex,
-    g: &mut Graph,
-    batch: &[UpdateOp],
-) -> Result<BatchResult, BatchError> {
-    let mut views: [&mut dyn StructuralIndex; 1] = [idx];
-    apply_batch_traced(&mut views, g, batch).map(|(result, _)| result)
-}
-
-/// Applies a batch of updates through 1-index split/merge maintenance.
-/// (Thin wrapper over [`apply_batch`], kept for source compatibility.)
-pub fn apply_batch_1index(
-    idx: &mut OneIndex,
-    g: &mut Graph,
-    batch: &[UpdateOp],
-) -> Result<BatchResult, BatchError> {
-    apply_batch(idx, g, batch)
-}
-
-/// Applies a batch of updates through A(k) split/merge maintenance.
-/// (Thin wrapper over [`apply_batch`], kept for source compatibility.)
-pub fn apply_batch_ak(
-    idx: &mut AkIndex,
-    g: &mut Graph,
-    batch: &[UpdateOp],
-) -> Result<BatchResult, BatchError> {
-    apply_batch(idx, g, batch)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::check::is_minimal_1index;
+    use crate::{AkIndex, IndexHandle, OneIndex, UpdateEngine};
     use xsi_graph::GraphBuilder;
 
     fn host() -> (Graph, std::collections::BTreeMap<u64, NodeId>) {
@@ -444,10 +170,21 @@ mod tests {
             .build_with_ids()
     }
 
+    /// An engine over `g` with one split/merge 1-index registered.
+    fn one_engine(g: Graph) -> (UpdateEngine, IndexHandle) {
+        let mut engine = UpdateEngine::new(g);
+        let h = engine.register(Box::new(OneIndex::build(engine.graph())));
+        (engine, h)
+    }
+
+    fn one(engine: &UpdateEngine, h: IndexHandle) -> &OneIndex {
+        engine.index(h).as_any().downcast_ref::<OneIndex>().unwrap()
+    }
+
     #[test]
     fn batch_with_new_nodes_and_edges() {
-        let (mut g, ids) = host();
-        let mut idx = OneIndex::build(&g);
+        let (g, ids) = host();
+        let (mut engine, h) = one_engine(g);
         let batch = vec![
             UpdateOp::AddNode {
                 label: "person".into(),
@@ -471,19 +208,20 @@ mod tests {
                 kind: EdgeKind::IdRef,
             },
         ];
-        let result = apply_batch_1index(&mut idx, &mut g, &batch).unwrap();
+        let result = engine.apply_batch(&batch).unwrap();
         assert_eq!(result.created.len(), 2);
         assert_eq!(result.ops_applied, 5);
-        idx.partition().check_consistency(&g).unwrap();
-        assert!(is_minimal_1index(&g, idx.partition()));
-        assert_eq!(idx.block_count(), OneIndex::build(&g).block_count());
+        let (g, idx) = (engine.graph(), one(&engine, h));
+        idx.partition().check_consistency(g).unwrap();
+        assert!(is_minimal_1index(g, idx.partition()));
+        assert_eq!(idx.block_count(), OneIndex::build(g).block_count());
     }
 
     #[test]
     fn batch_round_trip_removal() {
-        let (mut g, ids) = host();
-        let mut idx = OneIndex::build(&g);
-        let before = idx.canonical();
+        let (g, ids) = host();
+        let (mut engine, h) = one_engine(g);
+        let before = one(&engine, h).canonical();
         let add = vec![
             UpdateOp::AddNode {
                 label: "note".into(),
@@ -494,22 +232,23 @@ mod tests {
                 kind: EdgeKind::Child,
             },
         ];
-        let result = apply_batch_1index(&mut idx, &mut g, &add).unwrap();
-        let remove = vec![UpdateOp::RemoveNode {
-            node: result.created[0],
-        }];
-        let rr = apply_batch_1index(&mut idx, &mut g, &remove).unwrap();
+        let result = engine.apply_batch(&add).unwrap();
+        let rr = engine
+            .apply(&UpdateOp::RemoveNode {
+                node: result.created[0],
+            })
+            .unwrap();
         // One implicit edge deletion + the node removal itself.
         assert_eq!(rr.ops_applied, 2);
-        assert_eq!(idx.canonical(), before);
+        assert_eq!(one(&engine, h).canonical(), before);
     }
 
     #[test]
     fn invalid_batch_leaves_state_untouched() {
-        let (mut g, _) = host();
-        let mut idx = OneIndex::build(&g);
-        let before = idx.canonical();
-        let nodes_before = g.node_count();
+        let (g, _) = host();
+        let (mut engine, h) = one_engine(g);
+        let before = one(&engine, h).canonical();
+        let nodes_before = engine.graph().node_count();
         let bad = vec![
             UpdateOp::AddNode { label: "x".into() },
             UpdateOp::InsertEdge {
@@ -519,17 +258,19 @@ mod tests {
             },
         ];
         assert_eq!(
-            apply_batch_1index(&mut idx, &mut g, &bad).unwrap_err(),
+            engine.apply_batch(&bad).unwrap_err(),
             BatchError::BadNewRef(7)
         );
-        assert_eq!(g.node_count(), nodes_before);
-        assert_eq!(idx.canonical(), before);
+        assert_eq!(engine.graph().node_count(), nodes_before);
+        assert_eq!(one(&engine, h).canonical(), before);
+        assert_eq!(engine.stats().ops, 0);
     }
 
     #[test]
     fn ak_batch_maintains_minimum_chain() {
-        let (mut g, ids) = host();
-        let mut idx = AkIndex::build(&g, 2);
+        let (g, ids) = host();
+        let mut engine = UpdateEngine::new(g);
+        let h = engine.register(Box::new(AkIndex::build(engine.graph(), 2)));
         let batch = vec![
             UpdateOp::AddNode {
                 label: "person".into(),
@@ -544,30 +285,31 @@ mod tests {
                 to: ids[&2],
             },
         ];
-        apply_batch_ak(&mut idx, &mut g, &batch).unwrap();
-        idx.check_consistency(&g).unwrap();
-        assert_eq!(idx.canonical(), AkIndex::build(&g, 2).canonical());
+        engine.apply_batch(&batch).unwrap();
+        let g = engine.graph();
+        let idx = engine.index(h).as_any().downcast_ref::<AkIndex>().unwrap();
+        idx.check_consistency(g).unwrap();
+        assert_eq!(idx.canonical(), AkIndex::build(g, 2).canonical());
     }
 
     #[test]
     fn duplicate_remove_rejected() {
-        let (mut g, ids) = host();
-        let mut idx = OneIndex::build(&g);
+        let (g, ids) = host();
+        let (mut engine, _) = one_engine(g);
         let bad = vec![
             UpdateOp::RemoveNode { node: ids[&2] },
             UpdateOp::RemoveNode { node: ids[&2] },
         ];
         assert_eq!(
-            apply_batch_1index(&mut idx, &mut g, &bad).unwrap_err(),
+            engine.apply_batch(&bad).unwrap_err(),
             BatchError::DeadNode(ids[&2])
         );
+        assert!(engine.graph().is_alive(ids[&2]));
     }
 
-    /// Regression (satellite 6): a batch that removes a node *and*
-    /// explicitly deletes that node's edges must apply the explicit
-    /// deletions first (phase 3), then remove the node without
-    /// double-deleting — previously a risk because `RemoveNode` eagerly
-    /// swept all incident edges.
+    /// A batch that removes a node *and* explicitly deletes one of that
+    /// node's edges applies the explicit deletion first (phase 3), then
+    /// removes the node without deleting that edge twice.
     #[test]
     fn remove_node_after_explicit_edge_deletions_in_same_batch() {
         let (mut g, ids) = host();
@@ -575,7 +317,7 @@ mod tests {
         // work to do after the explicit deletion.
         let extra = g.add_node("watch", None);
         g.insert_edge(ids[&2], extra, EdgeKind::Child).unwrap();
-        let mut idx = OneIndex::build(&g);
+        let (mut engine, h) = one_engine(g);
         let batch = vec![
             UpdateOp::DeleteEdge {
                 from: ids[&1],
@@ -583,23 +325,25 @@ mod tests {
             },
             UpdateOp::RemoveNode { node: ids[&2] },
         ];
-        let result = apply_batch_1index(&mut idx, &mut g, &batch).unwrap();
+        let result = engine.apply_batch(&batch).unwrap();
         // Explicit deletion (1) + implicit deletion of (2, extra) (1) +
         // node removal (1).
         assert_eq!(result.ops_applied, 3);
+        let (g, idx) = (engine.graph(), one(&engine, h));
         assert!(!g.is_alive(ids[&2]));
-        idx.partition().check_consistency(&g).unwrap();
-        assert!(is_minimal_1index(&g, idx.partition()));
-        assert_eq!(idx.canonical(), OneIndex::build(&g).canonical());
+        idx.partition().check_consistency(g).unwrap();
+        assert!(is_minimal_1index(g, idx.partition()));
+        assert_eq!(idx.canonical(), OneIndex::build(g).canonical());
     }
 
-    /// The traced core drives several indexes over one graph in lockstep
-    /// and reports per-index stats in registration order.
+    /// The engine's batch path drives several indexes over one graph in
+    /// lockstep and books per-index stats in registration order.
     #[test]
     fn traced_core_fans_out_to_multiple_indexes() {
-        let (mut g, ids) = host();
-        let mut one = OneIndex::build(&g);
-        let mut ak = AkIndex::build(&g, 2);
+        let (g, ids) = host();
+        let mut engine = UpdateEngine::new(g);
+        let h_one = engine.register(Box::new(OneIndex::build(engine.graph())));
+        let h_ak = engine.register(Box::new(AkIndex::build(engine.graph(), 2)));
         let batch = vec![
             UpdateOp::AddNode {
                 label: "person".into(),
@@ -615,13 +359,32 @@ mod tests {
                 kind: EdgeKind::IdRef,
             },
         ];
-        let per_index = {
-            let mut views: [&mut dyn StructuralIndex; 2] = [&mut one, &mut ak];
-            let (_, per_index) = apply_batch_traced(&mut views, &mut g, &batch).unwrap();
-            per_index
-        };
-        assert_eq!(per_index.len(), 2);
-        assert_eq!(one.canonical(), OneIndex::build(&g).canonical());
-        assert_eq!(ak.canonical(), AkIndex::build(&g, 2).canonical());
+        engine.apply_batch(&batch).unwrap();
+        let g = engine.graph();
+        assert_eq!(
+            one(&engine, h_one).canonical(),
+            OneIndex::build(g).canonical()
+        );
+        let ak = engine
+            .index(h_ak)
+            .as_any()
+            .downcast_ref::<AkIndex>()
+            .unwrap();
+        assert_eq!(ak.canonical(), AkIndex::build(g, 2).canonical());
+        for h in [h_one, h_ak] {
+            assert!(!engine.index_stats(h).no_op, "both indexes saw real work");
+        }
+    }
+
+    #[test]
+    fn node_refs_resolve_against_created_ids() {
+        let (_, ids) = host();
+        let created = [ids[&2]];
+        assert_eq!(NodeRef::Existing(ids[&3]).resolve(&created), Ok(ids[&3]));
+        assert_eq!(NodeRef::New(0).resolve(&created), Ok(ids[&2]));
+        assert_eq!(
+            NodeRef::New(1).resolve(&created),
+            Err(BatchError::BadNewRef(1))
+        );
     }
 }

@@ -15,18 +15,24 @@
 //! * registered [`StructuralIndex`] trait objects are notified in
 //!   registration order, after the graph change (the hook contract of
 //!   [`crate::index`]);
-//! * per-index cumulative [`UpdateStats`] and engine-wide
-//!   [`EngineStats`] (ops, splits, merges, touched blocks, latency) are
-//!   collected on every operation;
+//! * one private fan-out core, `UpdateEngine::fan_out`, is the only
+//!   copy of the per-op instrumentation: the `op-received` event, the
+//!   `Op`/`IndexDispatch` spans, dispatch timing, and the booking of
+//!   per-index cumulative [`UpdateStats`] and engine-wide
+//!   [`EngineStats`] (ops, splits, merges, touched blocks, latency).
+//!   `add_node`, `insert_edge`, `delete_edge` and the four batch phases
+//!   all call it, each passing a closure that runs its own hook;
 //! * an optional per-index [`RebuildPolicy`] triggers the paper's
-//!   5 %-growth reconstruction through [`StructuralIndex::rebuild`],
-//!   with the time booked separately — exactly the accounting the
-//!   Section 7 experiments need.
+//!   5 %-growth reconstruction through [`StructuralIndex::rebuild`]
+//!   after every edge op and every batch, with the time booked
+//!   separately — exactly the accounting the Section 7 experiments need.
 //!
-//! Node removal is decomposed the way Section 1 prescribes ("based on"
-//! edge deletion): the engine deletes each incident edge through the
-//! normal fan-out, then runs `on_node_removing` on every index, then
-//! removes the node from the graph.
+//! Node removal exists once, as batch phase 4 (reach it for one node
+//! with [`UpdateEngine::apply`]`(&UpdateOp::RemoveNode { .. })`), and is
+//! decomposed the way Section 1 prescribes ("based on" edge deletion):
+//! the engine deletes each incident edge through the normal fan-out,
+//! then runs `on_node_removing` on every index, then removes the node
+//! from the graph.
 //!
 //! With the `paranoid` cargo feature the engine additionally re-runs the
 //! trait-level consistency checker ([`UpdateEngine::check`]) and the
@@ -37,7 +43,7 @@
 
 use crate::batch::{self, BatchError, BatchResult, UpdateOp};
 use crate::index::StructuralIndex;
-use crate::obs::event::{EventPayload, IndexFamily, OpKind};
+use crate::obs::event::{BatchSegment, EventPayload, IndexFamily, OpKind};
 use crate::obs::mem::{self, HeapUse};
 use crate::obs::metrics::MetricKey;
 use crate::obs::span::{SpanGuard, SpanKind};
@@ -67,7 +73,9 @@ pub struct EngineStats {
     /// block for each non-no-op observation. (Derived from per-op
     /// [`UpdateStats`]; no-op fast paths touch nothing.)
     pub touched_blocks: usize,
-    /// Wall-clock time inside index maintenance hooks.
+    /// Wall-clock time inside index maintenance hooks, read around the
+    /// fan-out core's per-index loop — for batches too, so graph
+    /// mutation, batch validation and rebuilds are not included.
     pub update_time: Duration,
     /// Wall-clock time inside policy-triggered reconstructions.
     pub rebuild_time: Duration,
@@ -80,16 +88,6 @@ impl EngineStats {
         self.splits += s.splits;
         self.merges += s.merges;
         self.touched_blocks += s.splits + s.merges + usize::from(!s.no_op);
-    }
-
-    /// The single instrumentation choke point for per-operation time
-    /// bookkeeping (previously copy-pasted across `add_node`,
-    /// `remove_node`, `apply_batch`, and the edge fan-out): books
-    /// `elapsed` wall-clock time inside index-maintenance hooks and
-    /// `ops` applied graph mutations.
-    fn observe_op(&mut self, elapsed: Duration, ops: usize) {
-        self.update_time += elapsed;
-        self.ops += ops;
     }
 }
 
@@ -211,20 +209,13 @@ impl UpdateEngine {
     }
 
     /// Adds a node and registers it with every index.
+    // xsi-lint: allow(obs-coverage, thin delegate; the fan_out core books the op through the obs hub)
     pub fn add_node(&mut self, label: &str, value: Option<String>) -> NodeId {
         let n = self.g.add_node(label, value);
-        self.obs.emit(EventPayload::OpReceived {
-            op: OpKind::AddNode,
+        self.fan_out(OpKind::AddNode, |idx, g| {
+            idx.on_node_added(g, n);
+            None
         });
-        let op_span = SpanGuard::enter(SpanKind::Op);
-        let t = Instant::now();
-        for e in &mut self.entries {
-            let dispatch = SpanGuard::enter_family(SpanKind::IndexDispatch, e.family);
-            e.index.on_node_added(&self.g, n);
-            drop(dispatch);
-        }
-        drop(op_span);
-        self.stats.observe_op(t.elapsed(), 1);
         self.paranoid_check("add_node");
         n
     }
@@ -238,7 +229,12 @@ impl UpdateEngine {
         kind: EdgeKind,
     ) -> Result<UpdateStats, GraphError> {
         self.g.insert_edge(u, v, kind)?;
-        Ok(self.observe_edge(u, v, true))
+        let stats = self.fan_out(OpKind::InsertEdge, |idx, g| {
+            Some(idx.on_edge_inserted(g, u, v))
+        });
+        self.run_policies();
+        self.paranoid_check("insert_edge");
+        Ok(stats)
     }
 
     /// Deletes an edge and fans the observation out. Returns the removed
@@ -249,87 +245,48 @@ impl UpdateEngine {
         v: NodeId,
     ) -> Result<(UpdateStats, EdgeKind), GraphError> {
         let kind = self.g.delete_edge(u, v)?;
-        Ok((self.observe_edge(u, v, false), kind))
-    }
-
-    /// Removes a node: deletes each incident edge through the normal
-    /// fan-out (parents first, then children), notifies
-    /// `on_node_removing`, then removes the node from the graph.
-    pub fn remove_node(&mut self, n: NodeId) -> Result<UpdateStats, GraphError> {
-        if !self.g.is_alive(n) {
-            return Err(GraphError::DeadNode(n));
-        }
-        if n == self.g.root() {
-            // Reject before touching anything: the graph would refuse the
-            // final removal, and by then edges would already be gone.
-            return Err(GraphError::RootViolation);
-        }
-        let mut total = UpdateStats {
-            no_op: false,
-            ..UpdateStats::default()
-        };
-        let parents: Vec<NodeId> = self.g.pred(n).collect();
-        for p in parents {
-            let (s, _) = self.delete_edge(p, n)?;
-            total.absorb(&s);
-        }
-        let children: Vec<NodeId> = self.g.succ(n).collect();
-        for c in children {
-            let (s, _) = self.delete_edge(n, c)?;
-            total.absorb(&s);
-        }
-        // The incident edge deletions above emitted their own op events
-        // (matching `EngineStats::ops` accounting); this one is for the
-        // removal itself.
-        self.obs.emit(EventPayload::OpReceived {
-            op: OpKind::RemoveNode,
+        let stats = self.fan_out(OpKind::DeleteEdge, |idx, g| {
+            Some(idx.on_edge_deleted(g, u, v))
         });
-        let op_span = SpanGuard::enter(SpanKind::Op);
-        let t = Instant::now();
-        for e in &mut self.entries {
-            let dispatch = SpanGuard::enter_family(SpanKind::IndexDispatch, e.family);
-            e.index.on_node_removing(&self.g, n);
-            drop(dispatch);
-        }
-        let elapsed = t.elapsed();
-        drop(op_span);
-        self.g.remove_node(n)?;
-        self.stats.observe_op(elapsed, 1);
-        self.paranoid_check("remove_node");
-        Ok(total)
+        self.run_policies();
+        self.paranoid_check("delete_edge");
+        Ok((stats, kind))
     }
 
-    /// Applies one [`UpdateOp`]. `AddNode` ids are returned through the
-    /// result's `created`; use [`UpdateEngine::apply_batch`] when ops
-    /// reference each other's new nodes.
+    /// Applies one [`UpdateOp`] — the single-op entry point for node
+    /// removal. `AddNode` ids are returned through the result's
+    /// `created`; use [`UpdateEngine::apply_batch`] when ops reference
+    /// each other's new nodes.
     // xsi-lint: allow(obs-coverage, one-op shim over apply_batch, which carries the full obs instrumentation)
     pub fn apply(&mut self, op: &UpdateOp) -> Result<BatchResult, BatchError> {
         self.apply_batch(std::slice::from_ref(op))
     }
 
-    /// Applies a batch through the shared phase-ordered batch machinery
-    /// (validate → add nodes → insert edges → delete edges → remove
-    /// nodes), fanning every mutation out to all registered indexes.
+    /// Applies a batch: validates it, then runs it in phase order (add
+    /// nodes → insert edges → delete edges → remove nodes; batch order
+    /// within a phase), every primitive mutation through the fan-out
+    /// core. A node removal is the paper's §1 decomposition: delete the
+    /// node's remaining incoming edges (`g.pred` order), then its
+    /// outgoing edges (`g.succ` order), each as an ordinary edge
+    /// deletion, then notify `on_node_removing`, then remove the node.
+    /// So a batch may mix explicit `DeleteEdge`s of a node's edges with
+    /// its `RemoveNode`.
+    ///
+    /// A batch that fails validation leaves graph and indexes untouched.
+    /// A graph-level failure mid-batch (e.g. a duplicate edge insert)
+    /// aborts with the error; the ops already applied stay applied and
+    /// booked in the engine and per-index stats, and every index is
+    /// consistent with the graph at every step.
     pub fn apply_batch(&mut self, ops: &[UpdateOp]) -> Result<BatchResult, BatchError> {
-        // Split-borrow: the batch core needs &mut Graph plus the index
-        // trait objects; reassemble the per-index stats afterwards.
-        let t = Instant::now();
-        let (result, per_index) = {
-            let families: Vec<IndexFamily> = self.entries.iter().map(|e| e.family).collect();
-            let mut views: Vec<&mut dyn StructuralIndex> = Vec::with_capacity(self.entries.len());
-            for e in &mut self.entries {
-                views.push(e.index.as_mut());
-            }
-            batch::apply_batch_traced_obs(&mut views, &families, &mut self.g, ops, &mut self.obs)?
+        batch::validate(&self.g, ops)?;
+        let mut result = BatchResult {
+            stats: UpdateStats::identity(),
+            ..BatchResult::default()
         };
-        self.stats.observe_op(t.elapsed(), result.ops_applied);
-        for (e, s) in self.entries.iter_mut().zip(&per_index) {
-            e.stats.absorb(s);
-            self.stats.absorb_op(s);
-        }
+        let applied = self.apply_phases(ops, &mut result);
         self.run_policies();
         self.paranoid_check("apply_batch");
-        Ok(result)
+        applied.map(|()| result)
     }
 
     /// Publishes one `store-report` event per registered index that
@@ -479,29 +436,34 @@ impl UpdateEngine {
         Ok(())
     }
 
-    /// Fan-out for an edge observation already applied to the graph.
-    fn observe_edge(&mut self, u: NodeId, v: NodeId, inserted: bool) -> UpdateStats {
-        let op = if inserted {
-            OpKind::InsertEdge
-        } else {
-            OpKind::DeleteEdge
-        };
+    /// The fan-out core, and the only copy of the per-op instrumentation:
+    /// one `op-received` event and one `Op` span per graph mutation
+    /// (already applied), an `IndexDispatch` span per registered index
+    /// (registration order) around `hook`, and the op's count and time
+    /// booked into [`EngineStats`]. Edge hooks return `Some(stats)`: each
+    /// index's observation is then timed into an `index-dispatch` event
+    /// when the hub is active and absorbed into the per-index and engine
+    /// stats. Node hooks return `None`. Returns the op's stats folded
+    /// over all indexes.
+    fn fan_out(
+        &mut self,
+        op: OpKind,
+        mut hook: impl FnMut(&mut dyn StructuralIndex, &Graph) -> Option<UpdateStats>,
+    ) -> UpdateStats {
         let active = self.obs.is_active();
         if active {
             self.obs.emit(EventPayload::OpReceived { op });
         }
         let op_span = SpanGuard::enter(SpanKind::Op);
         let t = Instant::now();
-        // Fold from the absorb identity (satellite 1): the aggregate's
-        // `no_op` is true iff every index took its no-op fast path.
+        // Fold from the absorb identity: the aggregate's `no_op` is true
+        // iff every index took its no-op fast path.
         let mut total = UpdateStats::identity();
         for e in &mut self.entries {
-            let t_idx = if active { Some(Instant::now()) } else { None };
+            let t_idx = active.then(Instant::now);
             let dispatch = SpanGuard::enter_family(SpanKind::IndexDispatch, e.family);
-            let s = if inserted {
-                e.index.on_edge_inserted(&self.g, u, v)
-            } else {
-                e.index.on_edge_deleted(&self.g, u, v)
+            let Some(s) = hook(e.index.as_mut(), &self.g) else {
+                continue;
             };
             dispatch.add_blocks(s.splits as u64 + s.merges as u64);
             dispatch.set_queue_depth(s.queue_peak as u64);
@@ -519,10 +481,90 @@ impl UpdateEngine {
             total.absorb(&s);
         }
         drop(op_span);
-        self.stats.observe_op(t.elapsed(), 1);
-        self.run_policies();
-        self.paranoid_check("edge op");
+        self.stats.update_time += t.elapsed();
+        self.stats.ops += 1;
         total
+    }
+
+    /// The batch phases of [`UpdateEngine::apply_batch`], each under a
+    /// `BatchSegment` span and, when it applied anything, one
+    /// `batch-segment` event. Stops at the first graph error.
+    fn apply_phases(&mut self, ops: &[UpdateOp], r: &mut BatchResult) -> Result<(), BatchError> {
+        use BatchSegment::{AddNodes, DeleteEdges, InsertEdges, RemoveNodes};
+        for phase in [AddNodes, InsertEdges, DeleteEdges, RemoveNodes] {
+            let seg_span = SpanGuard::enter(SpanKind::BatchSegment);
+            let before = r.ops_applied;
+            for op in ops {
+                match (phase, op) {
+                    (AddNodes, UpdateOp::AddNode { label }) => {
+                        let n = self.g.add_node(label, None);
+                        self.fan_out(OpKind::AddNode, |idx, g| {
+                            idx.on_node_added(g, n);
+                            None
+                        });
+                        r.created.push(n);
+                        r.ops_applied += 1;
+                    }
+                    (InsertEdges, UpdateOp::InsertEdge { from, to, kind }) => {
+                        let (u, v) = (from.resolve(&r.created)?, to.resolve(&r.created)?);
+                        self.g.insert_edge(u, v, *kind)?;
+                        let s = self.fan_out(OpKind::InsertEdge, |idx, g| {
+                            Some(idx.on_edge_inserted(g, u, v))
+                        });
+                        r.stats.absorb(&s);
+                        r.ops_applied += 1;
+                    }
+                    (DeleteEdges, UpdateOp::DeleteEdge { from, to }) => {
+                        self.batch_delete_edge(*from, *to, r)?;
+                    }
+                    (RemoveNodes, UpdateOp::RemoveNode { node }) => {
+                        let n = *node;
+                        let parents: Vec<NodeId> = self.g.pred(n).collect();
+                        for p in parents {
+                            self.batch_delete_edge(p, n, r)?;
+                        }
+                        let children: Vec<NodeId> = self.g.succ(n).collect();
+                        for c in children {
+                            self.batch_delete_edge(n, c, r)?;
+                        }
+                        self.fan_out(OpKind::RemoveNode, |idx, g| {
+                            idx.on_node_removing(g, n);
+                            None
+                        });
+                        self.g.remove_node(n)?;
+                        r.ops_applied += 1;
+                    }
+                    _ => {}
+                }
+            }
+            let seg_ops = r.ops_applied - before;
+            seg_span.add_elems(seg_ops as u64);
+            drop(seg_span);
+            if seg_ops > 0 {
+                self.obs.emit(EventPayload::BatchSegment {
+                    segment: phase,
+                    ops: clamp32(seg_ops),
+                });
+            }
+        }
+        Ok(())
+    }
+
+    /// One edge deletion inside a batch (phase 3, or a removal's
+    /// incident edge in phase 4).
+    fn batch_delete_edge(
+        &mut self,
+        u: NodeId,
+        v: NodeId,
+        r: &mut BatchResult,
+    ) -> Result<(), BatchError> {
+        self.g.delete_edge(u, v)?;
+        let s = self.fan_out(OpKind::DeleteEdge, |idx, g| {
+            Some(idx.on_edge_deleted(g, u, v))
+        });
+        r.stats.absorb(&s);
+        r.ops_applied += 1;
+        Ok(())
     }
 
     /// `paranoid` feature: full self-check after every mutation. Panics
@@ -694,8 +736,11 @@ mod tests {
         let mut engine = UpdateEngine::new(g);
         let h = engine.register(Box::new(OneIndex::build(engine.graph())));
         let ops_before = engine.stats().ops;
-        engine.remove_node(ids[&2]).unwrap();
+        let result = engine
+            .apply(&UpdateOp::RemoveNode { node: ids[&2] })
+            .unwrap();
         // One op per incident edge + the removal itself.
+        assert_eq!(result.ops_applied, edges_of_2 + 1);
         assert_eq!(engine.stats().ops - ops_before, edges_of_2 + 1);
         engine.check().unwrap();
         assert!(!engine.graph().is_alive(ids[&2]));
@@ -703,6 +748,42 @@ mod tests {
             engine.index(h).block_count(),
             OneIndex::build(engine.graph()).block_count()
         );
+    }
+
+    /// A batch that fails partway books the ops it applied: the engine
+    /// stats, the per-index stats and the `ops_total` metric all count
+    /// the insert that landed before the duplicate was rejected.
+    #[test]
+    fn failed_batch_books_the_ops_it_applied() {
+        use crate::batch::NodeRef;
+        use crate::obs::MetricKey;
+        let (g, ids) = host();
+        let mut engine = UpdateEngine::new(g);
+        engine.obs_mut().enable_metrics();
+        let h = engine.register(Box::new(OneIndex::build(engine.graph())));
+        let insert = UpdateOp::InsertEdge {
+            from: NodeRef::Existing(ids[&4]),
+            to: NodeRef::Existing(ids[&3]),
+            kind: EdgeKind::IdRef,
+        };
+        let err = engine.apply_batch(&[insert.clone(), insert]).unwrap_err();
+        assert_eq!(
+            err,
+            BatchError::Graph(GraphError::DuplicateEdge(ids[&4], ids[&3]))
+        );
+        assert!(engine.graph().has_edge(ids[&4], ids[&3]));
+        let m = engine.obs().metrics().unwrap();
+        let ops_total = m.counter_value(&MetricKey::named("ops_total").op("insert-edge"));
+        assert_eq!(ops_total, 1);
+        assert_eq!(engine.stats().ops as u64, ops_total);
+        assert!(engine.stats().update_time > Duration::ZERO);
+        // The applied insert gives person 3 person 2's parents, merging
+        // their blocks: the 1-index's stats and the engine's carry it.
+        let idx = engine.index_stats(h);
+        assert!(!idx.no_op);
+        assert_eq!(idx.merges, 1);
+        assert_eq!(engine.stats().merges, 1);
+        engine.check().unwrap();
     }
 
     #[test]

@@ -11,10 +11,11 @@
 //! * **mutation fan-out** — the [`crate::engine::UpdateEngine`] applies
 //!   each graph mutation exactly once and notifies every registered index
 //!   through the object-safe hooks below;
-//! * **batching** — [`crate::batch::apply_batch`] is generic over
-//!   `&mut dyn StructuralIndex`;
-//! * **query evaluation** — [`StructuralIndex::query_view`] exposes the
-//!   iedge graph uniformly, so `xsi-query` has a single block-walk;
+//! * **batching** — [`crate::UpdateEngine::apply_batch`] runs a batch's
+//!   phases through the same fan-out core as the single ops;
+//! * **query evaluation** — every family answers
+//!   [`StructuralIndex::query_view`], so `xsi-query` has a single
+//!   block-walk and no family needs a special case;
 //! * **reconstruction** — [`StructuralIndex::rebuild`] gives the 5 %-growth
 //!   [`crate::rebuild::RebuildPolicy`] a uniform trigger target.
 //!
@@ -80,11 +81,10 @@ pub trait StructuralIndex {
     fn check(&self, g: &Graph) -> Result<(), String>;
 
     /// A uniform read-only view of the index's iedge graph for query
-    /// evaluation, or `None` if the index keeps no iedges (the simple
-    /// baseline maintains extents only).
-    fn query_view<'a>(&'a self, _g: &'a Graph) -> Option<Box<dyn IndexQueryView + 'a>> {
-        None
-    }
+    /// evaluation. Families that keep no iedges (the simple baseline
+    /// maintains extents only) answer with the block graph their class
+    /// assignment induces.
+    fn query_view<'a>(&'a self, g: &'a Graph) -> Box<dyn IndexQueryView + 'a>;
 
     /// A point-in-time summary of the index's dense-store iedge maps
     /// (inline vs spilled population, cumulative spill events, probe
@@ -195,8 +195,8 @@ impl StructuralIndex for OneIndex {
         self
     }
 
-    fn query_view<'a>(&'a self, g: &'a Graph) -> Option<Box<dyn IndexQueryView + 'a>> {
-        Some(Box::new(OneIndexView { idx: self, g }))
+    fn query_view<'a>(&'a self, g: &'a Graph) -> Box<dyn IndexQueryView + 'a> {
+        Box::new(OneIndexView { idx: self, g })
     }
 
     fn store_report(&self) -> Option<StoreReport> {
@@ -319,8 +319,8 @@ impl StructuralIndex for PropagateOneIndex {
         self
     }
 
-    fn query_view<'a>(&'a self, g: &'a Graph) -> Option<Box<dyn IndexQueryView + 'a>> {
-        Some(Box::new(OneIndexView { idx: &self.0, g }))
+    fn query_view<'a>(&'a self, g: &'a Graph) -> Box<dyn IndexQueryView + 'a> {
+        Box::new(OneIndexView { idx: &self.0, g })
     }
 
     fn store_report(&self) -> Option<StoreReport> {
@@ -390,8 +390,8 @@ impl StructuralIndex for AkIndex {
         self
     }
 
-    fn query_view<'a>(&'a self, g: &'a Graph) -> Option<Box<dyn IndexQueryView + 'a>> {
-        Some(Box::new(AkIndexView { idx: self, g }))
+    fn query_view<'a>(&'a self, g: &'a Graph) -> Box<dyn IndexQueryView + 'a> {
+        Box::new(AkIndexView { idx: self, g })
     }
 
     fn store_report(&self) -> Option<StoreReport> {
@@ -491,11 +491,16 @@ impl StructuralIndex for SimpleAkIndex {
         self
     }
 
-    // No query_view: the simple baseline maintains extents only, no
-    // iedges — live queries must go through a rebuilt exact index. A
-    // *freeze* is still possible: the snapshot derives the block graph
-    // the class assignment induces (O(n + m), documented deviation from
-    // the O(blocks) freeze of the iedge-bearing families).
+    // The simple baseline maintains extents only, no iedges: its query
+    // view is the block graph its class assignment induces, derived in
+    // O(n + m) — the same image a freeze takes (a documented deviation
+    // from the O(blocks) views of the iedge-bearing families). Horizon
+    // `Some(k)` is sound because the baseline always refines the exact
+    // k-bisimulation.
+    fn query_view<'a>(&'a self, g: &'a Graph) -> Box<dyn IndexQueryView + 'a> {
+        Box::new(IndexSnapshot::from_simple_ak(g, self, self.describe()))
+    }
+
     fn freeze(&self, g: &Graph) -> Option<IndexSnapshot> {
         Some(IndexSnapshot::from_simple_ak(g, self, self.describe()))
     }
@@ -587,13 +592,25 @@ mod tests {
         let one = OneIndex::build(&g);
         let ak = AkIndex::build(&g, 2);
         let simple = SimpleAkIndex::build(&g, 2);
-        assert!(StructuralIndex::query_view(&one, &g).is_some());
-        assert!(StructuralIndex::query_view(&ak, &g).is_some());
-        assert!(StructuralIndex::query_view(&simple, &g).is_none());
-        let view = StructuralIndex::query_view(&one, &g).unwrap();
+        let view = StructuralIndex::query_view(&one, &g);
         assert_eq!(view.label_name(view.start_block()), "ROOT");
         assert!(view.precise_up_to().is_none());
-        let akview = StructuralIndex::query_view(&ak, &g).unwrap();
+        let akview = StructuralIndex::query_view(&ak, &g);
         assert_eq!(akview.precise_up_to(), Some(2));
+        // The extent-only simple baseline answers through the block graph
+        // its assignment induces, with the same horizon as A(k).
+        let simple_view = StructuralIndex::query_view(&simple, &g);
+        assert_eq!(simple_view.label_name(simple_view.start_block()), "ROOT");
+        assert_eq!(simple_view.precise_up_to(), Some(2));
+        let a_block = simple_view
+            .isucc(simple_view.isucc(simple_view.start_block())[0])
+            .into_iter()
+            .find(|&b| simple_view.label_name(b) == "a")
+            .expect("site has an a child block");
+        assert_eq!(
+            simple_view.extent(a_block).len(),
+            2,
+            "a nodes share a block"
+        );
     }
 }

@@ -30,7 +30,7 @@
 //!   implemented by every index family above (plus the
 //!   [`PropagateOneIndex`] baseline wrapper), with post-mutation observer
 //!   hooks, a uniform [`rebuild`](StructuralIndex::rebuild) entry point,
-//!   optional [`IndexQueryView`] for index-assisted query evaluation, and a
+//!   an [`IndexQueryView`] for index-assisted query evaluation, and a
 //!   trait-level consistency [`check`](StructuralIndex::check);
 //! * the single-writer [`UpdateEngine`] — owns the [`Graph`](xsi_graph::Graph),
 //!   applies each [`UpdateOp`] exactly once, and fans the notification out
@@ -82,10 +82,7 @@ pub mod store;
 pub mod view;
 
 pub use akindex::{AkIndex, SimpleAkIndex};
-pub use batch::{
-    apply_batch, apply_batch_1index, apply_batch_ak, apply_batch_traced, BatchError, BatchResult,
-    NodeRef, UpdateOp,
-};
+pub use batch::{BatchError, BatchResult, NodeRef, UpdateOp};
 pub use check::{is_minimal_1index, is_valid_1index, is_valid_ak_chain};
 pub use engine::{EngineStats, IndexHandle, UpdateEngine};
 pub use index::{IndexQueryView, PropagateOneIndex, StructuralIndex};

@@ -131,7 +131,7 @@ impl OpKind {
     }
 }
 
-/// One phase segment of [`crate::batch::apply_batch_traced`].
+/// One phase segment of [`crate::UpdateEngine::apply_batch`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum BatchSegment {
     /// Phase 1: node additions.
@@ -597,7 +597,11 @@ impl Event {
                 minimum_blocks,
             } => {
                 s.push_str(&format!(
-                    " family={} total={total_bytes} owned={extent_owned_bytes}                      shared={extent_shared_bytes} spilled_bytes={iedge_spilled_bytes}                      inline={inline_maps} spilled={spilled_maps}                      shared_extents={shared_extents} blocks={blocks}                      minimum={minimum_blocks}",
+                    " family={} total={total_bytes} owned={extent_owned_bytes} \
+                     shared={extent_shared_bytes} spilled_bytes={iedge_spilled_bytes} \
+                     inline={inline_maps} spilled={spilled_maps} \
+                     shared_extents={shared_extents} blocks={blocks} \
+                     minimum={minimum_blocks}",
                     family_name(family)
                 ));
             }
@@ -663,6 +667,137 @@ mod tests {
         assert_eq!(v.get("family").and_then(Json::as_str), Some("family-1"));
         assert_eq!(v.get("queue_peak").and_then(Json::as_u64), Some(5));
         assert_eq!(v.get("nanos").and_then(Json::as_u64), Some(999));
+    }
+
+    /// One payload of every variant, with non-zero counters.
+    fn every_variant() -> Vec<EventPayload> {
+        let family = IndexFamily(1);
+        let payloads = vec![
+            EventPayload::OpReceived {
+                op: OpKind::RemoveNode,
+            },
+            EventPayload::IndexDispatch {
+                family,
+                op: OpKind::InsertEdge,
+                splits: 2,
+                merges: 1,
+                no_op: false,
+                nanos: 10,
+            },
+            EventPayload::SplitPhase {
+                family,
+                splits: 2,
+                intermediate_blocks: 40,
+                queue_peak: 5,
+                nanos: 10,
+            },
+            EventPayload::MergePhase {
+                family,
+                merges: 1,
+                final_blocks: 39,
+                nanos: 10,
+            },
+            EventPayload::RankMaintenance {
+                family,
+                levels_touched: 3,
+            },
+            EventPayload::RebuildTriggered {
+                family,
+                blocks_before: 50,
+                blocks_after: 40,
+                nanos: 10,
+            },
+            EventPayload::BatchSegment {
+                segment: BatchSegment::RemoveNodes,
+                ops: 3,
+            },
+            EventPayload::OracleCheck {
+                checks: 12,
+                failed: true,
+            },
+            EventPayload::StoreReport {
+                family,
+                inline_maps: 7,
+                spilled_maps: 1,
+                spill_events: 2,
+                entries: 30,
+                max_entries: 9,
+                probe_total: 44,
+            },
+            EventPayload::SnapshotFreeze {
+                family,
+                blocks: 40,
+                cow_clones: 3,
+                nanos: 10,
+            },
+            EventPayload::MemReport {
+                family,
+                total_bytes: 4096,
+                extent_owned_bytes: 1024,
+                extent_shared_bytes: 512,
+                iedge_spilled_bytes: 256,
+                inline_maps: 7,
+                spilled_maps: 1,
+                shared_extents: 2,
+                blocks: 40,
+                minimum_blocks: 39,
+            },
+        ];
+        // Exhaustive on purpose: a new variant does not compile here
+        // until it is listed above.
+        for p in &payloads {
+            match p {
+                EventPayload::OpReceived { .. }
+                | EventPayload::IndexDispatch { .. }
+                | EventPayload::SplitPhase { .. }
+                | EventPayload::MergePhase { .. }
+                | EventPayload::RankMaintenance { .. }
+                | EventPayload::RebuildTriggered { .. }
+                | EventPayload::BatchSegment { .. }
+                | EventPayload::OracleCheck { .. }
+                | EventPayload::StoreReport { .. }
+                | EventPayload::SnapshotFreeze { .. }
+                | EventPayload::MemReport { .. } => {}
+            }
+        }
+        payloads
+    }
+
+    /// Reproducers embed stable lines verbatim, so every variant renders
+    /// as `<seq> <callsite>` followed by single-space-separated
+    /// `key=value` tokens — no runs of spaces, no bare words.
+    #[test]
+    fn stable_lines_are_single_spaced_key_value_tokens() {
+        let payloads = every_variant();
+        let mut callsites: Vec<u16> = payloads.iter().map(|p| p.callsite().id).collect();
+        callsites.sort_unstable();
+        callsites.dedup();
+        assert_eq!(callsites.len(), payloads.len(), "one payload per callsite");
+        for (seq, payload) in payloads.into_iter().enumerate() {
+            let ev = Event {
+                seq: seq as u64,
+                ts_nanos: 1,
+                callsite: payload.callsite(),
+                payload,
+            };
+            let line = ev.stable_line(fam);
+            let head = format!("{seq} {}", ev.callsite.name);
+            let rest = line
+                .strip_prefix(&head)
+                .unwrap_or_else(|| panic!("{line:?} does not start with {head:?}"));
+            let tokens = rest
+                .strip_prefix(' ')
+                .unwrap_or_else(|| panic!("{line:?}: no fields after the callsite"));
+            for token in tokens.split(' ') {
+                let (key, value) = token
+                    .split_once('=')
+                    .unwrap_or_else(|| panic!("{line:?}: token {token:?} is not key=value"));
+                assert!(
+                    !key.is_empty() && !value.is_empty() && !value.contains('='),
+                    "{line:?}: malformed token {token:?}"
+                );
+            }
+        }
     }
 
     #[test]

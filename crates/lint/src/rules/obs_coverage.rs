@@ -27,8 +27,6 @@ const OBS_TOKENS: &[&str] = &[
     "obs",
     "ObsHub",
     "emit",
-    "observe_op",
-    "observe_edge",
     "observe_index_dispatch",
     "Recorder",
     "UpdateStats",

@@ -232,8 +232,7 @@ pub fn eval_index(g: &Graph, view: &dyn IndexQueryView, expr: &PathExpr) -> Vec<
 /// quotient, and predicated paths trigger an automatic validation pass.
 /// (Thin wrapper over [`eval_index`].)
 pub fn eval_one_index(g: &Graph, idx: &OneIndex, expr: &PathExpr) -> Vec<NodeId> {
-    let view = idx.query_view(g).expect("1-index exposes a query view");
-    eval_index(g, &*view, expr)
+    eval_index(g, &*idx.query_view(g), expr)
 }
 
 /// Evaluates `expr` over the A(k)-index's intra-level iedges. The result
@@ -242,8 +241,7 @@ pub fn eval_one_index(g: &Graph, idx: &OneIndex, expr: &PathExpr) -> Vec<NodeId>
 /// run [`crate::eval_ak_validated`] otherwise. (Thin wrapper over
 /// [`eval_index_raw`].)
 pub fn eval_ak_index(g: &Graph, idx: &AkIndex, expr: &PathExpr) -> Vec<NodeId> {
-    let view = idx.query_view(g).expect("A(k)-index exposes a query view");
-    eval_index_raw(&*view, expr)
+    eval_index_raw(&*idx.query_view(g), expr)
 }
 
 #[cfg(test)]
@@ -380,6 +378,60 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The extent-only simple baseline answers through its own query
+    /// view (the block graph its class assignment induces) on a cyclic
+    /// graph, for every k: exact within the horizon, validated beyond.
+    #[test]
+    fn simple_view_answers_like_the_data_graph() {
+        use xsi_core::SimpleAkIndex;
+        use xsi_graph::EdgeKind;
+        let mut g = Graph::new();
+        let r = g.root();
+        let a = g.add_node("a", None);
+        let b1 = g.add_node("b", None);
+        let b2 = g.add_node("b", None);
+        let c = g.add_node("c", None);
+        g.insert_edge(r, a, EdgeKind::Child).unwrap();
+        g.insert_edge(a, b1, EdgeKind::Child).unwrap();
+        g.insert_edge(a, b2, EdgeKind::Child).unwrap();
+        g.insert_edge(b1, c, EdgeKind::Child).unwrap();
+        g.insert_edge(c, a, EdgeKind::IdRef).unwrap(); // a cycle
+        for k in 0..=3 {
+            let idx = SimpleAkIndex::build(&g, k);
+            let view = idx.query_view(&g);
+            assert_eq!(view.precise_up_to(), Some(k));
+            for q in ["/a", "/a/b", "//b/c", "//*", "/a//c", "/a/b/c/a"] {
+                let expr = PathExpr::parse(q).unwrap();
+                assert_eq!(
+                    eval_index(&g, &*view, &expr),
+                    eval_graph(&g, &expr),
+                    "k={k} query {q}"
+                );
+            }
+        }
+    }
+
+    /// Beyond the simple view's horizon the raw block walk
+    /// over-approximates, and `eval_index` validates it back to the
+    /// exact answer.
+    #[test]
+    fn simple_view_beyond_k_is_validated() {
+        use xsi_core::SimpleAkIndex;
+        let (g, ids) = GraphBuilder::new()
+            .nodes(&[(1, "site"), (2, "a"), (3, "b"), (4, "x"), (5, "x")])
+            .nodes(&[(6, "leaf"), (7, "leaf")])
+            .edges(&[(1, 2), (1, 3), (2, 4), (3, 5), (4, 6), (5, 7)])
+            .root_to(1)
+            .build_with_ids();
+        let idx = SimpleAkIndex::build(&g, 1);
+        let view = idx.query_view(&g);
+        let expr = PathExpr::parse("/site/a/x/leaf").unwrap();
+        // A(1) puts both leaves in one block (both have an x parent).
+        assert_eq!(eval_index_raw(&*view, &expr), vec![ids[&6], ids[&7]]);
+        assert_eq!(eval_index(&g, &*view, &expr), vec![ids[&6]]);
+        assert_eq!(eval_graph(&g, &expr), vec![ids[&6]]);
     }
 
     /// A graph where the 1-index genuinely conflates nodes with different

@@ -54,8 +54,7 @@ pub fn validate(g: &Graph, expr: &PathExpr, candidates: &[NodeId]) -> Vec<NodeId
 /// the generic [`crate::eval_index`], which reads the horizon from the
 /// index's query view.)
 pub fn eval_ak_validated(g: &Graph, idx: &AkIndex, expr: &PathExpr) -> Vec<NodeId> {
-    let view = idx.query_view(g).expect("A(k)-index exposes a query view");
-    crate::eval::eval_index(g, &*view, expr)
+    crate::eval::eval_index(g, &*idx.query_view(g), expr)
 }
 
 #[cfg(test)]

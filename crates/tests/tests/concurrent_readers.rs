@@ -18,7 +18,9 @@ use std::sync::{Arc, RwLock};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use xsi_core::{AkIndex, IndexSnapshot, OneIndex, PropagateOneIndex, SimpleAkIndex, UpdateEngine};
+use xsi_core::{
+    AkIndex, IndexSnapshot, OneIndex, PropagateOneIndex, SimpleAkIndex, UpdateEngine, UpdateOp,
+};
 use xsi_graph::{EdgeKind, NodeId};
 use xsi_query::{eval_index_raw, PathExpr};
 use xsi_workload::{test_seed, SplitMix64};
@@ -149,7 +151,7 @@ fn frozen_views_survive_concurrent_writer_churn() {
             }
             _ => {
                 let n = handles[rng.random_range(0..handles.len())];
-                if engine.remove_node(n).is_ok() {
+                if engine.apply(&UpdateOp::RemoveNode { node: n }).is_ok() {
                     handles.retain(|&h| h != n);
                 }
             }

@@ -6,7 +6,11 @@
 //! the `reference` fixpoint oracles via the trait-level checkers.
 
 use std::collections::HashMap;
-use xsi_core::{check, reference, AkIndex, OneIndex, SimpleAkIndex, UpdateEngine};
+use xsi_core::obs::json::Json;
+use xsi_core::{
+    check, reference, AkIndex, FlightRecorder, NodeRef, OneIndex, SimpleAkIndex, UpdateEngine,
+    UpdateOp,
+};
 use xsi_graph::{is_acyclic, EdgeKind, Graph, NodeId};
 use xsi_workload::{test_seed, SplitMix64};
 
@@ -172,7 +176,7 @@ fn engine_equals_sequential_equals_rebuild() {
                 }
                 Op::RemoveNode(i) => {
                     let n = handles[i % handles.len()];
-                    let engine_ok = engine.remove_node(n).is_ok();
+                    let engine_ok = engine.apply(&UpdateOp::RemoveNode { node: n }).is_ok();
                     let seq_ok = seq.remove_node(n);
                     assert_eq!(engine_ok, seq_ok, "case {case}");
                 }
@@ -345,7 +349,7 @@ fn engine_equals_sequential_on_cyclic_graphs() {
                 }
                 Op::RemoveNode(i) => {
                     let n = handles[i % handles.len()];
-                    let engine_ok = engine.remove_node(n).is_ok();
+                    let engine_ok = engine.apply(&UpdateOp::RemoveNode { node: n }).is_ok();
                     let seq_ok = seq.remove_node(n);
                     assert_eq!(engine_ok, seq_ok, "seed {case:#x}");
                 }
@@ -453,20 +457,99 @@ fn engine_equals_sequential_on_cyclic_graphs() {
     );
 }
 
-/// The engine's batch path and its single-op path agree with each other.
+/// An engine over `g0` with all three maintained families registered and
+/// the obs hub fully on (flight recorder big enough to keep every event,
+/// plus metrics).
+fn traced_engine(g0: &Graph) -> UpdateEngine {
+    let mut engine = UpdateEngine::new(g0.clone());
+    engine
+        .obs_mut()
+        .set_recorder(Box::new(FlightRecorder::new(1 << 14)));
+    engine.obs_mut().enable_metrics();
+    engine.register(Box::new(OneIndex::build(g0)));
+    engine.register(Box::new(AkIndex::build(g0, K)));
+    engine.register(Box::new(SimpleAkIndex::build(g0, K)));
+    engine
+}
+
+/// Canonical forms of the three families [`traced_engine`] registers.
+fn canonical_forms(engine: UpdateEngine) -> String {
+    let (g, indexes) = engine.into_parts();
+    let any = |i: usize| indexes[i].as_any();
+    format!(
+        "{:?}|{:?}|{:?}",
+        any(0).downcast_ref::<OneIndex>().unwrap().canonical(),
+        any(1).downcast_ref::<AkIndex>().unwrap().canonical(),
+        any(2)
+            .downcast_ref::<SimpleAkIndex>()
+            .unwrap()
+            .canonical(&g)
+    )
+}
+
+/// Removes `n` through single ops: its incoming edges (`pred` order),
+/// then its outgoing edges (`succ` order), then the edgeless node.
+fn remove_by_single_ops(engine: &mut UpdateEngine, n: NodeId) -> bool {
+    let g = engine.graph();
+    if !g.is_alive(n) || n == g.root() {
+        return false;
+    }
+    let parents: Vec<NodeId> = g.pred(n).collect();
+    let children: Vec<NodeId> = g.succ(n).collect();
+    for p in parents {
+        engine.delete_edge(p, n).unwrap();
+    }
+    for c in children {
+        engine.delete_edge(n, c).unwrap();
+    }
+    engine.apply(&UpdateOp::RemoveNode { node: n }).is_ok()
+}
+
+/// The deterministic metrics minus the batch-only `batch_*` series.
+fn metrics_without_batch_series(engine: &UpdateEngine) -> Vec<Json> {
+    let doc = Json::parse(&engine.obs().metrics_deterministic_json()).unwrap();
+    ["counters", "gauges", "histograms"]
+        .iter()
+        .flat_map(|k| doc.get(k).and_then(Json::as_arr).unwrap().to_vec())
+        .filter(|series| {
+            let name = series.get("name").and_then(Json::as_str).unwrap();
+            !name.starts_with("batch_")
+        })
+        .collect()
+}
+
+/// The stable trace minus `batch-segment` lines, with sequence numbers
+/// dropped (segment events take sequence numbers too).
+fn trace_without_batch_segments(engine: &UpdateEngine) -> Vec<String> {
+    assert!(engine.obs().events_emitted() < 1 << 14, "recorder wrapped");
+    engine
+        .obs()
+        .stable_trace()
+        .into_iter()
+        .map(|line| line.split_once(' ').unwrap().1.to_string())
+        .filter(|line| !line.starts_with("batch-segment "))
+        .collect()
+}
+
+/// The engine's single-op entry points and its batch path run through
+/// one fan-out core: a batch of new-node inserts, then a random stream
+/// of node adds, edge inserts, edge deletes and node removals, applied
+/// as single-op calls on one engine and as one-op `apply` calls on its
+/// twin, leave identical index states, `EngineStats`, deterministic
+/// metrics (minus the `batch_*` series) and stable traces (minus the
+/// `batch-segment` lines). A removal through single ops is its incident
+/// edge deletions followed by the removal of the edgeless node, so the
+/// traces also pin where a removal's `op-received` event falls.
 #[test]
 fn engine_batch_path_matches_single_ops() {
-    use xsi_core::{NodeRef, UpdateOp};
     let base = test_seed(0xBA7C);
     for case in 0..32u64 {
         let case = base.wrapping_add(case); // replay one case: XSI_TEST_SEED=<case>
         let mut rng = SplitMix64::seed_from_u64(case);
-        let (g0, handles) = random_base(&mut rng);
+        let (g0, mut handles) = random_base(&mut rng);
 
-        let mut via_batch = UpdateEngine::new(g0.clone());
-        let hb = via_batch.register(Box::new(OneIndex::build(&g0)));
-        let mut via_singles = UpdateEngine::new(g0.clone());
-        let hs = via_singles.register(Box::new(OneIndex::build(&g0)));
+        let mut via_batch = traced_engine(&g0);
+        let mut via_singles = traced_engine(&g0);
 
         // A batch of inserts that are valid by construction.
         let mut ops = vec![UpdateOp::AddNode { label: "e".into() }];
@@ -491,23 +574,71 @@ fn engine_batch_path_matches_single_ops() {
                 via_singles.insert_edge(n, u, EdgeKind::IdRef).unwrap();
             }
         }
+        handles.push(n);
+
+        for op in random_ops(&mut rng, 40) {
+            match op {
+                Op::AddNode(l) => {
+                    let label = LABELS[l];
+                    let n = via_singles.add_node(label, None);
+                    let r = via_batch
+                        .apply(&UpdateOp::AddNode {
+                            label: label.into(),
+                        })
+                        .unwrap();
+                    assert_eq!(r.created, [n], "case {case}");
+                    handles.push(n);
+                }
+                Op::InsertEdge(i, j) => {
+                    let (u, v) = (handles[i % handles.len()], handles[j % handles.len()]);
+                    let singles_ok = via_singles.insert_edge(u, v, EdgeKind::IdRef).is_ok();
+                    let batch_ok = via_batch
+                        .apply(&UpdateOp::InsertEdge {
+                            from: NodeRef::Existing(u),
+                            to: NodeRef::Existing(v),
+                            kind: EdgeKind::IdRef,
+                        })
+                        .is_ok();
+                    assert_eq!(singles_ok, batch_ok, "case {case}");
+                }
+                Op::DeleteEdge(i, j) => {
+                    let (u, v) = (handles[i % handles.len()], handles[j % handles.len()]);
+                    let singles_ok = via_singles.delete_edge(u, v).is_ok();
+                    let batch_ok = via_batch
+                        .apply(&UpdateOp::DeleteEdge { from: u, to: v })
+                        .is_ok();
+                    assert_eq!(singles_ok, batch_ok, "case {case}");
+                }
+                Op::RemoveNode(i) => {
+                    let n = handles[i % handles.len()];
+                    let singles_ok = remove_by_single_ops(&mut via_singles, n);
+                    let batch_ok = via_batch.apply(&UpdateOp::RemoveNode { node: n }).is_ok();
+                    assert_eq!(singles_ok, batch_ok, "case {case}");
+                }
+            }
+        }
 
         via_batch.check().unwrap();
         via_singles.check().unwrap();
-        let b = via_batch
-            .index(hb)
-            .as_any()
-            .downcast_ref::<OneIndex>()
-            .unwrap();
-        let s = via_singles
-            .index(hs)
-            .as_any()
-            .downcast_ref::<OneIndex>()
-            .unwrap();
-        assert_eq!(b.canonical(), s.canonical(), "case {case}");
+        let (b, s) = (via_batch.stats(), via_singles.stats());
         assert_eq!(
-            via_batch.stats().ops,
-            via_singles.stats().ops,
+            (b.ops, b.splits, b.merges, b.touched_blocks),
+            (s.ops, s.splits, s.merges, s.touched_blocks),
+            "case {case}"
+        );
+        assert_eq!(
+            metrics_without_batch_series(&via_batch),
+            metrics_without_batch_series(&via_singles),
+            "case {case}"
+        );
+        assert_eq!(
+            trace_without_batch_segments(&via_batch),
+            trace_without_batch_segments(&via_singles),
+            "case {case}"
+        );
+        assert_eq!(
+            canonical_forms(via_batch),
+            canonical_forms(via_singles),
             "case {case}"
         );
     }

@@ -8,9 +8,8 @@
 //! Every freeze point is checked twice:
 //!
 //! 1. **at freeze** — `eval_index_raw` over the snapshot equals the same
-//!    walk over the live family view (for the extent-only simple
-//!    baseline, the conformance lab's [`DerivedView`] plays the live
-//!    side, exactly as the in-harness oracle does);
+//!    walk over the live family's own query view, exactly as the
+//!    in-harness oracle does;
 //! 2. **at the end** — after all remaining churn, the snapshot's
 //!    answers are byte-identical to what was recorded at freeze time.
 //!
@@ -19,9 +18,9 @@
 //!
 //! Seed-pinned: rerun one failing case with `XSI_TEST_SEED=<seed>`.
 
-use xsi_conformance::DerivedView;
 use xsi_core::{
     AkIndex, IndexHandle, IndexSnapshot, OneIndex, PropagateOneIndex, SimpleAkIndex, UpdateEngine,
+    UpdateOp,
 };
 use xsi_graph::{EdgeKind, Graph, NodeId};
 use xsi_query::{eval_index_raw, PathExpr};
@@ -92,7 +91,7 @@ fn churn_step(engine: &mut UpdateEngine, handles: &mut Vec<NodeId>, rng: &mut Sp
         }
         _ => {
             let n = handles[rng.random_range(0..handles.len())];
-            if engine.remove_node(n).is_ok() {
+            if engine.apply(&UpdateOp::RemoveNode { node: n }).is_ok() {
                 handles.retain(|&h| h != n);
             }
         }
@@ -116,9 +115,8 @@ fn random_query(rng: &mut SplitMix64) -> String {
     q
 }
 
-/// The live-side raw answers for slot `slot`, mirroring the conformance
-/// harness's at-freeze oracle (DerivedView for the extent-only simple
-/// baseline, the family's own view otherwise).
+/// The live-side raw answers for slot `slot`: the family's own query
+/// view, mirroring the conformance harness's at-freeze oracle.
 fn live_raw(
     engine: &UpdateEngine,
     handles: &[IndexHandle; 4],
@@ -126,21 +124,7 @@ fn live_raw(
     expr: &PathExpr,
 ) -> Vec<NodeId> {
     let g = engine.graph();
-    if slot == 3 {
-        let simple = engine
-            .index(handles[slot])
-            .as_any()
-            .downcast_ref::<SimpleAkIndex>()
-            .expect("slot 3 is the simple A(k) baseline");
-        let view = DerivedView::from_assignment(g, &simple.assignment(g), Some(K));
-        eval_index_raw(&view, expr)
-    } else {
-        let view = engine
-            .index(handles[slot])
-            .query_view(g)
-            .expect("family exposes a live view");
-        eval_index_raw(&*view, expr)
-    }
+    eval_index_raw(&*engine.index(handles[slot]).query_view(g), expr)
 }
 
 #[test]
