@@ -201,37 +201,33 @@ fn extract_calls(
 }
 
 /// Count arguments in the paren group opening at `open` (`toks[open]`
-/// must be `(`): 0 for `()`, else top-level commas + 1. Closure-param
-/// commas can inflate the count; resolution's arity fallback absorbs
-/// that.
+/// must be `(`): the non-empty top-level comma-separated items, so a
+/// wrapped call's trailing comma adds none. Closure-param commas can
+/// inflate the count; resolution's arity fallback absorbs that.
 fn count_args(toks: &[crate::lexer::Tok], open: usize) -> usize {
     let mut depth = 0i32;
-    let mut commas = 0usize;
-    let mut any = false;
+    let mut items = 0usize;
+    let mut in_item = false;
     let mut j = open;
     while j < toks.len() {
         let t = &toks[j];
-        if t.is_punct('(') || t.is_punct('[') || t.is_punct('{') {
-            depth += 1;
-        } else if t.is_punct(')') || t.is_punct(']') || t.is_punct('}') {
+        if t.is_punct(')') || t.is_punct(']') || t.is_punct('}') {
             depth -= 1;
             if depth == 0 {
                 break;
             }
-        } else if depth == 1 {
-            if t.is_punct(',') {
-                commas += 1;
-            } else {
-                any = true;
-            }
+        } else if depth == 1 && t.is_punct(',') {
+            in_item = false;
+        } else if depth == 1 && !in_item {
+            in_item = true;
+            items += 1;
+        }
+        if t.is_punct('(') || t.is_punct('[') || t.is_punct('{') {
+            depth += 1;
         }
         j += 1;
     }
-    if any {
-        commas + 1
-    } else {
-        0
-    }
+    items
 }
 
 /// Conservative name+arity resolution. Returns (targets, opaque).

@@ -327,22 +327,35 @@ fn parse_fn(
     if !toks.get(j).is_some_and(|t| t.is_punct('(')) {
         return None;
     }
-    // Walk the parameter list: count top-level commas, detect `self`.
+    // Walk the parameter list: count the non-empty top-level
+    // comma-separated items (a wrapped signature's trailing comma adds
+    // none), detect `self`.
     let mut depth = 0i32; // (), [], {} nesting
     let mut angle = 0i32; // <> nesting (arrows handled below)
     let mut receiver = Receiver::None;
-    let mut saw_any_param = false;
-    let mut commas = 0usize;
+    let mut params = 0usize;
+    let mut in_param = false;
     let mut first_param_toks: Vec<usize> = Vec::new();
     while j < toks.len() {
         let t = &toks[j];
-        if t.is_punct('(') || t.is_punct('[') || t.is_punct('{') {
-            depth += 1;
-        } else if t.is_punct(')') || t.is_punct(']') || t.is_punct('}') {
+        if t.is_punct(')') || t.is_punct(']') || t.is_punct('}') {
             depth -= 1;
             if depth == 0 {
                 break;
             }
+        } else if depth == 1 && angle == 0 && t.is_punct(',') {
+            in_param = false;
+        } else if depth == 1 && !t.is_punct(',') {
+            if !in_param {
+                in_param = true;
+                params += 1;
+            }
+            if params == 1 && first_param_toks.len() < 4 {
+                first_param_toks.push(j);
+            }
+        }
+        if t.is_punct('(') || t.is_punct('[') || t.is_punct('{') {
+            depth += 1;
         } else if t.is_punct('<') {
             angle += 1;
         } else if t.is_punct('>') {
@@ -350,13 +363,6 @@ fn parse_fn(
                 // `->` arrow inside an fn-type parameter: not a close.
             } else if angle > 0 {
                 angle -= 1;
-            }
-        } else if depth == 1 && angle == 0 && t.is_punct(',') {
-            commas += 1;
-        } else if depth == 1 && !t.is_punct(',') {
-            saw_any_param = true;
-            if commas == 0 && first_param_toks.len() < 4 {
-                first_param_toks.push(j);
             }
         }
         j += 1;
@@ -384,7 +390,6 @@ fn parse_fn(
             }
         }
     }
-    let params = if saw_any_param { commas + 1 } else { 0 };
     let arity = if receiver == Receiver::None {
         params
     } else {

@@ -205,6 +205,88 @@ fn panic_reach_fires_waives_and_ratchets_per_entry_point() {
     assert_eq!(live(&second, "panic-reach").len(), 0);
 }
 
+/// panic-reach over one in-memory engine file, no baseline: the live
+/// findings' messages.
+fn panic_reach_messages(src: &str) -> Vec<String> {
+    let parsed = SourceFile::parse(
+        "crates/core/src/engine.rs".to_string(),
+        fixture_root().join("crates/core/src/engine.rs"),
+        src,
+    );
+    let config = LintConfig {
+        root: fixture_root(),
+        baseline: None,
+        deny_all: true,
+    };
+    xsi_lint::run_on_sources(&config, &[parsed])
+        .findings
+        .into_iter()
+        .filter(|f| f.rule == "panic-reach" && f.suppressed.is_none())
+        .map(|f| f.message)
+        .collect()
+}
+
+#[test]
+fn wrapped_call_keeps_its_call_edge() {
+    // rustfmt wraps a long call one argument per line with a trailing
+    // comma; that comma is not a second argument, so the call resolves
+    // to the one-argument `step` (which unwraps), not the two-argument
+    // one.
+    let msgs = panic_reach_messages(
+        "impl UpdateEngine {\n\
+         \tpub fn entry(&self, a: &A, x: Option<u32>) -> u32 {\n\
+         \t\ta.step(\n\
+         \t\t\tx,\n\
+         \t\t)\n\
+         \t}\n\
+         }\n\
+         impl A {\n\
+         \tfn step(&self, x: Option<u32>) -> u32 {\n\
+         \t\tx.unwrap()\n\
+         \t}\n\
+         }\n\
+         impl B {\n\
+         \tfn step(&self, x: Option<u32>, y: u32) -> u32 {\n\
+         \t\tx.map_or(y, |v| v)\n\
+         \t}\n\
+         }\n",
+    );
+    assert_eq!(msgs.len(), 1, "{msgs:?}");
+    assert!(
+        msgs[0].contains("entry") && msgs[0].contains("A::step"),
+        "{msgs:?}"
+    );
+}
+
+#[test]
+fn wrapped_signature_keeps_its_arity() {
+    // A signature wrapped one parameter per line ends in a trailing
+    // comma; `A::step` still takes one argument besides `self`, so the
+    // one-argument call reaches it (and its unwrap) as well as `C::step`.
+    let msgs = panic_reach_messages(
+        "impl UpdateEngine {\n\
+         \tpub fn entry(&self, a: &A, x: Option<u32>) -> u32 {\n\
+         \t\ta.step(x)\n\
+         \t}\n\
+         }\n\
+         impl A {\n\
+         \tfn step(\n\
+         \t\t&self,\n\
+         \t\tx: Option<u32>,\n\
+         \t) -> u32 {\n\
+         \t\tx.unwrap()\n\
+         \t}\n\
+         }\n\
+         impl C {\n\
+         \tfn step(&self, x: Option<u32>) -> u32 {\n\
+         \t\tx.unwrap_or(0)\n\
+         \t}\n\
+         }\n",
+    );
+    assert_eq!(msgs.len(), 1, "{msgs:?}");
+    assert!(msgs[0].contains("A::step"), "{msgs:?}");
+}
+
 #[test]
 fn store_discipline_fires_direct_and_one_level_down() {
     let r = run_fixture(None);
