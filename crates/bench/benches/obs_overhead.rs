@@ -8,19 +8,18 @@
 //! 2. `engine / obs off` — the instrumented engine with the hub
 //!    disabled (the default). The acceptance target: this must stay
 //!    within noise of (1) plus the engine's own dispatch cost, because
-//!    every callsite is a single `is_active()` branch.
-//! 3. `engine / null recorder` — recorder installed but discarding;
-//!    exercises event construction + clock reads. Span collection is
-//!    OFF here, so this also pins the self-overhead contract for the
-//!    span layer: every `SpanGuard::enter` in the hot path is one TLS
-//!    read + branch, no clock read, no allocation — (3) must stay
-//!    within noise of its pre-span-layer cost (compare against (2)'s
-//!    delta; DESIGN.md §12).
-//! 4. `engine / flight + metrics` — the full pipeline: ring buffer
-//!    retention and registry aggregation per event.
-//! 5. `engine / null recorder + spans` — span collection armed, tree
-//!    drained every 1024 pairs: the marginal cost of actually recording
-//!    the causal span tree on top of (3).
+//!    every span site is one TLS read + branch, no clock read, no
+//!    allocation.
+//! 3. `engine / null recorder` — recorder installed but discarding.
+//!    The hub counts a null recorder as inactive, so the engine records
+//!    no spans: (3) must stay within noise of (2) (DESIGN.md §8).
+//! 4. `engine / flight + metrics` — the full pipeline: the engine
+//!    records each call's pipeline spans and hands them to the ring
+//!    buffer and the registry.
+//! 5. `engine / null recorder + spans` — an explicit span collection
+//!    armed (kernel spans included), tree drained every 1024 pairs: the
+//!    marginal cost of recording the whole causal span tree on top of
+//!    (3).
 //!
 //! Run with `cargo bench --features bench --bench obs_overhead`.
 //! Record the medians in EXPERIMENTS.md §observability when they move.
@@ -85,7 +84,7 @@ fn main() {
         engine.delete_edge(u, v).unwrap();
     });
 
-    // 3. Null recorder: events constructed, then discarded.
+    // 3. Null recorder: the hub stays inactive, no spans recorded.
     let (mut engine, edges) = engine_with(Some(Box::new(NullRecorder)), false);
     let mut i = 0usize;
     bench("pair / engine, null recorder", || {

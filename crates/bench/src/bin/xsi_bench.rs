@@ -6,10 +6,10 @@
 //!
 //! * `--metrics-out <path>` — a summary object embedding run metadata,
 //!   engine stats, and the full metrics registry
-//!   (`format: "xsi-metrics-v1"`); store reports are published
+//!   (`format: "xsi-metrics-v1"`); mem reports are published
 //!   automatically at the export point.
-//! * `--trace-out <path>` — the event stream as JSON Lines (one object
-//!   per event, streamed through [`JsonlWriter`]).
+//! * `--trace-out <path>` — the record stream as JSON Lines (one object
+//!   per closed pipeline span, streamed through [`JsonlWriter`]).
 //! * `--prom-out <path>` — Prometheus text exposition of the same
 //!   registry.
 //! * `--chrome-trace-out <path>` — the causal span tree as Chrome
@@ -23,8 +23,8 @@
 //!   and the raw shape histograms (validate with
 //!   `xsi-metrics-check --mem`).
 //!
-//! Store, mem, and quality reports are published exactly once at the
-//! export point, so every artifact carries them whether or not the
+//! Mem and quality reports are published exactly once at the export
+//! point, so every artifact carries them whether or not the
 //! corresponding flag was passed.
 //!
 //! The postmortem black box is always armed: if the workload panics,
@@ -32,10 +32,10 @@
 //! report are written as JSONL to `--postmortem-out`
 //! (default `xsi_bench.postmortem.jsonl`) and the run exits 101.
 //!
-//! Span collection is armed only when one of the span exports is
-//! requested, so plain metric runs keep the zero-cost disabled path.
-//! Validate the outputs offline with the sibling `xsi-metrics-check`
-//! binary.
+//! An explicit span collection (which adds the kernel spans) is armed
+//! only when one of the span exports is requested; the hub receives the
+//! same pipeline records either way. Validate the outputs offline with
+//! the sibling `xsi-metrics-check` binary.
 //!
 //! ```text
 //! cargo run --release -p xsi-bench --bin xsi_bench -- \
@@ -160,8 +160,10 @@ fn main() {
             .set_recorder(Box::new(FlightRecorder::new(flight_cap)));
     }
 
-    // Arm span collection only when a span export was requested —
-    // otherwise every callsite stays on the disabled one-branch path.
+    // Arm an explicit span collection only when a span export was
+    // requested — otherwise the kernel span sites stay on their
+    // one-branch path and only the engine's per-call pipeline
+    // recording runs.
     let collect_spans = chrome_out.is_some() || folded_out.is_some();
     if collect_spans {
         span::begin_collection();
@@ -215,15 +217,8 @@ fn main() {
         let families = engine.obs().families().to_vec();
         // Accounting check for the span substrate: the sum of
         // CompoundProcess durations (self + children) against the
-        // engine's recorded split+merge phase nanos, aggregated over
-        // every registered family.
-        let phase_nanos: u64 = handles
-            .iter()
-            .map(|&h| {
-                let s = engine.index_stats(h);
-                s.split_nanos + s.merge_nanos
-            })
-            .sum();
+        // Split + Merge phase span durations, over every family.
+        let phase_nanos = tree.kind_nanos(SpanKind::Split) + tree.kind_nanos(SpanKind::Merge);
         let compound_nanos = tree.kind_nanos(SpanKind::CompoundProcess);
         let pct = if phase_nanos > 0 {
             100.0 * compound_nanos as f64 / phase_nanos as f64
@@ -231,7 +226,7 @@ fn main() {
             100.0
         };
         eprintln!(
-            "xsi-bench: {} spans ({} dropped); CompoundProcess covers {:.1}% of split/merge phase nanos",
+            "xsi-bench: {} spans ({} dropped); CompoundProcess covers {:.1}% of Split + Merge span nanos",
             tree.len(),
             tree.dropped,
             pct
@@ -251,11 +246,11 @@ fn main() {
 
     engine.obs_mut().flush();
 
-    // Publish the store + mem + quality reports exactly once at the
-    // export point — every artifact below (prometheus text, metrics
-    // JSON, mem artifact) then reads the same registry state whether
-    // or not its flag was passed. Publishing per-artifact would double
-    // the transplanted histogram mass.
+    // Publish the mem + quality reports exactly once at the export
+    // point — every artifact below (prometheus text, metrics JSON, mem
+    // artifact) then reads the same registry state whether or not its
+    // flag was passed. Publishing per-artifact would double the
+    // transplanted histogram mass.
     let metrics = engine
         .export_metrics_json()
         .expect("invariant: metrics were enabled above");

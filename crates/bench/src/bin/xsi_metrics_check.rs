@@ -24,6 +24,7 @@ use std::process::ExitCode;
 
 use xsi_bench::cli::Args;
 use xsi_core::obs::json::Json;
+use xsi_core::obs::SpanKind;
 
 fn fail(msg: &str) -> ExitCode {
     eprintln!("xsi-metrics-check: FAIL: {msg}");
@@ -55,8 +56,9 @@ fn main() -> ExitCode {
         }
     }
 
-    // Optional JSONL trace: every line parses, carries the event keys,
-    // and seq is strictly increasing.
+    // Optional JSONL trace: every line parses as a span record with a
+    // known kind (and a family where the kind is family-tagged), and
+    // seq is strictly increasing.
     if let Some(trace_path) = args.str("trace") {
         if let Some(code) = check_jsonl_trace(trace_path) {
             return code;
@@ -485,8 +487,9 @@ fn check_metrics(metrics_path: &str) -> Option<ExitCode> {
     None
 }
 
-/// Validates a JSONL event trace: every line parses, carries the event
-/// keys, and `seq` is strictly increasing.
+/// Validates a JSONL record trace: every line parses, `kind` names a
+/// span kind, family-tagged kinds carry `family`, and `seq` is strictly
+/// increasing.
 fn check_jsonl_trace(trace_path: &str) -> Option<ExitCode> {
     let text = match std::fs::read_to_string(trace_path) {
         Ok(t) => t,
@@ -504,11 +507,30 @@ fn check_jsonl_trace(trace_path: &str) -> Option<ExitCode> {
         let Some(seq) = ev.get("seq").and_then(Json::as_u64) else {
             return Some(fail(&format!("{trace_path}:{}: missing seq", i + 1)));
         };
-        if ev.get("callsite").and_then(Json::as_u64).is_none() {
-            return Some(fail(&format!("{trace_path}:{}: missing callsite", i + 1)));
-        }
-        if ev.get("kind").and_then(Json::as_str).is_none() {
-            return Some(fail(&format!("{trace_path}:{}: missing kind", i + 1)));
+        let Some(kind) = ev
+            .get("kind")
+            .and_then(Json::as_str)
+            .and_then(|k| SpanKind::ALL.into_iter().find(|s| s.name() == k))
+        else {
+            return Some(fail(&format!(
+                "{trace_path}:{}: kind is not a span-kind name",
+                i + 1
+            )));
+        };
+        let family_tagged = matches!(
+            kind,
+            SpanKind::IndexDispatch
+                | SpanKind::Split
+                | SpanKind::Merge
+                | SpanKind::Rebuild
+                | SpanKind::Freeze
+        );
+        if family_tagged && ev.get("family").and_then(Json::as_str).is_none() {
+            return Some(fail(&format!(
+                "{trace_path}:{}: {} record without family",
+                i + 1,
+                kind.name()
+            )));
         }
         if let Some(prev) = last_seq {
             if seq <= prev {
@@ -524,7 +546,7 @@ fn check_jsonl_trace(trace_path: &str) -> Option<ExitCode> {
     if lines == 0 {
         return Some(fail(&format!("{trace_path}: empty trace")));
     }
-    println!("xsi-metrics-check: {trace_path}: ok ({lines} events)");
+    println!("xsi-metrics-check: {trace_path}: ok ({lines} records)");
     None
 }
 

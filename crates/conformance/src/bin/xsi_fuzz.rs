@@ -316,7 +316,7 @@ fn report_failure(scenario: &Scenario, args: &Args) -> i32 {
     let (_, trace) = run_scenario_traced(&result.scenario);
     // Panic failures also get the black box: the silent hook captured
     // the traced re-run's panic site + open spans, and the flight tail
-    // above is exactly the pre-crash event stream.
+    // above is exactly the pre-crash record stream.
     if let Some(cap) = xsi_core::obs::postmortem::last_capture() {
         let bb = args.out.join("blackbox.jsonl");
         match xsi_core::obs::postmortem::write_blackbox(&bb, Some(&cap), &trace, None) {
@@ -358,7 +358,7 @@ fn write_repro(
     let mut body = scenario.to_replay();
     if !trace.is_empty() {
         body.push_str(&format!(
-            "# flight-recorder trace: last {} engine events before the conviction\n\
+            "# flight-recorder trace: last {} engine records before the conviction\n\
              # (informational; `--replay` re-derives and cross-checks it)\n",
             trace.len()
         ));
@@ -397,7 +397,7 @@ fn replay_mode(path: &std::path::Path) -> i32 {
     // embedded trace is informational only there.
     if !embedded.is_empty() && outcome.is_err() && embedded != regenerated {
         println!(
-            "replay FAILED: regenerated trace ({} events) diverges from the embedded one ({})",
+            "replay FAILED: regenerated trace ({} records) diverges from the embedded one ({})",
             regenerated.len(),
             embedded.len()
         );
@@ -521,7 +521,7 @@ fn smoke_one(name: &str, fault: FaultSpec, args: &Args) -> Result<String, String
     }
 
     Ok(format!(
-        "caught as '{}', shrunk {} → {} ops in {} probes, {} trace events, replayed from {} (test: {})",
+        "caught as '{}', shrunk {} → {} ops in {} probes, {} trace records, replayed from {} (test: {})",
         result.failure.check,
         scenario.ops.len(),
         result.scenario.ops.len(),

@@ -39,7 +39,7 @@ use crate::fault::{one_index_canonical, one_index_partition, FaultyOneIndex};
 use crate::scenario::{Scenario, ScenarioOp};
 use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use xsi_core::obs::event::EventPayload;
+use xsi_core::obs::{SpanKind, SpanLabel, SpanRecord};
 use xsi_core::{
     check, reference, AkIndex, FlightRecorder, IndexHandle, IndexSnapshot, NodeRef, OneIndex,
     PropagateOneIndex, SimpleAkIndex, StructuralIndex, UpdateEngine, UpdateOp,
@@ -87,7 +87,7 @@ struct Handles {
     simple: IndexHandle,
 }
 
-/// How many flight-recorder events a traced run retains (and therefore
+/// How many flight-recorder records a traced run retains (and therefore
 /// how many `trace` lines a reproducer can carry).
 pub const TRACE_CAP: usize = 256;
 
@@ -98,12 +98,12 @@ pub fn run_scenario(scenario: &Scenario) -> Result<RunReport, Failure> {
 }
 
 /// Like [`run_scenario`], but with the engine's flight recorder enabled
-/// ([`TRACE_CAP`] events). Returns the run outcome together with the
-/// engine's own account of the tail of the run: the retained events'
-/// deterministic [`stable_line`](xsi_core::obs::event::Event::stable_line)
+/// ([`TRACE_CAP`] records). Returns the run outcome together with the
+/// engine's own account of the tail of the run: the retained records'
+/// deterministic [`stable_line`](xsi_core::obs::event::stable_line)
 /// projections (timestamps excluded), oldest first. The trace is
 /// captured just before the final rebuild phase — on a conviction it
-/// ends with the `oracle-check ... failed=true` event for the failing
+/// ends with the `OracleCheck ... failed=true` record for the failing
 /// op — and is byte-identical across replays of the same scenario.
 pub fn run_scenario_traced(scenario: &Scenario) -> (Result<RunReport, Failure>, Vec<String>) {
     run_scenario_impl(scenario, true)
@@ -217,12 +217,14 @@ fn run_scenario_impl(
             report.checks += checks;
             Ok(true)
         }));
-        // One OracleCheck event per attempted op (skips included): the
+        // One OracleCheck record per attempted op (skips included): the
         // reproducer trace shows exactly how far the oracles got.
-        let failed = !matches!(outcome, Ok(Ok(_)));
-        engine.obs_mut().emit(EventPayload::OracleCheck {
-            checks: u32::try_from(report.checks).unwrap_or(u32::MAX),
-            failed,
+        engine.obs_mut().record(&SpanRecord {
+            label: SpanLabel::Oracle {
+                checks: report.checks as u64,
+                failed: !matches!(outcome, Ok(Ok(_))),
+            },
+            ..SpanRecord::new(SpanKind::OracleCheck)
         });
         match outcome {
             Ok(Ok(true)) => report.applied += 1,

@@ -415,13 +415,13 @@ mod tests {
     fn trace_lines_after_end_are_ignored_and_extractable() {
         let text = "xsi-conformance-replay v1\nseed 7\nk 1\nend\n\
                     # flight-recorder trace\n\
-                    trace 0 op-received op=insert-edge\n\
-                    trace 1 index-dispatch family=1-index op=insert-edge splits=1 merges=0 no_op=false\n";
+                    trace 0 Op op=insert-edge\n\
+                    trace 1 IndexDispatch family=1-index op=insert-edge splits=1 merges=0 no_op=false\n";
         let s = Scenario::parse_replay(text).unwrap();
         assert_eq!(s.seed, 7);
         let trace = Scenario::embedded_trace(text);
         assert_eq!(trace.len(), 2);
-        assert!(trace[0].starts_with("0 op-received"));
+        assert!(trace[0].starts_with("0 Op"));
         // Non-trace content after end is still rejected.
         let bad = "xsi-conformance-replay v1\nend\ntraceish 0\n";
         assert!(Scenario::parse_replay(bad).is_err());

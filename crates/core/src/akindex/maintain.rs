@@ -135,7 +135,6 @@ impl AkIndex {
     /// Inserts the dedge `(u, v)` and maintains the A(0)..A(k) chain
     /// (Figure 7). Returns per-update statistics (block counts refer to
     /// the level-k index).
-    // xsi-lint: allow(span-coverage, delegates to update_levels, which opens the Split/Merge spans)
     pub fn insert_edge(
         &mut self,
         g: &mut Graph,
@@ -152,7 +151,6 @@ impl AkIndex {
     }
 
     /// Deletes the dedge `(u, v)` and maintains the chain.
-    // xsi-lint: allow(span-coverage, delegates to update_levels, which opens the Split/Merge spans)
     pub fn delete_edge(
         &mut self,
         g: &mut Graph,
@@ -167,7 +165,6 @@ impl AkIndex {
 
     /// Deletes a node and all of its incident edges, maintaining the
     /// chain throughout. The node must not be the root.
-    // xsi-lint: allow(span-coverage, delegates per incident edge to update_levels, which opens the spans)
     pub fn delete_node(&mut self, g: &mut Graph, n: NodeId) -> Result<UpdateStats, GraphError> {
         let mut stats = UpdateStats {
             no_op: false,
@@ -192,7 +189,6 @@ impl AkIndex {
     /// Maintenance hook for an edge insertion already applied to `g` by
     /// the caller — for running several indexes over one graph. Equivalent
     /// to [`AkIndex::insert_edge`] minus the graph mutation.
-    // xsi-lint: allow(span-coverage, delegates to update_levels, which opens the Split/Merge spans)
     pub fn notify_edge_inserted(&mut self, g: &Graph, u: NodeId, v: NodeId) -> UpdateStats {
         debug_assert!(g.has_edge(u, v), "notify before mutating the graph");
         let j0 = self.affected_from(g, u, v, true);
@@ -202,7 +198,6 @@ impl AkIndex {
 
     /// Maintenance hook for an edge deletion already applied to `g` by
     /// the caller; see [`AkIndex::notify_edge_inserted`].
-    // xsi-lint: allow(span-coverage, delegates to update_levels, which opens the Split/Merge spans)
     pub fn notify_edge_deleted(&mut self, g: &Graph, u: NodeId, v: NodeId) -> UpdateStats {
         debug_assert!(!g.has_edge(u, v), "notify after mutating the graph");
         self.unregister_edge(u, v);
@@ -253,34 +248,27 @@ impl AkIndex {
         // update touches ranks j0 ..= k of the A(0)..A(k) chain.
         stats.levels_touched = self.k() - j0 + 1;
         {
-            // Span covers exactly the region timed into split_nanos.
             let sp = SpanGuard::enter(SpanKind::Split);
-            let split_t = std::time::Instant::now();
-            let mut cq = CompoundQueue::new(self.k() + 1);
-
             // Initial splits: single v out of its inode at levels j0..k,
             // then propagate lowest-level compound first. The seeding
-            // sweep is the phase's first work item (O(deg·k) across the
-            // chain — a real slice of the split clock); its span closes
-            // before process_compounds so CompoundProcess never
-            // self-nests.
-            {
-                let seed = SpanGuard::enter(SpanKind::CompoundProcess);
-                self.split_levels_by(g, &[v], j0 - 1, &mut cq, &mut stats);
-                seed.add_blocks(stats.splits as u64);
-                seed.set_queue_depth(cq.work_size() as u64);
-            }
+            // sweep, queue set-up included, is the phase's first work
+            // item (O(deg·k) across the chain — a real slice of the
+            // Split span); its span closes before process_compounds so
+            // CompoundProcess never self-nests.
+            let seed = SpanGuard::enter(SpanKind::CompoundProcess);
+            let mut cq = CompoundQueue::new(self.k() + 1);
+            self.split_levels_by(g, &[v], j0 - 1, &mut cq, &mut stats);
+            seed.add_blocks(stats.splits as u64);
+            seed.set_queue_depth(cq.work_size() as u64);
+            drop(seed);
             kernel::process_compounds(self, g, &mut cq, &mut stats);
             stats.intermediate_blocks = self.block_count();
-            stats.split_nanos = split_t.elapsed().as_nanos() as u64;
             sp.add_blocks(stats.splits as u64);
             sp.set_queue_depth(stats.queue_peak as u64);
         }
 
         let sp = SpanGuard::enter(SpanKind::Merge);
-        let merge_t = std::time::Instant::now();
         self.merge_phase(v, j0, &mut stats);
-        stats.merge_nanos = merge_t.elapsed().as_nanos() as u64;
         sp.add_blocks(stats.merges as u64);
         drop(sp);
         stats.final_blocks = self.block_count();
@@ -433,12 +421,9 @@ impl AkIndex {
                 .tree_children(parent)
                 .find(|&s| s != bv && self.same_cross_parents(s, bv));
             if let Some(s) = sibling {
-                let m = SpanGuard::enter(SpanKind::Merge);
-                m.add_blocks(2);
                 sp.add_blocks(2);
                 let merged = self.merge_pair(s, bv);
                 stats.merges += 1;
-                drop(m);
                 drop(sp);
                 if self.level(merged) < k {
                     kernel::merge_fold(self, merged, stats);
@@ -460,8 +445,7 @@ impl AkIndex {
 
     /// Registers a freshly added, edge-free node: it joins (or founds) the
     /// chain of parentless blocks with its label, preserving minimality.
-    // xsi-lint: allow(span-coverage, no kernel work; the engine-level caller opens the Op/IndexDispatch spans)
-    // xsi-lint: allow(obs-coverage, O(k) bookkeeping with no split/merge work; the engine-level caller times it)
+    // xsi-lint: allow(obs-coverage, O(k) bookkeeping with no split/merge work; the engine-level caller opens the Op/IndexDispatch spans)
     pub fn on_node_added(&mut self, g: &Graph, n: NodeId) {
         self.ensure_capacity(g);
         debug_assert_eq!(g.in_degree(n) + g.out_degree(n), 0);
@@ -495,8 +479,7 @@ impl AkIndex {
 
     /// Unregisters a node about to be removed (must be edge-free; call
     /// before `Graph::remove_node`).
-    // xsi-lint: allow(span-coverage, no kernel work; the engine-level caller opens the Op/IndexDispatch spans)
-    // xsi-lint: allow(obs-coverage, O(k) bookkeeping with no split/merge work; the engine-level caller times it)
+    // xsi-lint: allow(obs-coverage, O(k) bookkeeping with no split/merge work; the engine-level caller opens the Op/IndexDispatch spans)
     pub fn on_node_removing(&mut self, g: &Graph, n: NodeId) {
         debug_assert_eq!(g.in_degree(n) + g.out_degree(n), 0);
         let chain = self.chain_of(n);

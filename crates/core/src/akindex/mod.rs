@@ -36,7 +36,7 @@ pub use simple::SimpleAkIndex;
 pub use storage::StorageReport;
 
 use crate::obs::mem::{btree_set_heap, vec_cap_heap, HeapUse, MemReport};
-use crate::store::{CowVec, IedgeMap, ScratchTable, SlotKey, SlotMap, StoreReport};
+use crate::store::{CowVec, IedgeMap, ScratchTable, SlotKey, SlotMap};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 use std::sync::Arc;
@@ -442,26 +442,6 @@ impl AkIndex {
             .collect();
         out.sort();
         out
-    }
-
-    /// Summarizes the representation state of every [`IedgeMap`] in the
-    /// refinement tree for the obs layer.
-    pub fn store_report(&self) -> StoreReport {
-        let mut r = StoreReport::default();
-        for (_, blk) in self.blocks.iter() {
-            r.absorb(&blk.pred_cross);
-            r.absorb(&blk.succ_cross);
-            r.absorb(&blk.pred_intra);
-            r.absorb(&blk.succ_intra);
-            r.blocks += 1;
-        }
-        for blk in self.blocks.iter_all_slots() {
-            r.spill_events += u64::from(blk.pred_cross.spill_count())
-                + u64::from(blk.succ_cross.spill_count())
-                + u64::from(blk.pred_intra.spill_count())
-                + u64::from(blk.succ_intra.spill_count());
-        }
-        r
     }
 
     /// Deep heap bytes owned by the refinement tree (capacity-based);
@@ -1153,13 +1133,13 @@ mod tests {
     }
 
     #[test]
-    fn store_report_covers_all_maps() {
+    fn mem_report_covers_all_maps() {
         let g = sample();
         let idx = AkIndex::build(&g, 2);
-        let r = idx.store_report();
+        let r = idx.mem_report();
         assert_eq!(r.blocks as usize, idx.total_blocks());
-        assert_eq!(r.inline_maps + r.spilled_maps, r.blocks * 4);
-        assert!(r.entries > 0);
+        assert_eq!(r.iedge_inline_maps + r.iedge_spilled_maps, r.blocks * 4);
+        assert!(r.inline_occupancy_hist.iter().skip(1).sum::<u64>() > 0);
     }
 }
 

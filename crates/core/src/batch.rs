@@ -18,8 +18,9 @@
 //! There is no batch application code here: the engine runs the phases
 //! through the same fan-out core as its single-op entry points, so a
 //! batch and the equivalent single ops produce the same index states,
-//! stats and events (plus the batch's `batch-segment` events).
+//! stats and spans (plus the batch's `BatchSegment` spans).
 
+use crate::obs::BatchSegment;
 use crate::stats::UpdateStats;
 use std::collections::HashSet;
 use xsi_graph::{EdgeKind, Graph, GraphError, NodeId};
@@ -41,6 +42,18 @@ pub enum UpdateOp {
     DeleteEdge { from: NodeId, to: NodeId },
     /// Remove a node and all of its remaining edges.
     RemoveNode { node: NodeId },
+}
+
+impl UpdateOp {
+    /// The batch phase segment this op runs in.
+    pub fn segment(&self) -> BatchSegment {
+        match self {
+            UpdateOp::AddNode { .. } => BatchSegment::AddNodes,
+            UpdateOp::InsertEdge { .. } => BatchSegment::InsertEdges,
+            UpdateOp::DeleteEdge { .. } => BatchSegment::DeleteEdges,
+            UpdateOp::RemoveNode { .. } => BatchSegment::RemoveNodes,
+        }
+    }
 }
 
 /// A node reference inside a batch: either an existing node or the

@@ -16,12 +16,17 @@
 //!   registration order, after the graph change (the hook contract of
 //!   [`crate::index`]);
 //! * one private fan-out core, `UpdateEngine::fan_out`, is the only
-//!   copy of the per-op instrumentation: the `op-received` event, the
-//!   `Op`/`IndexDispatch` spans, dispatch timing, and the booking of
-//!   per-index cumulative [`UpdateStats`] and engine-wide
-//!   [`EngineStats`] (ops, splits, merges, touched blocks, latency).
-//!   `add_node`, `insert_edge`, `delete_edge` and the four batch phases
-//!   all call it, each passing a closure that runs its own hook;
+//!   copy of the per-op instrumentation: the `Op` span, one
+//!   `IndexDispatch` span per index labelled with its [`UpdateStats`],
+//!   and the booking of per-index cumulative [`UpdateStats`] and
+//!   engine-wide [`EngineStats`] (ops, splits, merges, touched blocks,
+//!   latency). `add_node`, `insert_edge`, `delete_edge` and the four
+//!   batch phases all call it, each passing a closure that runs its own
+//!   hook;
+//! * while the obs hub is active, every public mutation and `freeze`
+//!   runs under a [`Recording`] that hands the call's closed pipeline
+//!   spans to [`ObsHub::record`] — the engine's only way of feeding the
+//!   flight recorder and the metrics (DESIGN.md §8);
 //! * an optional per-index [`RebuildPolicy`] triggers the paper's
 //!   5 %-growth reconstruction through [`StructuralIndex::rebuild`]
 //!   after every edge op and every batch, with the time booked
@@ -43,11 +48,11 @@
 
 use crate::batch::{self, BatchError, BatchResult, UpdateOp};
 use crate::index::StructuralIndex;
-use crate::obs::event::{BatchSegment, EventPayload, IndexFamily, OpKind};
+use crate::obs::event::{BatchSegment, IndexFamily, OpKind, SpanLabel};
 use crate::obs::mem::{self, HeapUse};
 use crate::obs::metrics::MetricKey;
-use crate::obs::span::{SpanGuard, SpanKind};
-use crate::obs::{clamp32, ObsHub};
+use crate::obs::span::{Recording, SpanGuard, SpanKind};
+use crate::obs::ObsHub;
 use crate::rebuild::RebuildPolicy;
 use crate::stats::UpdateStats;
 use crate::view::IndexSnapshot;
@@ -75,9 +80,13 @@ pub struct EngineStats {
     pub touched_blocks: usize,
     /// Wall-clock time inside index maintenance hooks, read around the
     /// fan-out core's per-index loop — for batches too, so graph
-    /// mutation, batch validation and rebuilds are not included.
+    /// mutation, batch validation and rebuilds are not included. One of
+    /// the engine's two clock pairs: the Fig. 11 and Table 2
+    /// experiments read it with the obs hub off, when no span is
+    /// recorded.
     pub update_time: Duration,
-    /// Wall-clock time inside policy-triggered reconstructions.
+    /// Wall-clock time inside policy-triggered reconstructions (the
+    /// other clock pair, read for the same experiments).
     pub rebuild_time: Duration,
     /// Number of policy-triggered reconstructions.
     pub rebuilds: usize,
@@ -209,15 +218,16 @@ impl UpdateEngine {
     }
 
     /// Adds a node and registers it with every index.
-    // xsi-lint: allow(obs-coverage, thin delegate; the fan_out core books the op through the obs hub)
     pub fn add_node(&mut self, label: &str, value: Option<String>) -> NodeId {
-        let n = self.g.add_node(label, value);
-        self.fan_out(OpKind::AddNode, |idx, g| {
-            idx.on_node_added(g, n);
-            None
-        });
-        self.paranoid_check("add_node");
-        n
+        self.traced(|e| {
+            let n = e.g.add_node(label, value);
+            e.fan_out(OpKind::AddNode, |idx, g| {
+                idx.on_node_added(g, n);
+                None
+            });
+            e.paranoid_check("add_node");
+            n
+        })
     }
 
     /// Inserts an edge and fans the observation out. Returns the stats
@@ -228,13 +238,15 @@ impl UpdateEngine {
         v: NodeId,
         kind: EdgeKind,
     ) -> Result<UpdateStats, GraphError> {
-        self.g.insert_edge(u, v, kind)?;
-        let stats = self.fan_out(OpKind::InsertEdge, |idx, g| {
-            Some(idx.on_edge_inserted(g, u, v))
-        });
-        self.run_policies();
-        self.paranoid_check("insert_edge");
-        Ok(stats)
+        self.traced(|e| {
+            e.g.insert_edge(u, v, kind)?;
+            let stats = e.fan_out(OpKind::InsertEdge, |idx, g| {
+                Some(idx.on_edge_inserted(g, u, v))
+            });
+            e.run_policies();
+            e.paranoid_check("insert_edge");
+            Ok(stats)
+        })
     }
 
     /// Deletes an edge and fans the observation out. Returns the removed
@@ -244,13 +256,15 @@ impl UpdateEngine {
         u: NodeId,
         v: NodeId,
     ) -> Result<(UpdateStats, EdgeKind), GraphError> {
-        let kind = self.g.delete_edge(u, v)?;
-        let stats = self.fan_out(OpKind::DeleteEdge, |idx, g| {
-            Some(idx.on_edge_deleted(g, u, v))
-        });
-        self.run_policies();
-        self.paranoid_check("delete_edge");
-        Ok((stats, kind))
+        self.traced(|e| {
+            let kind = e.g.delete_edge(u, v)?;
+            let stats = e.fan_out(OpKind::DeleteEdge, |idx, g| {
+                Some(idx.on_edge_deleted(g, u, v))
+            });
+            e.run_policies();
+            e.paranoid_check("delete_edge");
+            Ok((stats, kind))
+        })
     }
 
     /// Applies one [`UpdateOp`] — the single-op entry point for node
@@ -279,104 +293,75 @@ impl UpdateEngine {
     /// consistent with the graph at every step.
     pub fn apply_batch(&mut self, ops: &[UpdateOp]) -> Result<BatchResult, BatchError> {
         batch::validate(&self.g, ops)?;
-        let mut result = BatchResult {
-            stats: UpdateStats::identity(),
-            ..BatchResult::default()
-        };
-        let applied = self.apply_phases(ops, &mut result);
-        self.run_policies();
-        self.paranoid_check("apply_batch");
-        applied.map(|()| result)
+        self.traced(|e| {
+            let mut result = BatchResult {
+                stats: UpdateStats::identity(),
+                ..BatchResult::default()
+            };
+            let applied = e.apply_phases(ops, &mut result);
+            e.run_policies();
+            e.paranoid_check("apply_batch");
+            applied.map(|()| result)
+        })
     }
 
-    /// Publishes one `store-report` event per registered index that
-    /// keeps dense iedge maps ([`StructuralIndex::store_report`]):
-    /// inline vs spilled map populations, cumulative spill events, and
-    /// probe lengths land in the metrics registry as `store_*` gauges
-    /// plus the `store_probe_len` histogram. On-demand rather than
-    /// per-op — the report walks every live block, so callers (bench
-    /// drivers, exporters) sample it at export points. A no-op while
-    /// the obs hub is inactive.
-    pub fn publish_store_reports(&mut self) {
-        if !self.obs.is_active() {
-            return;
-        }
-        for e in &self.entries {
-            if let Some(r) = e.index.store_report() {
-                self.obs.emit(EventPayload::StoreReport {
-                    family: e.family,
-                    inline_maps: clamp32(r.inline_maps as usize),
-                    spilled_maps: clamp32(r.spilled_maps as usize),
-                    spill_events: clamp32(r.spill_events as usize),
-                    entries: clamp32(r.entries as usize),
-                    max_entries: clamp32(r.max_entries as usize),
-                    probe_total: r.probe_total,
-                });
-            }
-        }
-    }
-
-    /// Publishes one `mem-report` event per registered index with
-    /// memory accounting ([`StructuralIndex::mem_report`]): deep byte
-    /// categories and the quality telemetry (live blocks vs the
-    /// rebuild-to-minimum oracle) land as `mem_*`/`quality_*` gauges,
-    /// and the report's extent-length and inline-occupancy histograms
-    /// are transplanted into the registry bucket-for-bucket. On-demand,
-    /// like [`UpdateEngine::publish_store_reports`]: the report walks
-    /// every slot, and `minimum_block_count` *rebuilds* the index — this
-    /// is an export-point operation, never a per-op one. A no-op while
-    /// the obs hub is inactive.
+    /// Writes one index-memory report per registered index with memory
+    /// accounting ([`StructuralIndex::mem_report`]) into the metrics
+    /// registry: deep byte categories, iedge inline/spilled map counts
+    /// and the quality telemetry (live blocks vs the rebuild-to-minimum
+    /// oracle) as `mem_*`/`quality_*` gauges, and the report's
+    /// extent-length and inline-occupancy histograms transplanted
+    /// bucket-for-bucket. On-demand: the report walks every slot, and
+    /// `minimum_block_count` *rebuilds* the index — this is an
+    /// export-point operation, never a per-op one. A no-op while
+    /// metrics are off.
     pub fn publish_mem_reports(&mut self) {
-        if !self.obs.is_active() {
+        let Some(m) = self.obs.metrics_mut() else {
             return;
-        }
+        };
         for e in &self.entries {
             let Some(r) = e.index.mem_report() else {
                 continue;
             };
-            let family = e.family;
-            let blocks = e.index.block_count();
-            let minimum = e.index.minimum_block_count(&self.g);
-            if let Some(m) = self.obs.metrics_mut() {
-                for (b, &c) in r.extent_len_hist.iter().enumerate() {
-                    m.observe_n(
-                        MetricKey::named("mem_extent_len").family(family),
-                        mem::pow2_bucket_floor(b),
-                        c,
-                    );
-                }
-                for (occ, &c) in r.inline_occupancy_hist.iter().enumerate() {
-                    m.observe_n(
-                        MetricKey::named("mem_iedge_inline_occupancy").family(family),
-                        occ as u64,
-                        c,
-                    );
-                }
+            let key = |name| MetricKey::named(name).family(e.family);
+            for (b, &c) in r.extent_len_hist.iter().enumerate() {
+                m.observe_n(key("mem_extent_len"), mem::pow2_bucket_floor(b), c);
             }
-            self.obs.emit(EventPayload::MemReport {
-                family,
-                total_bytes: r.total_bytes(),
-                extent_owned_bytes: r.extent_owned_bytes,
-                extent_shared_bytes: r.extent_shared_bytes,
-                iedge_spilled_bytes: r.iedge_spilled_bytes,
-                inline_maps: clamp32(r.iedge_inline_maps as usize),
-                spilled_maps: clamp32(r.iedge_spilled_maps as usize),
-                shared_extents: clamp32(r.shared_extents as usize),
-                blocks: clamp32(blocks),
-                minimum_blocks: clamp32(minimum),
-            });
+            for (occ, &c) in r.inline_occupancy_hist.iter().enumerate() {
+                m.observe_n(key("mem_iedge_inline_occupancy"), occ as u64, c);
+            }
+            let blocks = e.index.block_count() as f64;
+            let minimum = e.index.minimum_block_count(&self.g) as f64;
+            let extent_total = r.extent_owned_bytes + r.extent_shared_bytes;
+            for (name, v) in [
+                ("mem_total_bytes", r.total_bytes() as f64),
+                ("mem_extent_owned_bytes", r.extent_owned_bytes as f64),
+                ("mem_extent_shared_bytes", r.extent_shared_bytes as f64),
+                ("mem_iedge_spilled_bytes", r.iedge_spilled_bytes as f64),
+                ("mem_iedge_inline_maps", r.iedge_inline_maps as f64),
+                ("mem_iedge_spilled_maps", r.iedge_spilled_maps as f64),
+                ("mem_shared_extents", r.shared_extents as f64),
+                ("mem_blocks", blocks),
+                // Quality telemetry: the rebuild-to-minimum oracle's
+                // denominator and the excess over it (0 = minimum).
+                ("quality_minimum_blocks", minimum),
+                ("quality_blocks_over_minimum", (blocks - minimum).max(0.0)),
+            ] {
+                m.gauge_set(key(name), v);
+            }
+            if extent_total > 0 {
+                let ratio = r.extent_shared_bytes as f64 / extent_total as f64;
+                m.gauge_set(key("mem_sharing_ratio"), ratio);
+            }
         }
     }
 
-    /// One-stop metrics export: publishes store and mem reports first
-    /// (so the `store_probe_len`/spill telemetry the ROADMAP IedgeMap
-    /// sweep needs — and the `mem_*`/`quality_*` attribution — is
-    /// always current, not only when a caller remembered the publish
-    /// calls), then renders the metrics registry as JSON. Returns
-    /// `None` when metrics were never enabled.
+    /// One-stop metrics export: publishes the mem reports first (so the
+    /// `mem_*`/`quality_*` attribution is always current, not only when
+    /// a caller remembered the publish call), then renders the metrics
+    /// registry as JSON. Returns `None` when metrics were never enabled.
     pub fn export_metrics_json(&mut self) -> Option<String> {
         self.obs.metrics()?;
-        self.publish_store_reports();
         self.publish_mem_reports();
         Some(self.obs.metrics_json())
     }
@@ -385,45 +370,35 @@ impl UpdateEngine {
     /// [`IndexSnapshot`] (registration order; `None` for families that
     /// cannot freeze). O(blocks) per index: extent runs are
     /// `Arc`-shared, not copied — the writer's next mutation of a
-    /// frozen block clones only that block's run. Emits one
-    /// `snapshot-freeze` event per frozen index when the obs hub is
-    /// active (→ `snapshots_total`, `snapshot_freeze_nanos`,
+    /// frozen block clones only that block's run. Each index's freeze
+    /// runs under one family-tagged `Freeze` span carrying the frozen
+    /// blocks and the index's cumulative CoW clone count (→
+    /// `snapshots_total`, `snapshot_freeze_nanos`, `snapshot_blocks`,
     /// `snapshot_cow_clones`); snapshots are returned either way.
     pub fn freeze(&mut self) -> Vec<Option<IndexSnapshot>> {
-        let active = self.obs.is_active();
-        let mut out = Vec::with_capacity(self.entries.len());
-        for e in &self.entries {
-            // Family-attributed wrapper; the view-level block walk opens
-            // its own (nested) Freeze span carrying the block counter.
-            let sp = SpanGuard::enter_family(SpanKind::Freeze, e.family);
-            let t = if active { Some(Instant::now()) } else { None };
-            let snap = e.index.freeze(&self.g);
-            sp.add_cow_clones(e.index.cow_clones());
-            if let Some(s) = snap.as_ref() {
-                sp.add_blocks(s.block_count() as u64);
-            }
-            drop(sp);
-            if let (Some(t), Some(s)) = (t, snap.as_ref()) {
-                self.obs.emit(EventPayload::SnapshotFreeze {
-                    family: e.family,
-                    blocks: clamp32(s.block_count()),
-                    cow_clones: e.index.cow_clones(),
-                    nanos: t.elapsed().as_nanos() as u64,
-                });
+        self.traced(|e| {
+            let mut out = Vec::with_capacity(e.entries.len());
+            for entry in &e.entries {
+                let sp = SpanGuard::enter_family(SpanKind::Freeze, entry.family);
+                let snap = entry.index.freeze(&e.g);
+                sp.add_cow_clones(entry.index.cow_clones());
+                if let Some(s) = snap.as_ref() {
+                    sp.add_blocks(s.block_count() as u64);
+                }
+                drop(sp);
                 // Snapshot retention is attributed to the snapshot side
                 // (the live index's MemReport reports the same runs as
                 // "shared"); the gauge tracks the latest freeze.
-                let retained = s.heap_use();
-                if let Some(m) = self.obs.metrics_mut() {
+                if let (Some(m), Some(s)) = (e.obs.metrics_mut(), snap.as_ref()) {
                     m.gauge_set(
-                        MetricKey::named("snapshot_retained_bytes").family(e.family),
-                        retained as f64,
+                        MetricKey::named("snapshot_retained_bytes").family(entry.family),
+                        s.heap_use() as f64,
                     );
                 }
+                out.push(snap);
             }
-            out.push(snap);
-        }
-        out
+            out
+        })
     }
 
     /// Consistency check of every registered index against the graph.
@@ -436,46 +411,48 @@ impl UpdateEngine {
         Ok(())
     }
 
+    /// Runs one public engine call; while the obs hub is active, under
+    /// a [`Recording`] whose closed pipeline spans go to
+    /// [`ObsHub::record`] in open order when the call returns.
+    fn traced<R>(&mut self, call: impl FnOnce(&mut Self) -> R) -> R {
+        if !self.obs.is_active() {
+            return call(self);
+        }
+        let recording = Recording::start();
+        let out = call(self);
+        recording.finish(|span| self.obs.record(span));
+        out
+    }
+
     /// The fan-out core, and the only copy of the per-op instrumentation:
-    /// one `op-received` event and one `Op` span per graph mutation
-    /// (already applied), an `IndexDispatch` span per registered index
-    /// (registration order) around `hook`, and the op's count and time
-    /// booked into [`EngineStats`]. Edge hooks return `Some(stats)`: each
-    /// index's observation is then timed into an `index-dispatch` event
-    /// when the hub is active and absorbed into the per-index and engine
-    /// stats. Node hooks return `None`. Returns the op's stats folded
-    /// over all indexes.
+    /// one `Op` span per graph mutation (already applied), an
+    /// `IndexDispatch` span per registered index (registration order)
+    /// around `hook`, and the op's count and time booked into
+    /// [`EngineStats`]. Edge hooks return `Some(stats)`: each index's
+    /// stats label its dispatch span and are absorbed into the
+    /// per-index and engine stats. Node hooks return `None`. Returns the
+    /// op's stats folded over all indexes.
     fn fan_out(
         &mut self,
         op: OpKind,
         mut hook: impl FnMut(&mut dyn StructuralIndex, &Graph) -> Option<UpdateStats>,
     ) -> UpdateStats {
-        let active = self.obs.is_active();
-        if active {
-            self.obs.emit(EventPayload::OpReceived { op });
-        }
         let op_span = SpanGuard::enter(SpanKind::Op);
+        op_span.set_label(SpanLabel::Op(op));
         let t = Instant::now();
         // Fold from the absorb identity: the aggregate's `no_op` is true
         // iff every index took its no-op fast path.
         let mut total = UpdateStats::identity();
         for e in &mut self.entries {
-            let t_idx = active.then(Instant::now);
             let dispatch = SpanGuard::enter_family(SpanKind::IndexDispatch, e.family);
-            let Some(s) = hook(e.index.as_mut(), &self.g) else {
+            let stats = hook(e.index.as_mut(), &self.g);
+            dispatch.set_label(SpanLabel::Dispatch(op, stats));
+            let Some(s) = stats else {
                 continue;
             };
             dispatch.add_blocks(s.splits as u64 + s.merges as u64);
             dispatch.set_queue_depth(s.queue_peak as u64);
             drop(dispatch);
-            if let Some(t_idx) = t_idx {
-                self.obs.observe_index_dispatch(
-                    e.family,
-                    op,
-                    &s,
-                    t_idx.elapsed().as_nanos() as u64,
-                );
-            }
             e.stats.absorb(&s);
             self.stats.absorb_op(&s);
             total.absorb(&s);
@@ -486,65 +463,73 @@ impl UpdateEngine {
         total
     }
 
-    /// The batch phases of [`UpdateEngine::apply_batch`], each under a
-    /// `BatchSegment` span and, when it applied anything, one
-    /// `batch-segment` event. Stops at the first graph error.
+    /// The batch phases of [`UpdateEngine::apply_batch`]: each phase
+    /// the batch has ops for runs under a `BatchSegment` span counting
+    /// the primitive mutations it applied (as `elems`). Stops at the
+    /// first graph error.
     fn apply_phases(&mut self, ops: &[UpdateOp], r: &mut BatchResult) -> Result<(), BatchError> {
         use BatchSegment::{AddNodes, DeleteEdges, InsertEdges, RemoveNodes};
         for phase in [AddNodes, InsertEdges, DeleteEdges, RemoveNodes] {
-            let seg_span = SpanGuard::enter(SpanKind::BatchSegment);
-            let before = r.ops_applied;
-            for op in ops {
-                match (phase, op) {
-                    (AddNodes, UpdateOp::AddNode { label }) => {
-                        let n = self.g.add_node(label, None);
-                        self.fan_out(OpKind::AddNode, |idx, g| {
-                            idx.on_node_added(g, n);
-                            None
-                        });
-                        r.created.push(n);
-                        r.ops_applied += 1;
-                    }
-                    (InsertEdges, UpdateOp::InsertEdge { from, to, kind }) => {
-                        let (u, v) = (from.resolve(&r.created)?, to.resolve(&r.created)?);
-                        self.g.insert_edge(u, v, *kind)?;
-                        let s = self.fan_out(OpKind::InsertEdge, |idx, g| {
-                            Some(idx.on_edge_inserted(g, u, v))
-                        });
-                        r.stats.absorb(&s);
-                        r.ops_applied += 1;
-                    }
-                    (DeleteEdges, UpdateOp::DeleteEdge { from, to }) => {
-                        self.batch_delete_edge(*from, *to, r)?;
-                    }
-                    (RemoveNodes, UpdateOp::RemoveNode { node }) => {
-                        let n = *node;
-                        let parents: Vec<NodeId> = self.g.pred(n).collect();
-                        for p in parents {
-                            self.batch_delete_edge(p, n, r)?;
-                        }
-                        let children: Vec<NodeId> = self.g.succ(n).collect();
-                        for c in children {
-                            self.batch_delete_edge(n, c, r)?;
-                        }
-                        self.fan_out(OpKind::RemoveNode, |idx, g| {
-                            idx.on_node_removing(g, n);
-                            None
-                        });
-                        self.g.remove_node(n)?;
-                        r.ops_applied += 1;
-                    }
-                    _ => {}
-                }
+            if !ops.iter().any(|op| op.segment() == phase) {
+                continue;
             }
-            let seg_ops = r.ops_applied - before;
-            seg_span.add_elems(seg_ops as u64);
-            drop(seg_span);
-            if seg_ops > 0 {
-                self.obs.emit(EventPayload::BatchSegment {
-                    segment: phase,
-                    ops: clamp32(seg_ops),
-                });
+            let seg_span = SpanGuard::enter(SpanKind::BatchSegment);
+            seg_span.set_label(SpanLabel::Segment(phase));
+            let before = r.ops_applied;
+            let applied = self.apply_segment(phase, ops, r);
+            seg_span.add_elems((r.ops_applied - before) as u64);
+            applied?;
+        }
+        Ok(())
+    }
+
+    /// The ops of one batch phase, in batch order.
+    fn apply_segment(
+        &mut self,
+        phase: BatchSegment,
+        ops: &[UpdateOp],
+        r: &mut BatchResult,
+    ) -> Result<(), BatchError> {
+        for op in ops.iter().filter(|op| op.segment() == phase) {
+            match op {
+                UpdateOp::AddNode { label } => {
+                    let n = self.g.add_node(label, None);
+                    self.fan_out(OpKind::AddNode, |idx, g| {
+                        idx.on_node_added(g, n);
+                        None
+                    });
+                    r.created.push(n);
+                    r.ops_applied += 1;
+                }
+                UpdateOp::InsertEdge { from, to, kind } => {
+                    let (u, v) = (from.resolve(&r.created)?, to.resolve(&r.created)?);
+                    self.g.insert_edge(u, v, *kind)?;
+                    let s = self.fan_out(OpKind::InsertEdge, |idx, g| {
+                        Some(idx.on_edge_inserted(g, u, v))
+                    });
+                    r.stats.absorb(&s);
+                    r.ops_applied += 1;
+                }
+                UpdateOp::DeleteEdge { from, to } => {
+                    self.batch_delete_edge(*from, *to, r)?;
+                }
+                UpdateOp::RemoveNode { node } => {
+                    let n = *node;
+                    let parents: Vec<NodeId> = self.g.pred(n).collect();
+                    for p in parents {
+                        self.batch_delete_edge(p, n, r)?;
+                    }
+                    let children: Vec<NodeId> = self.g.succ(n).collect();
+                    for c in children {
+                        self.batch_delete_edge(n, c, r)?;
+                    }
+                    self.fan_out(OpKind::RemoveNode, |idx, g| {
+                        idx.on_node_removing(g, n);
+                        None
+                    });
+                    self.g.remove_node(n)?;
+                    r.ops_applied += 1;
+                }
             }
         }
         Ok(())
@@ -590,23 +575,17 @@ impl UpdateEngine {
         for e in &mut self.entries {
             if let Some(policy) = &mut e.policy {
                 if policy.should_rebuild(e.index.block_count()) {
-                    let before = e.index.block_count();
                     let sp = SpanGuard::enter_family(SpanKind::Rebuild, e.family);
-                    sp.add_blocks(before as u64);
+                    sp.add_blocks(e.index.block_count() as u64);
                     let t = Instant::now();
                     e.index.rebuild(&self.g);
-                    let elapsed = t.elapsed();
-                    drop(sp);
-                    self.stats.rebuild_time += elapsed;
+                    self.stats.rebuild_time += t.elapsed();
                     self.stats.rebuilds += 1;
                     let after = e.index.block_count();
-                    policy.on_rebuilt(after);
-                    self.obs.emit(EventPayload::RebuildTriggered {
-                        family: e.family,
-                        blocks_before: clamp32(before),
-                        blocks_after: clamp32(after),
-                        nanos: elapsed.as_nanos() as u64,
+                    sp.set_label(SpanLabel::Rebuild {
+                        blocks_after: after as u64,
                     });
+                    policy.on_rebuilt(after);
                 }
             }
         }
@@ -807,6 +786,8 @@ mod tests {
         engine.check().unwrap();
     }
 
+    /// The dense-store telemetry rides the mem report: per family, the
+    /// iedge maps in the inline and the spilled representation.
     #[test]
     fn store_reports_land_in_metrics() {
         use crate::obs::event::IndexFamily;
@@ -817,32 +798,23 @@ mod tests {
         let _h_one = engine.register(Box::new(OneIndex::build(engine.graph())));
         let _h_sim = engine.register(Box::new(SimpleAkIndex::build(engine.graph(), 2)));
         engine.delete_edge(ids[&4], ids[&2]).unwrap();
-        engine.publish_store_reports();
+        engine.publish_mem_reports();
         let m = engine.obs().metrics().unwrap();
-        // The 1-index (family 0) keeps iedge maps and reports them.
-        let one = IndexFamily(0);
-        let inline = m
-            .gauge_value(&MetricKey::named("store_inline_maps").family(one))
-            .expect("1-index publishes a store report");
-        assert!(inline > 0.0, "a tiny graph's maps are all inline");
-        assert_eq!(
-            m.gauge_value(&MetricKey::named("store_spilled_maps").family(one)),
-            Some(0.0)
-        );
-        let probe = m
-            .histogram(&MetricKey::named("store_probe_len").family(one))
-            .expect("probe-length histogram recorded");
-        assert_eq!(probe.count, 1);
-        // The simple baseline keeps no iedge maps: no series for family 1.
-        let sim = IndexFamily(1);
-        assert_eq!(
-            m.gauge_value(&MetricKey::named("store_inline_maps").family(sim)),
-            None
-        );
-        // Publishing with the hub inactive is a no-op.
+        let gauge = |name, f| m.gauge_value(&MetricKey::named(name).family(IndexFamily(f)));
+        // The 1-index keeps two iedge maps per live block; a tiny
+        // graph's maps are all inline.
+        let inline = gauge("mem_iedge_inline_maps", 0).expect("1-index map counts");
+        assert!(inline > 0.0);
+        assert_eq!(Some(inline), gauge("mem_blocks", 0).map(|b| 2.0 * b));
+        assert_eq!(gauge("mem_iedge_spilled_maps", 0), Some(0.0));
+        // The simple baseline keeps no iedge maps.
+        assert_eq!(gauge("mem_iedge_inline_maps", 1), Some(0.0));
+        assert_eq!(gauge("mem_iedge_spilled_maps", 1), Some(0.0));
+        // Publishing with metrics off is a no-op.
         let mut silent = UpdateEngine::new(host().0);
         silent.register(Box::new(OneIndex::build(silent.graph())));
-        silent.publish_store_reports();
+        silent.publish_mem_reports();
+        assert!(silent.obs().metrics().is_none());
         assert_eq!(silent.obs().events_emitted(), 0);
     }
 
@@ -903,11 +875,11 @@ mod tests {
             engine.heap_use(),
             mem::vec_cap_heap(&engine.entries) + t0 as usize + t1 as usize
         );
-        // Publishing with the hub inactive is a no-op.
+        // Publishing with metrics off is a no-op.
         let mut silent = UpdateEngine::new(host().0);
         silent.register(Box::new(OneIndex::build(silent.graph())));
         silent.publish_mem_reports();
-        assert_eq!(silent.obs().events_emitted(), 0);
+        assert!(silent.obs().metrics().is_none());
     }
 
     #[test]
@@ -954,7 +926,7 @@ mod tests {
             assert!(retained > 0.0);
         }
         // Freezing with the hub inactive still returns snapshots but
-        // emits nothing.
+        // records nothing.
         let mut silent = UpdateEngine::new(host().0);
         silent.register(Box::new(OneIndex::build(silent.graph())));
         let snaps = silent.freeze();

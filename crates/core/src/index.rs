@@ -36,7 +36,6 @@ use crate::obs::mem::MemReport;
 use crate::oneindex::OneIndex;
 use crate::rebuild::reconstruct_1index;
 use crate::stats::UpdateStats;
-use crate::store::StoreReport;
 use crate::view::IndexSnapshot;
 use xsi_graph::{Graph, NodeId};
 
@@ -85,14 +84,6 @@ pub trait StructuralIndex {
     /// maintains extents only) answer with the block graph their class
     /// assignment induces.
     fn query_view<'a>(&'a self, g: &'a Graph) -> Box<dyn IndexQueryView + 'a>;
-
-    /// A point-in-time summary of the index's dense-store iedge maps
-    /// (inline vs spilled population, cumulative spill events, probe
-    /// lengths — see [`StoreReport`]), or `None` for families that keep
-    /// no iedge maps. Cheap: one pass over the block table.
-    fn store_report(&self) -> Option<StoreReport> {
-        None
-    }
 
     /// A point-in-time deep-memory attribution of the index (extent
     /// bytes split shared/owned, iedge inline/spill split, side tables,
@@ -197,10 +188,6 @@ impl StructuralIndex for OneIndex {
 
     fn query_view<'a>(&'a self, g: &'a Graph) -> Box<dyn IndexQueryView + 'a> {
         Box::new(OneIndexView { idx: self, g })
-    }
-
-    fn store_report(&self) -> Option<StoreReport> {
-        Some(self.partition().store_report())
     }
 
     fn mem_report(&self) -> Option<MemReport> {
@@ -323,10 +310,6 @@ impl StructuralIndex for PropagateOneIndex {
         Box::new(OneIndexView { idx: &self.0, g })
     }
 
-    fn store_report(&self) -> Option<StoreReport> {
-        Some(self.0.partition().store_report())
-    }
-
     fn mem_report(&self) -> Option<MemReport> {
         Some(self.0.partition().mem_report())
     }
@@ -392,10 +375,6 @@ impl StructuralIndex for AkIndex {
 
     fn query_view<'a>(&'a self, g: &'a Graph) -> Box<dyn IndexQueryView + 'a> {
         Box::new(AkIndexView { idx: self, g })
-    }
-
-    fn store_report(&self) -> Option<StoreReport> {
-        Some(AkIndex::store_report(self))
     }
 
     fn mem_report(&self) -> Option<MemReport> {

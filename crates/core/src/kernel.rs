@@ -331,8 +331,8 @@ pub fn merge_fold<D: MergeDriver>(d: &mut D, seed: D::Block, stats: &mut UpdateS
             continue; // merged away after being enqueued
         }
         // One CompoundProcess span per served work item (the merge-side
-        // analogue of the split loop's compound iteration), with one
-        // Merge child per folded group.
+        // analogue of the split loop's compound iteration); its blocks
+        // counter sums the folded groups.
         let sp = SpanGuard::enter(SpanKind::CompoundProcess);
         sp.set_queue_depth(queue.len() as u64 + 1);
         let mut groups: BTreeMap<D::GroupKey, Vec<D::Block>> = BTreeMap::new();
@@ -344,11 +344,8 @@ pub fn merge_fold<D: MergeDriver>(d: &mut D, seed: D::Block, stats: &mut UpdateS
                 continue;
             }
             group.sort_unstable();
-            let m = SpanGuard::enter(SpanKind::Merge);
-            m.add_blocks(group.len() as u64);
             sp.add_blocks(group.len() as u64);
             let survivor = d.merge_group(&group, stats);
-            drop(m);
             if d.requeue(survivor) && queued.insert(survivor) {
                 queue.push_back(survivor);
             }

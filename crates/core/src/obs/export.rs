@@ -176,16 +176,14 @@ mod tests {
         SpanRecord {
             id,
             parent,
-            kind,
             family,
             ts_nanos: ts,
             dur_nanos: dur,
             counters: SpanCounters {
                 blocks: id as u64,
-                elems: 0,
-                queue_depth: 0,
-                cow_clones: 0,
+                ..SpanCounters::default()
             },
+            ..SpanRecord::new(kind)
         }
     }
 

@@ -1,8 +1,10 @@
 //! The metrics registry: counters, gauges, and fixed-bucket histograms
 //! keyed by `(metric name, index family, op kind, phase)`.
 //!
-//! Populated from the same instrumentation events the flight recorder
-//! sees ([`MetricsRegistry::observe_event`]), and exportable two ways:
+//! Populated from the same closed pipeline spans the flight recorder
+//! sees ([`MetricsRegistry::observe_span`]), plus the gauges and
+//! histograms the engine's mem-report publisher writes directly, and
+//! exportable two ways:
 //!
 //! * [`MetricsRegistry::to_json`] — machine-readable, the payload of
 //!   the bench driver's `--metrics-out` / `BENCH_*.json` summaries;
@@ -18,8 +20,9 @@
 //! [`MetricsRegistry::to_deterministic_json`] projection (timing
 //! histograms excluded) across identically seeded runs.
 
-use crate::obs::event::{Event, EventPayload, IndexFamily};
+use crate::obs::event::{IndexFamily, SpanLabel};
 use crate::obs::json::quote;
+use crate::obs::span::{SpanKind, SpanRecord};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -210,220 +213,67 @@ impl MetricsRegistry {
         self.counters.len() + self.gauges.len() + self.histograms.len()
     }
 
-    /// Files one instrumentation event into the registry. This is the
-    /// single mapping from the event taxonomy to metric series — the
-    /// hub calls it for every emitted event when metrics are enabled.
-    pub fn observe_event(&mut self, ev: &Event) {
-        match ev.payload {
-            EventPayload::OpReceived { op } => {
+    /// Files one closed pipeline span into the registry. This is the
+    /// single mapping from span records to metric series — the hub
+    /// calls it for every record when metrics are enabled. Phase time
+    /// is the `Split`/`Merge` span duration.
+    pub fn observe_span(&mut self, s: &SpanRecord) {
+        let family = MetricKey::named("").family(s.family);
+        let key = |name| MetricKey { name, ..family };
+        match (s.kind, s.label) {
+            (SpanKind::Op, SpanLabel::Op(op)) => {
                 self.counter_add(MetricKey::named("ops_total").op(op.as_str()), 1);
             }
-            EventPayload::IndexDispatch {
-                family,
-                op,
-                splits,
-                merges,
-                no_op,
-                nanos,
-            } => {
-                let base = MetricKey::named("").family(family).op(op.as_str());
-                self.counter_add(
-                    MetricKey {
-                        name: "splits_total",
-                        ..base
-                    },
-                    splits.into(),
-                );
-                self.counter_add(
-                    MetricKey {
-                        name: "merges_total",
-                        ..base
-                    },
-                    merges.into(),
-                );
-                if no_op {
-                    self.counter_add(
-                        MetricKey {
-                            name: "no_ops_total",
-                            ..base
-                        },
-                        1,
-                    );
+            (SpanKind::IndexDispatch, SpanLabel::Dispatch(op, Some(st))) => {
+                let by_op = |name| key(name).op(op.as_str());
+                self.counter_add(by_op("splits_total"), st.splits as u64);
+                self.counter_add(by_op("merges_total"), st.merges as u64);
+                self.observe(by_op("dispatch_nanos"), s.dur_nanos);
+                if st.no_op {
+                    self.counter_add(by_op("no_ops_total"), 1);
+                    return;
                 }
-                self.observe(
-                    MetricKey {
-                        name: "dispatch_nanos",
-                        ..base
-                    },
-                    nanos,
-                );
+                let split = |name| key(name).phase("split");
+                self.observe(split("intermediate_blocks"), st.intermediate_blocks as u64);
+                self.observe(split("queue_peak"), st.queue_peak as u64);
+                self.gauge_set(key("final_blocks"), st.final_blocks as f64);
+                if st.levels_touched > 0 {
+                    self.observe(key("rank_levels_touched"), st.levels_touched as u64);
+                }
             }
-            EventPayload::SplitPhase {
-                family,
-                splits: _,
-                intermediate_blocks,
-                queue_peak,
-                nanos,
-            } => {
-                let base = MetricKey::named("").family(family).phase("split");
-                self.observe(
-                    MetricKey {
-                        name: "phase_nanos",
-                        ..base
-                    },
-                    nanos,
-                );
-                self.observe(
-                    MetricKey {
-                        name: "intermediate_blocks",
-                        ..base
-                    },
-                    intermediate_blocks.into(),
-                );
-                self.observe(
-                    MetricKey {
-                        name: "queue_peak",
-                        ..base
-                    },
-                    queue_peak.into(),
-                );
+            (SpanKind::Split, _) => {
+                self.observe(key("phase_nanos").phase("split"), s.dur_nanos);
             }
-            EventPayload::MergePhase {
-                family,
-                merges: _,
-                final_blocks,
-                nanos,
-            } => {
-                let base = MetricKey::named("").family(family).phase("merge");
-                self.observe(
-                    MetricKey {
-                        name: "phase_nanos",
-                        ..base
-                    },
-                    nanos,
-                );
-                self.gauge_set(
-                    MetricKey::named("final_blocks").family(family),
-                    final_blocks.into(),
-                );
+            (SpanKind::Merge, _) => {
+                self.observe(key("phase_nanos").phase("merge"), s.dur_nanos);
             }
-            EventPayload::RankMaintenance {
-                family,
-                levels_touched,
-            } => {
-                self.observe(
-                    MetricKey::named("rank_levels_touched").family(family),
-                    levels_touched.into(),
-                );
+            (SpanKind::BatchSegment, SpanLabel::Segment(segment)) => {
+                let by_segment = |name| MetricKey::named(name).phase(segment.as_str());
+                self.counter_add(by_segment("batch_segments_total"), 1);
+                self.counter_add(by_segment("batch_ops_total"), s.counters.elems);
             }
-            EventPayload::RebuildTriggered {
-                family,
-                blocks_before: _,
-                blocks_after,
-                nanos,
-            } => {
-                self.counter_add(MetricKey::named("rebuilds_total").family(family), 1);
-                self.observe(MetricKey::named("rebuild_nanos").family(family), nanos);
-                self.gauge_set(
-                    MetricKey::named("final_blocks").family(family),
-                    blocks_after.into(),
-                );
+            (SpanKind::Rebuild, SpanLabel::Rebuild { blocks_after }) => {
+                self.counter_add(key("rebuilds_total"), 1);
+                self.observe(key("rebuild_nanos"), s.dur_nanos);
+                self.gauge_set(key("final_blocks"), blocks_after as f64);
             }
-            EventPayload::BatchSegment { segment, ops } => {
-                let base = MetricKey::named("").phase(segment.as_str());
-                self.counter_add(
-                    MetricKey {
-                        name: "batch_segments_total",
-                        ..base
-                    },
-                    1,
-                );
-                self.counter_add(
-                    MetricKey {
-                        name: "batch_ops_total",
-                        ..base
-                    },
-                    ops.into(),
-                );
+            (SpanKind::Freeze, _) => {
+                self.counter_add(key("snapshots_total"), 1);
+                // `_nanos` histograms are excluded from the deterministic
+                // JSON projection automatically.
+                self.observe(key("snapshot_freeze_nanos"), s.dur_nanos);
+                self.observe(key("snapshot_blocks"), s.counters.blocks);
+                self.gauge_set(key("snapshot_cow_clones"), s.counters.cow_clones as f64);
             }
-            EventPayload::OracleCheck { checks, failed } => {
-                self.counter_add(MetricKey::named("oracle_checks_total"), checks.into());
+            (SpanKind::OracleCheck, SpanLabel::Oracle { checks, failed }) => {
+                self.counter_add(MetricKey::named("oracle_checks_total"), checks);
                 if failed {
                     self.counter_add(MetricKey::named("oracle_failures_total"), 1);
                 }
             }
-            EventPayload::StoreReport {
-                family,
-                inline_maps,
-                spilled_maps,
-                spill_events,
-                entries,
-                max_entries,
-                probe_total,
-            } => {
-                let g = |name| MetricKey::named(name).family(family);
-                self.gauge_set(g("store_inline_maps"), inline_maps.into());
-                self.gauge_set(g("store_spilled_maps"), spilled_maps.into());
-                self.gauge_set(g("store_spill_events"), spill_events.into());
-                self.gauge_set(g("store_entries"), entries.into());
-                self.gauge_set(g("store_max_entries"), max_entries.into());
-                // One histogram sample per published report: the mean
-                // worst-case probe length across the index's live maps.
-                let maps = u64::from(inline_maps) + u64::from(spilled_maps);
-                if let Some(mean) = probe_total.checked_div(maps) {
-                    self.observe(g("store_probe_len"), mean);
-                }
-            }
-            EventPayload::SnapshotFreeze {
-                family,
-                blocks,
-                cow_clones,
-                nanos,
-            } => {
-                let k = |name| MetricKey::named(name).family(family);
-                self.counter_add(k("snapshots_total"), 1);
-                // `_nanos` histograms are excluded from the deterministic
-                // JSON projection automatically.
-                self.observe(k("snapshot_freeze_nanos"), nanos);
-                self.observe(k("snapshot_blocks"), blocks.into());
-                self.gauge_set(k("snapshot_cow_clones"), cow_clones as f64);
-            }
-            EventPayload::MemReport {
-                family,
-                total_bytes,
-                extent_owned_bytes,
-                extent_shared_bytes,
-                iedge_spilled_bytes,
-                inline_maps,
-                spilled_maps,
-                shared_extents,
-                blocks,
-                minimum_blocks,
-            } => {
-                let g = |name| MetricKey::named(name).family(family);
-                self.gauge_set(g("mem_total_bytes"), total_bytes as f64);
-                self.gauge_set(g("mem_extent_owned_bytes"), extent_owned_bytes as f64);
-                self.gauge_set(g("mem_extent_shared_bytes"), extent_shared_bytes as f64);
-                self.gauge_set(g("mem_iedge_spilled_bytes"), iedge_spilled_bytes as f64);
-                self.gauge_set(g("mem_iedge_inline_maps"), inline_maps.into());
-                self.gauge_set(g("mem_iedge_spilled_maps"), spilled_maps.into());
-                self.gauge_set(g("mem_shared_extents"), shared_extents.into());
-                self.gauge_set(g("mem_blocks"), blocks.into());
-                let extent_total = extent_owned_bytes + extent_shared_bytes;
-                if extent_total > 0 {
-                    self.gauge_set(
-                        g("mem_sharing_ratio"),
-                        extent_shared_bytes as f64 / extent_total as f64,
-                    );
-                }
-                // Quality telemetry: the rebuild-to-minimum oracle's
-                // denominator and the excess over it (0 = minimum).
-                self.gauge_set(g("quality_minimum_blocks"), minimum_blocks.into());
-                self.gauge_set(
-                    g("quality_blocks_over_minimum"),
-                    blocks.saturating_sub(minimum_blocks).into(),
-                );
-            }
+            // Node-hook dispatches carry no stats; kernel kinds never
+            // reach the hub.
+            _ => {}
         }
     }
 

@@ -1,6 +1,6 @@
 //! `core::obs` — the dependency-free observability layer for the update
-//! pipeline: a flight-recorder event stream plus a metrics registry,
-//! fed from the same instrumentation points (see DESIGN.md §8).
+//! pipeline: causal spans, and a flight recorder plus a metrics
+//! registry fed from the closed ones (see DESIGN.md §8).
 //!
 //! The paper's empirical argument (§5.1, Figs. 5/7/8) is about
 //! *counting what an update did* — splits, merges, the intermediate
@@ -12,8 +12,13 @@
 //!
 //! Structure:
 //!
-//! * [`event`] — the typed event model ([`Event`], [`EventPayload`],
-//!   static [`CallsiteId`]s, compact [`IndexFamily`] handles);
+//! * [`span`] — the one instrumentation primitive: RAII
+//!   [`SpanGuard`]s forming a causal tree, armed explicitly
+//!   ([`span::begin_collection`]) or per engine call
+//!   ([`span::Recording`]);
+//! * [`event`] — what a recorded span carries ([`SpanLabel`], the
+//!   [`OpKind`]/[`BatchSegment`] labels, compact [`IndexFamily`]
+//!   handles) and its JSONL and stable renderings;
 //! * [`recorder`] — pluggable sinks: [`NullRecorder`],
 //!   [`FlightRecorder`] (ring buffer, overwrite-oldest),
 //!   [`JsonlWriter`];
@@ -21,13 +26,15 @@
 //!   bucket histograms keyed by `(name, family, op, phase)`;
 //! * [`ObsHub`] (here) — what the [`crate::engine::UpdateEngine`] owns:
 //!   one recorder + one optional registry + the family table + the
-//!   sequence counter and monotonic epoch.
+//!   record sequence counter. Closed pipeline spans enter it through
+//!   [`ObsHub::record`] only.
 //!
 //! The hub is **disabled by default** ([`ObsHub::disabled`]): no
-//! recorder, no metrics, and [`ObsHub::is_active`] is `false`, so
-//! instrumented code skips payload construction and clock reads
-//! entirely. `benches/obs_overhead.rs` in `xsi-bench` verifies the
-//! disabled path is within noise of the pre-instrumentation engine.
+//! recorder, no metrics, and [`ObsHub::is_active`] is `false`, so the
+//! engine arms no span recording and every span site costs one
+//! thread-local read and a branch. `benches/obs_overhead.rs` in
+//! `xsi-bench` verifies the disabled path is within noise of the
+//! pre-instrumentation engine.
 
 pub mod event;
 pub mod export;
@@ -38,44 +45,32 @@ pub mod postmortem;
 pub mod recorder;
 pub mod span;
 
-pub use event::{callsite, BatchSegment, CallsiteId, Event, EventPayload, IndexFamily, OpKind};
+pub use event::{BatchSegment, IndexFamily, OpKind, SpanLabel};
 pub use export::{chrome_trace_json, folded_stacks, FoldWeight};
 pub use mem::{HeapUse, MemReport};
 pub use metrics::{Histogram, MetricKey, MetricsRegistry};
 pub use recorder::{FlightRecorder, JsonlWriter, NullRecorder, Recorder};
-pub use span::{SpanCounters, SpanGuard, SpanKind, SpanRecord, SpanTree};
-
-use crate::stats::UpdateStats;
-use std::time::Instant;
-
-/// Saturating `usize` → `u32` for event counters (an individual op
-/// never realistically exceeds `u32`, but never silently wrap).
-#[inline]
-pub(crate) fn clamp32(v: usize) -> u32 {
-    v.min(u32::MAX as usize) as u32
-}
+pub use span::{Recording, SpanCounters, SpanGuard, SpanKind, SpanRecord, SpanTree};
 
 /// The observability hub an [`crate::engine::UpdateEngine`] owns: one
 /// pluggable [`Recorder`], an optional [`MetricsRegistry`], the index
-/// family table, and the event sequence counter / time epoch.
+/// family table, and the record sequence counter.
 ///
 /// Single-writer like the engine itself — no locks, no channels; the
 /// "lock-free-ish" flight recorder is a plain ring buffer reached only
 /// through the engine's `&mut self` methods.
 pub struct ObsHub {
-    /// `None` means tracing disabled (cheaper than a boxed
-    /// [`NullRecorder`]: the hub can skip event construction).
+    /// `None` means tracing disabled.
     recorder: Option<Box<dyn Recorder>>,
     /// Cached at [`ObsHub::set_recorder`] time: the installed recorder
-    /// is a [`NullRecorder`] (`describe() == "null"`), so event
-    /// construction can be skipped exactly as if no recorder were
-    /// installed — keeping the documented ~zero-cost promise without a
-    /// virtual call per candidate event.
+    /// is a [`NullRecorder`] (`describe() == "null"`), so the engine can
+    /// skip span recording exactly as if no recorder were installed —
+    /// keeping the documented ~zero-cost promise without a virtual call
+    /// per engine call.
     recorder_is_null: bool,
     metrics: Option<MetricsRegistry>,
     families: Vec<String>,
     seq: u64,
-    epoch: Instant,
 }
 
 impl Default for ObsHub {
@@ -112,15 +107,14 @@ impl ObsHub {
             metrics: None,
             families: Vec::new(),
             seq: 0,
-            epoch: Instant::now(),
         }
     }
 
-    /// Whether any sink wants events. Instrumentation points gate their
-    /// payload construction *and their clock reads* on this, so the
-    /// disabled hub costs one branch per callsite. An installed
+    /// Whether any sink wants records. The engine arms span recording
+    /// for a call only when this holds, so the disabled hub leaves every
+    /// span site at one branch with no clock read. An installed
     /// [`NullRecorder`] counts as inactive (it would discard every
-    /// event anyway), keeping the instrumented fast path within noise
+    /// record anyway), keeping the instrumented fast path within noise
     /// of the uninstrumented engine.
     #[inline]
     pub fn is_active(&self) -> bool {
@@ -165,9 +159,9 @@ impl ObsHub {
         self.metrics.as_ref()
     }
 
-    /// Mutable access to the metrics registry, for publishers that feed
-    /// whole distributions (e.g. the mem-report's extent-length and
-    /// inline-occupancy histograms) rather than single event payloads.
+    /// Mutable access to the metrics registry, for publishers that write
+    /// point-in-time state rather than records (the mem-report gauges
+    /// and histograms, the snapshot retention gauge).
     pub fn metrics_mut(&mut self) -> Option<&mut MetricsRegistry> {
         self.metrics.as_mut()
     }
@@ -204,83 +198,27 @@ impl ObsHub {
         }
     }
 
-    /// Total events emitted so far (the next event's sequence number).
+    /// Total records handed to the sinks so far (the next record's
+    /// sequence number).
     pub fn events_emitted(&self) -> u64 {
         self.seq
     }
 
-    /// Emits one event to the active sinks. No-op when inactive, but
-    /// callers on hot paths should gate on [`ObsHub::is_active`] to
-    /// also skip building the payload.
-    #[inline]
-    pub fn emit(&mut self, payload: EventPayload) {
+    /// Hands one closed pipeline span to the active sinks — the single
+    /// way records enter the hub: the recorder stores or streams it
+    /// under the next sequence number, the metrics registry files it.
+    /// No-op when inactive.
+    pub fn record(&mut self, span: &SpanRecord) {
         if !self.is_active() {
             return;
         }
-        self.emit_slow(payload);
-    }
-
-    fn emit_slow(&mut self, payload: EventPayload) {
-        let ev = Event {
-            seq: self.seq,
-            ts_nanos: self.epoch.elapsed().as_nanos() as u64,
-            callsite: payload.callsite(),
-            payload,
-        };
+        let seq = self.seq;
         self.seq += 1;
         if let Some(r) = self.recorder.as_mut() {
-            r.record(&ev);
+            r.record(seq, span);
         }
         if let Some(m) = self.metrics.as_mut() {
-            m.observe_event(&ev);
-        }
-    }
-
-    /// The standard per-index fan-out instrumentation: one
-    /// `index-dispatch` summary event, plus (for non-no-ops) the
-    /// `split-phase` / `merge-phase` breakdown and, when the index
-    /// reported refinement-chain work, a `rank-maintenance` event —
-    /// all derived from the phase counters the maintenance algorithms
-    /// record into [`UpdateStats`].
-    pub fn observe_index_dispatch(
-        &mut self,
-        family: IndexFamily,
-        op: OpKind,
-        s: &UpdateStats,
-        nanos: u64,
-    ) {
-        if !self.is_active() {
-            return;
-        }
-        self.emit(EventPayload::IndexDispatch {
-            family,
-            op,
-            splits: clamp32(s.splits),
-            merges: clamp32(s.merges),
-            no_op: s.no_op,
-            nanos,
-        });
-        if s.no_op {
-            return;
-        }
-        self.emit(EventPayload::SplitPhase {
-            family,
-            splits: clamp32(s.splits),
-            intermediate_blocks: clamp32(s.intermediate_blocks),
-            queue_peak: clamp32(s.queue_peak),
-            nanos: s.split_nanos,
-        });
-        self.emit(EventPayload::MergePhase {
-            family,
-            merges: clamp32(s.merges),
-            final_blocks: clamp32(s.final_blocks),
-            nanos: s.merge_nanos,
-        });
-        if s.levels_touched > 0 {
-            self.emit(EventPayload::RankMaintenance {
-                family,
-                levels_touched: clamp32(s.levels_touched),
-            });
+            m.observe_span(span);
         }
     }
 
@@ -291,22 +229,22 @@ impl ObsHub {
         }
     }
 
-    /// Snapshot of the recorder's retained events (empty when tracing
-    /// is off or the recorder does not retain).
-    pub fn flight_events(&self) -> Vec<Event> {
+    /// Snapshot of the recorder's retained `(seq, record)` pairs (empty
+    /// when tracing is off or the recorder does not retain).
+    pub fn flight_records(&self) -> Vec<(u64, SpanRecord)> {
         self.recorder
             .as_ref()
-            .map(|r| r.events())
+            .map(|r| r.records())
             .unwrap_or_default()
     }
 
-    /// The retained events rendered through [`Event::stable_line`]:
+    /// The retained records rendered through [`event::stable_line`]:
     /// the deterministic projection (no timestamps/durations) that
     /// conformance reproducers embed and replay compares.
     pub fn stable_trace(&self) -> Vec<String> {
-        self.flight_events()
+        self.flight_records()
             .iter()
-            .map(|e| e.stable_line(|f| self.family_name(f)))
+            .map(|(seq, span)| event::stable_line(*seq, span, |f| self.family_name(f)))
             .collect()
     }
 
@@ -339,16 +277,27 @@ impl ObsHub {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stats::UpdateStats;
+
+    fn dispatch(family: IndexFamily, stats: UpdateStats) -> SpanRecord {
+        SpanRecord {
+            family,
+            label: SpanLabel::Dispatch(OpKind::DeleteEdge, Some(stats)),
+            dur_nanos: 123,
+            ..SpanRecord::new(SpanKind::IndexDispatch)
+        }
+    }
 
     #[test]
     fn disabled_hub_is_inert() {
         let mut hub = ObsHub::disabled();
         assert!(!hub.is_active());
-        hub.emit(EventPayload::OpReceived {
-            op: OpKind::InsertEdge,
+        hub.record(&SpanRecord {
+            label: SpanLabel::Op(OpKind::InsertEdge),
+            ..SpanRecord::new(SpanKind::Op)
         });
         assert_eq!(hub.events_emitted(), 0);
-        assert!(hub.flight_events().is_empty());
+        assert!(hub.flight_records().is_empty());
         assert!(hub.metrics().is_none());
     }
 
@@ -370,8 +319,9 @@ mod tests {
         hub.set_recorder(Box::new(FlightRecorder::new(16)));
         hub.enable_metrics();
         let fam = hub.register_family("1-index");
-        hub.emit(EventPayload::OpReceived {
-            op: OpKind::DeleteEdge,
+        hub.record(&SpanRecord {
+            label: SpanLabel::Op(OpKind::DeleteEdge),
+            ..SpanRecord::new(SpanKind::Op)
         });
         let stats = UpdateStats {
             splits: 2,
@@ -379,22 +329,22 @@ mod tests {
             intermediate_blocks: 12,
             final_blocks: 11,
             no_op: false,
-            split_nanos: 40,
-            merge_nanos: 50,
             queue_peak: 3,
             levels_touched: 2,
         };
-        hub.observe_index_dispatch(fam, OpKind::DeleteEdge, &stats, 123);
+        hub.record(&dispatch(fam, stats));
+        hub.record(&SpanRecord {
+            family: fam,
+            dur_nanos: 40,
+            ..SpanRecord::new(SpanKind::Split)
+        });
 
-        // op-received + dispatch + split + merge + rank = 5 events.
-        let evs = hub.flight_events();
-        assert_eq!(evs.len(), 5);
-        let seqs: Vec<u64> = evs.iter().map(|e| e.seq).collect();
-        assert_eq!(seqs, vec![0, 1, 2, 3, 4]);
-        assert_eq!(evs[2].callsite, callsite::SPLIT_PHASE);
-        assert_eq!(evs[4].callsite, callsite::RANK_MAINTENANCE);
+        let recs = hub.flight_records();
+        let seqs: Vec<u64> = recs.iter().map(|(seq, _)| *seq).collect();
+        assert_eq!(seqs, vec![0, 1, 2]);
+        assert_eq!(recs[2].1.kind, SpanKind::Split);
 
-        // Metrics saw the same events.
+        // Metrics saw the same records.
         let m = hub.metrics().unwrap();
         assert_eq!(
             m.counter_value(&MetricKey::named("ops_total").op("delete-edge")),
@@ -412,26 +362,41 @@ mod tests {
             .histogram(&MetricKey::named("queue_peak").family(fam).phase("split"))
             .unwrap();
         assert_eq!(qp.max, 3);
+        let phase = m
+            .histogram(&MetricKey::named("phase_nanos").family(fam).phase("split"))
+            .unwrap();
+        assert_eq!((phase.count, phase.sum), (1, 40));
 
         // The stable trace renders family names and no timestamps.
         let trace = hub.stable_trace();
-        assert_eq!(trace.len(), 5);
+        assert_eq!(trace.len(), 3);
         assert!(trace[1].contains("family=1-index"));
-        assert!(!trace[1].contains("nanos"));
+        assert!(!trace[1].contains("123"));
     }
 
     #[test]
     fn no_op_dispatch_emits_only_the_summary() {
         let mut hub = ObsHub::disabled();
-        hub.set_recorder(Box::new(FlightRecorder::new(8)));
+        hub.enable_metrics();
         let fam = hub.register_family("1-index");
-        let stats = UpdateStats {
-            no_op: true,
-            ..UpdateStats::identity()
-        };
-        hub.observe_index_dispatch(fam, OpKind::InsertEdge, &stats, 7);
-        let evs = hub.flight_events();
-        assert_eq!(evs.len(), 1);
-        assert_eq!(evs[0].callsite, callsite::INDEX_DISPATCH);
+        hub.record(&dispatch(
+            fam,
+            UpdateStats {
+                no_op: true,
+                final_blocks: 9,
+                ..UpdateStats::identity()
+            },
+        ));
+        let m = hub.metrics().unwrap();
+        let by_op = |name| MetricKey::named(name).family(fam).op("delete-edge");
+        assert_eq!(m.counter_value(&by_op("no_ops_total")), 1);
+        assert!(m.histogram(&by_op("dispatch_nanos")).is_some());
+        let split = |name| MetricKey::named(name).family(fam).phase("split");
+        assert!(m.histogram(&split("intermediate_blocks")).is_none());
+        assert!(m.histogram(&split("queue_peak")).is_none());
+        assert_eq!(
+            m.gauge_value(&MetricKey::named("final_blocks").family(fam)),
+            None
+        );
     }
 }

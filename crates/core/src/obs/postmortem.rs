@@ -163,7 +163,7 @@ mod tests {
             thread: "main".to_string(),
             open_spans: vec!["Op".to_string(), "Split[0]".to_string()],
         };
-        let tail = vec!["{\"event\":\"op-received\"}".to_string()];
+        let tail = vec!["0 Op op=insert-edge".to_string()];
         let text = blackbox_jsonl(Some(&cap), &tail, Some("{\"total\":1}"));
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 3);

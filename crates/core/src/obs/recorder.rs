@@ -1,10 +1,11 @@
-//! Event sinks for the observability layer.
+//! Record sinks for the observability layer.
 //!
-//! A [`Recorder`] is where instrumented code hands off [`Event`]s. Three
+//! A [`Recorder`] is where the [`ObsHub`](super::ObsHub) hands off
+//! closed pipeline spans, each with the hub's sequence number. Three
 //! implementations live here:
 //!
-//! * [`NullRecorder`] — discards everything; the hub additionally skips
-//!   event construction entirely when this is installed, so the
+//! * [`NullRecorder`] — discards everything; the hub additionally
+//!   treats itself as inactive when this is installed, so the
 //!   instrumented fast path stays within noise of the uninstrumented
 //!   engine (verified by `benches/obs_overhead.rs` in `xsi-bench`).
 //! * [`FlightRecorder`] — a fixed-capacity single-writer ring buffer
@@ -13,25 +14,26 @@
 //!   own account of the failing op.
 //! * [`JsonlWriter`] — streams one JSON object per line to any
 //!   `io::Write`, using the hand-rolled serializer in
-//!   [`Event::to_jsonl`].
+//!   [`jsonl_line`](super::event::jsonl_line).
 
 use std::io;
 
-use super::event::{Event, IndexFamily};
+use super::event::{jsonl_line, IndexFamily};
+use super::span::SpanRecord;
 
-/// An event sink. Single-writer by design: the [`ObsHub`](super::ObsHub)
+/// A record sink. Single-writer by design: the [`ObsHub`](super::ObsHub)
 /// owns exactly one recorder and all engine mutations flow through one
 /// `&mut` engine, so no interior mutability or locking is needed.
 pub trait Recorder {
-    /// Consumes one event.
-    fn record(&mut self, ev: &Event);
+    /// Consumes record `seq` (the hub's sequence number).
+    fn record(&mut self, seq: u64, span: &SpanRecord);
 
     /// Flushes buffered output (no-op for in-memory recorders).
     fn flush(&mut self) {}
 
-    /// A chronological snapshot of retained events. Recorders that do
-    /// not retain events return an empty vec.
-    fn events(&self) -> Vec<Event> {
+    /// A chronological snapshot of retained `(seq, record)` pairs.
+    /// Recorders that do not retain records return an empty vec.
+    fn records(&self) -> Vec<(u64, SpanRecord)> {
         Vec::new()
     }
 
@@ -39,35 +41,35 @@ pub trait Recorder {
     fn describe(&self) -> &'static str;
 }
 
-/// Discards every event. The hub special-cases this via
-/// [`ObsHub::is_active`](super::ObsHub::is_active) so callers skip
-/// payload construction and clock reads altogether.
+/// Discards every record. The hub special-cases this via
+/// [`ObsHub::is_active`](super::ObsHub::is_active) so the engine
+/// records no spans at all.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct NullRecorder;
 
 impl Recorder for NullRecorder {
     #[inline]
-    fn record(&mut self, _ev: &Event) {}
+    fn record(&mut self, _seq: u64, _span: &SpanRecord) {}
 
     fn describe(&self) -> &'static str {
         "null"
     }
 }
 
-/// Fixed-capacity ring buffer that keeps the most recent events,
+/// Fixed-capacity ring buffer that keeps the most recent records,
 /// overwriting the oldest once full ("flight recorder" semantics).
 #[derive(Debug, Clone)]
 pub struct FlightRecorder {
-    buf: Vec<Event>,
+    buf: Vec<(u64, SpanRecord)>,
     /// Next write position (wraps at `cap`).
     head: usize,
-    /// Total events ever recorded (monotonic, does not wrap).
+    /// Total records ever recorded (monotonic, does not wrap).
     total: u64,
     cap: usize,
 }
 
 impl FlightRecorder {
-    /// Creates a recorder retaining the last `cap` events (`cap >= 1`).
+    /// Creates a recorder retaining the last `cap` records (`cap >= 1`).
     pub fn new(cap: usize) -> Self {
         let cap = cap.max(1);
         FlightRecorder {
@@ -78,44 +80,43 @@ impl FlightRecorder {
         }
     }
 
-    /// Capacity (maximum retained events).
+    /// Capacity (maximum retained records).
     pub fn capacity(&self) -> usize {
         self.cap
     }
 
-    /// Total events recorded over the recorder's lifetime, including
+    /// Total records recorded over the recorder's lifetime, including
     /// those already overwritten.
     pub fn total_recorded(&self) -> u64 {
         self.total
     }
 
-    /// Chronological (oldest → newest) snapshot of retained events.
-    pub fn snapshot(&self) -> Vec<Event> {
+    /// Chronological (oldest → newest) snapshot of retained records.
+    pub fn snapshot(&self) -> Vec<(u64, SpanRecord)> {
         if self.buf.len() < self.cap {
             // Not yet wrapped: buffer is already in order.
             self.buf.clone()
         } else {
-            let mut out = Vec::with_capacity(self.cap);
-            out.extend_from_slice(&self.buf[self.head..]);
-            out.extend_from_slice(&self.buf[..self.head]);
-            out
+            let (newer, older) = self.buf.split_at(self.head);
+            older.iter().chain(newer).cloned().collect()
         }
     }
 }
 
 impl Recorder for FlightRecorder {
     #[inline]
-    fn record(&mut self, ev: &Event) {
+    fn record(&mut self, seq: u64, span: &SpanRecord) {
+        let entry = (seq, span.clone());
         if self.buf.len() < self.cap {
-            self.buf.push(*ev);
+            self.buf.push(entry);
         } else {
-            self.buf[self.head] = *ev;
+            self.buf[self.head] = entry;
         }
         self.head = (self.head + 1) % self.cap;
         self.total += 1;
     }
 
-    fn events(&self) -> Vec<Event> {
+    fn records(&self) -> Vec<(u64, SpanRecord)> {
         self.snapshot()
     }
 
@@ -124,7 +125,7 @@ impl Recorder for FlightRecorder {
     }
 }
 
-/// Streams events as JSON Lines to an arbitrary writer. Family handles
+/// Streams records as JSON Lines to an arbitrary writer. Family handles
 /// are resolved to names at write time via the table captured in
 /// [`JsonlWriter::new`] — the hub refreshes it on registration.
 pub struct JsonlWriter<W: io::Write> {
@@ -168,12 +169,12 @@ impl<W: io::Write> JsonlWriter<W> {
 }
 
 impl<W: io::Write> Recorder for JsonlWriter<W> {
-    fn record(&mut self, ev: &Event) {
+    fn record(&mut self, seq: u64, span: &SpanRecord) {
         if self.error.is_some() {
             return;
         }
         let families = &self.families;
-        let line = ev.to_jsonl(|f| Self::family_name(families, f));
+        let line = jsonl_line(seq, span, |f| Self::family_name(families, f));
         if let Err(e) = self
             .out
             .write_all(line.as_bytes())
@@ -198,36 +199,32 @@ impl<W: io::Write> Recorder for JsonlWriter<W> {
 
 #[cfg(test)]
 mod tests {
-    use super::super::event::{callsite, EventPayload, OpKind};
     use super::super::json::Json;
+    use super::super::span::SpanKind;
     use super::*;
 
-    fn ev(seq: u64) -> Event {
-        Event {
-            seq,
-            ts_nanos: seq * 10,
-            callsite: callsite::OP_RECEIVED,
-            payload: EventPayload::OpReceived {
-                op: OpKind::InsertEdge,
-            },
-        }
+    fn rec() -> SpanRecord {
+        SpanRecord::new(SpanKind::Op)
+    }
+
+    fn seqs(r: &FlightRecorder) -> Vec<u64> {
+        r.snapshot().iter().map(|(seq, _)| *seq).collect()
     }
 
     #[test]
     fn null_recorder_retains_nothing() {
         let mut r = NullRecorder;
-        r.record(&ev(1));
-        assert!(r.events().is_empty());
+        r.record(1, &rec());
+        assert!(r.records().is_empty());
     }
 
     #[test]
     fn flight_recorder_before_wrap_is_in_order() {
         let mut r = FlightRecorder::new(8);
         for i in 0..5 {
-            r.record(&ev(i));
+            r.record(i, &rec());
         }
-        let seqs: Vec<u64> = r.snapshot().iter().map(|e| e.seq).collect();
-        assert_eq!(seqs, vec![0, 1, 2, 3, 4]);
+        assert_eq!(seqs(&r), vec![0, 1, 2, 3, 4]);
         assert_eq!(r.total_recorded(), 5);
     }
 
@@ -235,12 +232,11 @@ mod tests {
     fn flight_recorder_wraparound_keeps_newest_in_order() {
         let mut r = FlightRecorder::new(4);
         for i in 0..11 {
-            r.record(&ev(i));
+            r.record(i, &rec());
         }
-        // 11 events through a 4-slot ring: the last 4 survive, oldest
+        // 11 records through a 4-slot ring: the last 4 survive, oldest
         // first.
-        let seqs: Vec<u64> = r.snapshot().iter().map(|e| e.seq).collect();
-        assert_eq!(seqs, vec![7, 8, 9, 10]);
+        assert_eq!(seqs(&r), vec![7, 8, 9, 10]);
         assert_eq!(r.total_recorded(), 11);
         assert_eq!(r.capacity(), 4);
     }
@@ -249,30 +245,27 @@ mod tests {
     fn flight_recorder_exact_fill_boundary() {
         let mut r = FlightRecorder::new(3);
         for i in 0..3 {
-            r.record(&ev(i));
+            r.record(i, &rec());
         }
-        let seqs: Vec<u64> = r.snapshot().iter().map(|e| e.seq).collect();
-        assert_eq!(seqs, vec![0, 1, 2]);
+        assert_eq!(seqs(&r), vec![0, 1, 2]);
         // One more overwrites the oldest.
-        r.record(&ev(3));
-        let seqs: Vec<u64> = r.snapshot().iter().map(|e| e.seq).collect();
-        assert_eq!(seqs, vec![1, 2, 3]);
+        r.record(3, &rec());
+        assert_eq!(seqs(&r), vec![1, 2, 3]);
     }
 
     #[test]
     fn flight_recorder_zero_cap_clamps_to_one() {
         let mut r = FlightRecorder::new(0);
-        r.record(&ev(1));
-        r.record(&ev(2));
-        let seqs: Vec<u64> = r.snapshot().iter().map(|e| e.seq).collect();
-        assert_eq!(seqs, vec![2]);
+        r.record(1, &rec());
+        r.record(2, &rec());
+        assert_eq!(seqs(&r), vec![2]);
     }
 
     #[test]
     fn jsonl_writer_emits_one_parseable_object_per_line() {
         let mut w = JsonlWriter::new(Vec::new(), vec!["1-index".into()]);
-        w.record(&ev(0));
-        w.record(&ev(1));
+        w.record(0, &rec());
+        w.record(1, &rec());
         w.flush();
         assert!(w.error().is_none());
         let text = String::from_utf8(w.into_inner()).unwrap();
@@ -281,8 +274,7 @@ mod tests {
         for (i, line) in lines.iter().enumerate() {
             let v = Json::parse(line).expect("valid JSON line");
             assert_eq!(v.get("seq").and_then(Json::as_u64), Some(i as u64));
-            assert_eq!(v.get("kind").and_then(Json::as_str), Some("op-received"));
-            assert_eq!(v.get("callsite").and_then(Json::as_u64), Some(1));
+            assert_eq!(v.get("kind").and_then(Json::as_str), Some("Op"));
         }
     }
 }

@@ -1,34 +1,43 @@
-//! Hierarchical causal spans over the update pipeline.
+//! Hierarchical causal spans over the update pipeline — the
+//! observability layer's only instrumentation primitive.
 //!
-//! The flight recorder (PR 3) answers *what happened* — flat events with
-//! aggregate phase nanos. It cannot answer *which compound block inside
-//! a `process_compounds` run ate the time*, which is the visibility the
-//! ROADMAP perf items (extent sharding, SIMD splitter scans, batch fast
-//! path) need. This module adds that missing axis: RAII [`SpanGuard`]s
-//! with parent ids and typed [`SpanKind`]s, forming a proper tree
-//! (`Op` → `IndexDispatch` → `Split` → `CompoundProcess` →
-//! `KernelScan`, …) with close-time attached [`SpanCounters`].
+//! RAII [`SpanGuard`]s with parent ids and typed [`SpanKind`]s form a
+//! tree (`Op` → `IndexDispatch` → `Split` → `CompoundProcess` →
+//! `KernelScan`, …) with close-time attached [`SpanCounters`] and, for
+//! the pipeline kinds, a [`SpanLabel`]. A closed pipeline span is also
+//! the one record type the [`crate::obs::ObsHub`] accepts: the flight
+//! recorder, the JSONL writer, the stable trace and the metrics
+//! registry all read it (DESIGN.md §8).
 //!
-//! # Single-writer span stack
+//! # Single-writer span stack, two ways to arm it
 //!
 //! The pipeline's write side is single-writer by design (one
 //! `UpdateEngine` owns the graph), so span collection is a *thread
-//! local* stack: `begin_collection` arms the current thread,
-//! [`SpanGuard::enter`] pushes, `Drop` pops, `end_collection` hands the
-//! finished [`SpanTree`] back. Thread locality is what lets the kernel's
-//! free functions ([`crate::kernel::process_compounds`] and friends) and
-//! the maintainers open spans without threading an `&mut ObsHub` through
-//! every signature — the hub stays the event/metrics sink, the span
-//! stack is ambient.
+//! local* stack: [`SpanGuard::enter`] pushes, `Drop` pops. Thread
+//! locality is what lets the kernel's free functions
+//! ([`crate::kernel::process_compounds`] and friends) and the
+//! maintainers open spans without threading an `&mut ObsHub` through
+//! every signature. The stack records when armed, either way:
 //!
-//! # Self-overhead contract (the `NullRecorder` fast path, extended)
+//! * **explicitly** — [`begin_collection`] arms every kind until
+//!   [`end_collection`] hands the finished [`SpanTree`] back (chrome
+//!   trace, folded stacks, the benchmark's kernel counters);
+//! * **for one engine call** — a [`Recording`] (started by the engine
+//!   whenever its hub is active) arms the pipeline kinds only, and on
+//!   [`Recording::finish`] hands the call's closed pipeline spans to a
+//!   sink in open order. Without an explicit collection the recorded
+//!   spans are discarded after the hand-over, so retained span memory
+//!   is bounded by one engine call. The kernel kinds (`CompoundProcess`,
+//!   `KernelScan`) are recorded only explicitly: they are the bulk of
+//!   the tree and no hub series reads them.
 //!
-//! Exactly like event emission gated on `ObsHub::is_active`, a span
-//! callsite with collection disabled must cost *one thread-local flag
-//! read and a branch* — no clock read, no allocation, no record
-//! construction. [`SpanGuard::enter`] checks the flag first and returns
-//! an inert guard (`id == 0`) whose `Drop` and counter methods are
-//! no-ops. `benches/obs_overhead.rs` holds this to "within noise".
+//! # Self-overhead contract
+//!
+//! A span callsite with nothing armed costs *one thread-local read and
+//! a branch* — no clock read, no allocation, no record construction.
+//! [`SpanGuard::enter`] checks the mode first and returns an inert
+//! guard (`id == 0`) whose `Drop` and counter methods are no-ops.
+//! `benches/obs_overhead.rs` holds this to "within noise".
 //!
 //! # Panic balance
 //!
@@ -38,7 +47,8 @@
 //! leaked child) closes every span opened after it as well, so the
 //! stack can never wedge. `end_collection` with guards still open
 //! simply detaches them: a stale guard holds a generation tag and will
-//! not touch a newer collection.
+//! not touch a newer collection. A [`Recording`] dropped without
+//! `finish` (an engine call unwinding) disarms and hands nothing over.
 //!
 //! # Overflow policy
 //!
@@ -50,7 +60,7 @@
 use std::cell::{Cell, RefCell};
 use std::time::Instant;
 
-use super::event::IndexFamily;
+use super::event::{IndexFamily, SpanLabel};
 
 /// Typed span kinds, one per causal layer of the update pipeline.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -65,12 +75,9 @@ pub enum SpanKind {
     /// One splitter scan over `Succ(extent)` (or a whole
     /// `refine_to_fixpoint` run during builds).
     KernelScan,
-    /// The split phase of one index's maintenance (wraps exactly the
-    /// region timed into `UpdateStats::split_nanos`).
+    /// The split phase of one index's maintenance.
     Split,
-    /// The merge phase of one index's maintenance (wraps exactly the
-    /// region timed into `UpdateStats::merge_nanos`), and each
-    /// individual block-group merge inside it.
+    /// The merge phase of one index's maintenance.
     Merge,
     /// One phase segment of a batch application.
     BatchSegment,
@@ -78,10 +85,27 @@ pub enum SpanKind {
     Rebuild,
     /// An index being frozen into an in-memory snapshot.
     Freeze,
+    /// The conformance lab's oracle battery after one op.
+    OracleCheck,
 }
 
 impl SpanKind {
-    /// Stable name (Chrome-trace `name` field, folded-stack frame).
+    /// Every kind, declaration order.
+    pub const ALL: [SpanKind; 10] = [
+        SpanKind::Op,
+        SpanKind::IndexDispatch,
+        SpanKind::CompoundProcess,
+        SpanKind::KernelScan,
+        SpanKind::Split,
+        SpanKind::Merge,
+        SpanKind::BatchSegment,
+        SpanKind::Rebuild,
+        SpanKind::Freeze,
+        SpanKind::OracleCheck,
+    ];
+
+    /// Stable name (trace `kind` field, Chrome-trace `name` field,
+    /// folded-stack frame).
     pub fn name(self) -> &'static str {
         match self {
             SpanKind::Op => "Op",
@@ -93,7 +117,15 @@ impl SpanKind {
             SpanKind::BatchSegment => "BatchSegment",
             SpanKind::Rebuild => "Rebuild",
             SpanKind::Freeze => "Freeze",
+            SpanKind::OracleCheck => "OracleCheck",
         }
+    }
+
+    /// Pipeline kinds are the hub's records; the kernel kinds
+    /// (`CompoundProcess`, `KernelScan`) are recorded only under an
+    /// explicit [`begin_collection`].
+    pub fn is_pipeline(self) -> bool {
+        !matches!(self, SpanKind::CompoundProcess | SpanKind::KernelScan)
     }
 }
 
@@ -137,14 +169,35 @@ pub struct SpanRecord {
     /// What layer of the pipeline this span covers.
     pub kind: SpanKind,
     /// Index family, or [`IndexFamily::NONE`] for engine/kernel-level
-    /// spans (which inherit the family of their nearest ancestor).
+    /// spans (which inherit the family of their nearest ancestor; a
+    /// [`Recording`] hands records over with the inherited family).
     pub family: IndexFamily,
+    /// What the span is about beyond kind and family (pipeline kinds).
+    pub label: SpanLabel,
     /// Open time, nanos since the collection began.
     pub ts_nanos: u64,
     /// Close − open, nanos (≥ 1 once closed; 0 only if never closed).
     pub dur_nanos: u64,
     /// Close-time attached counters.
     pub counters: SpanCounters,
+}
+
+impl SpanRecord {
+    /// A closed root record of `kind` with no family, label, time or
+    /// counters — for callers that hand the hub a record they built
+    /// themselves (the conformance lab's `OracleCheck`).
+    pub fn new(kind: SpanKind) -> SpanRecord {
+        SpanRecord {
+            id: 0,
+            parent: 0,
+            kind,
+            family: IndexFamily::NONE,
+            label: SpanLabel::None,
+            ts_nanos: 0,
+            dur_nanos: 0,
+            counters: SpanCounters::default(),
+        }
+    }
 }
 
 /// A finished collection: the span forest plus the overflow count.
@@ -209,15 +262,7 @@ impl SpanTree {
     /// ancestor's (kernel spans are opened below the per-family
     /// `IndexDispatch` span and carry `NONE` themselves).
     pub fn effective_family(&self, id: u32) -> IndexFamily {
-        let mut cur = id;
-        // Parents have strictly smaller ids, so this walk terminates.
-        while let Some(s) = self.get(cur) {
-            if s.family != IndexFamily::NONE {
-                return s.family;
-            }
-            cur = s.parent;
-        }
-        IndexFamily::NONE
+        effective_family(&self.spans, id)
     }
 
     /// True iff every span closed (nonzero duration) and every parent
@@ -230,7 +275,21 @@ impl SpanTree {
     }
 }
 
-/// Default collection cap: ~64 MiB of span records, far above any
+/// The family in effect for span `id` of `spans` (ids are 1-based
+/// positions): its own, or the nearest ancestor's.
+fn effective_family(spans: &[SpanRecord], id: u32) -> IndexFamily {
+    let mut cur = id;
+    // Parents have strictly smaller ids, so this walk terminates.
+    while let Some(s) = cur.checked_sub(1).and_then(|i| spans.get(i as usize)) {
+        if s.family != IndexFamily::NONE {
+            return s.family;
+        }
+        cur = s.parent;
+    }
+    IndexFamily::NONE
+}
+
+/// Default collection cap: ~128 MiB of span records, far above any
 /// single benchmark run while still bounding a runaway loop.
 pub const DEFAULT_CAP: usize = 1 << 20;
 
@@ -243,11 +302,41 @@ struct Collector {
     dropped: u64,
 }
 
+impl Collector {
+    fn new(cap: usize) -> Collector {
+        Collector {
+            epoch: Instant::now(),
+            generation: next_generation(),
+            spans: Vec::new(),
+            stack: Vec::new(),
+            cap: cap.max(1),
+            dropped: 0,
+        }
+    }
+}
+
+/// [`MODE`] bit: an explicit collection records every kind.
+const EXPLICIT: u8 = 1;
+/// [`MODE`] bit: a [`Recording`] records the pipeline kinds.
+const PIPELINE: u8 = 2;
+
 thread_local! {
-    /// Hot-path gate: one read + branch when collection is off.
-    static ACTIVE: Cell<bool> = const { Cell::new(false) };
+    /// Hot-path gate: one read + branch when nothing is armed.
+    static MODE: Cell<u8> = const { Cell::new(0) };
     static COLLECTOR: RefCell<Option<Collector>> = const { RefCell::new(None) };
     static GENERATION: Cell<u32> = const { Cell::new(0) };
+}
+
+fn next_generation() -> u32 {
+    GENERATION.with(|g| {
+        let next = g.get().wrapping_add(1);
+        g.set(next);
+        next
+    })
+}
+
+fn set_mode_bit(bit: u8, on: bool) {
+    MODE.with(|m| m.set(if on { m.get() | bit } else { m.get() & !bit }));
 }
 
 /// Arm span collection on the current thread (default cap).
@@ -259,28 +348,17 @@ pub fn begin_collection() {
 /// (drop-newest past the cap). Replaces any in-progress collection;
 /// guards from the replaced collection become inert.
 pub fn begin_collection_with_cap(cap: usize) {
-    let generation = GENERATION.with(|g| {
-        let next = g.get().wrapping_add(1);
-        g.set(next);
-        next
-    });
-    COLLECTOR.with(|c| {
-        *c.borrow_mut() = Some(Collector {
-            epoch: Instant::now(),
-            generation,
-            spans: Vec::new(),
-            stack: Vec::new(),
-            cap: cap.max(1),
-            dropped: 0,
-        });
-    });
-    ACTIVE.with(|a| a.set(true));
+    COLLECTOR.with(|c| *c.borrow_mut() = Some(Collector::new(cap)));
+    set_mode_bit(EXPLICIT, true);
 }
 
 /// Disarm collection and hand back the finished tree. Returns an empty
 /// tree when no collection was active.
 pub fn end_collection() -> SpanTree {
-    ACTIVE.with(|a| a.set(false));
+    if !is_collecting() {
+        return SpanTree::default();
+    }
+    set_mode_bit(EXPLICIT, false);
     COLLECTOR
         .with(|c| c.borrow_mut().take())
         .map(|col| SpanTree {
@@ -290,10 +368,96 @@ pub fn end_collection() -> SpanTree {
         .unwrap_or_default()
 }
 
-/// True while the current thread is collecting spans.
+/// True while the current thread has an explicit collection armed.
 #[inline]
 pub fn is_collecting() -> bool {
-    ACTIVE.with(|a| a.get())
+    MODE.with(|m| m.get() & EXPLICIT != 0)
+}
+
+/// Pipeline-span recording for one engine call; see the module docs.
+/// Start it with [`Recording::start`], end it with
+/// [`Recording::finish`]; dropping it unfinished disarms and hands
+/// nothing over.
+#[must_use = "a recording hands its spans over in finish"]
+pub struct Recording {
+    /// The collector generation and the index of the call's first span;
+    /// `None` for a nested start (the outer recording hands over).
+    armed: Option<(u32, usize)>,
+}
+
+impl Recording {
+    /// Arms the pipeline kinds on the current thread. Under an explicit
+    /// collection the call's spans are recorded into it (and stay there
+    /// after the hand-over); otherwise into a per-thread buffer that
+    /// starts empty and is emptied again when the recording ends.
+    pub fn start() -> Recording {
+        if MODE.with(|m| m.get() & PIPELINE != 0) {
+            return Recording { armed: None };
+        }
+        let explicit = is_collecting();
+        let armed = COLLECTOR.with(|c| {
+            let mut slot = c.borrow_mut();
+            let col = slot.get_or_insert_with(|| Collector::new(DEFAULT_CAP));
+            if !explicit {
+                // A fresh generation: a guard leaked from an earlier
+                // call must not touch this call's reused ids.
+                col.generation = next_generation();
+                col.spans.clear();
+                col.stack.clear();
+            }
+            (col.generation, col.spans.len())
+        });
+        set_mode_bit(PIPELINE, true);
+        Recording { armed: Some(armed) }
+    }
+
+    /// Hands every pipeline span recorded since [`Recording::start`] to
+    /// `sink`, in open order, each with its effective family; then
+    /// disarms.
+    pub fn finish(self, mut sink: impl FnMut(&SpanRecord)) {
+        let Some((generation, cursor)) = self.armed else {
+            return;
+        };
+        // Taken out for the hand-over so the sink runs with no borrow of
+        // the collector held.
+        let taken = COLLECTOR.with(|c| {
+            let mut slot = c.borrow_mut();
+            let col = slot.as_mut().filter(|col| col.generation == generation)?;
+            Some(std::mem::take(&mut col.spans))
+        });
+        let Some(spans) = taken else {
+            return;
+        };
+        for s in spans.iter().skip(cursor).filter(|s| s.kind.is_pipeline()) {
+            let family = effective_family(&spans, s.id);
+            sink(&SpanRecord {
+                family,
+                ..s.clone()
+            });
+        }
+        COLLECTOR.with(|c| {
+            if let Some(col) = c.borrow_mut().as_mut() {
+                col.spans = spans;
+            }
+        });
+    }
+}
+
+impl Drop for Recording {
+    fn drop(&mut self) {
+        if self.armed.is_none() {
+            return;
+        }
+        set_mode_bit(PIPELINE, false);
+        if !is_collecting() {
+            let _ = COLLECTOR.try_with(|c| {
+                if let Some(col) = c.borrow_mut().as_mut() {
+                    col.spans.clear();
+                    col.stack.clear();
+                }
+            });
+        }
+    }
 }
 
 /// Number of currently-open spans (test hook for panic-balance checks).
@@ -302,7 +466,8 @@ pub fn open_depth() -> usize {
 }
 
 /// The currently-open span stack, outermost first, rendered as stable
-/// `Kind` / `Kind[family-id]` frames. Empty when collection is off.
+/// `Kind` / `Kind[family-id]` frames. Empty when nothing is armed;
+/// only the pipeline kinds under a [`Recording`] alone.
 ///
 /// This is the postmortem hook's view: a panic hook runs *before*
 /// unwinding drops the open [`SpanGuard`]s, so calling this from a
@@ -339,23 +504,18 @@ pub struct SpanGuard {
 }
 
 impl SpanGuard {
-    /// Open a span with no family attribution. One flag read + branch
-    /// when collection is off — no clock read, no allocation.
+    /// Open a span with no family attribution. One mode read + branch
+    /// when nothing is armed — no clock read, no allocation.
     #[inline]
     pub fn enter(kind: SpanKind) -> SpanGuard {
-        if !is_collecting() {
-            return SpanGuard {
-                id: 0,
-                generation: 0,
-            };
-        }
-        Self::enter_slow(kind, IndexFamily::NONE)
+        Self::enter_family(kind, IndexFamily::NONE)
     }
 
     /// Open a span attributed to an index family.
     #[inline]
     pub fn enter_family(kind: SpanKind, family: IndexFamily) -> SpanGuard {
-        if !is_collecting() {
+        let mode = MODE.with(Cell::get);
+        if mode == 0 || (mode == PIPELINE && !kind.is_pipeline()) {
             return SpanGuard {
                 id: 0,
                 generation: 0,
@@ -389,6 +549,7 @@ impl SpanGuard {
                 parent,
                 kind,
                 family,
+                label: SpanLabel::None,
                 ts_nanos,
                 dur_nanos: 0,
                 counters: SpanCounters::default(),
@@ -409,28 +570,35 @@ impl SpanGuard {
     /// Add to the blocks-touched counter.
     #[inline]
     pub fn add_blocks(&self, n: u64) {
-        self.update(|c| c.blocks += n);
+        self.update(|r| r.counters.blocks += n);
     }
 
     /// Add to the extent-elements-scanned counter.
     #[inline]
     pub fn add_elems(&self, n: u64) {
-        self.update(|c| c.elems += n);
+        self.update(|r| r.counters.elems += n);
     }
 
     /// Record the compound work-queue depth (peak is kept).
     #[inline]
     pub fn set_queue_depth(&self, depth: u64) {
-        self.update(|c| c.queue_depth = c.queue_depth.max(depth));
+        self.update(|r| r.counters.queue_depth = r.counters.queue_depth.max(depth));
     }
 
     /// Add to the copy-on-write clone counter.
     #[inline]
     pub fn add_cow_clones(&self, n: u64) {
-        self.update(|c| c.cow_clones += n);
+        self.update(|r| r.counters.cow_clones += n);
     }
 
-    fn update(&self, f: impl FnOnce(&mut SpanCounters)) {
+    /// Set the span's label (pipeline kinds; see [`SpanLabel`]).
+    #[inline]
+    pub fn set_label(&self, label: SpanLabel) {
+        self.update(|r| r.label = label);
+    }
+
+    #[inline]
+    fn update(&self, f: impl FnOnce(&mut SpanRecord)) {
         if self.id == 0 {
             return;
         }
@@ -440,7 +608,7 @@ impl SpanGuard {
                     return;
                 }
                 if let Some(rec) = col.spans.get_mut((self.id - 1) as usize) {
-                    f(&mut rec.counters);
+                    f(rec);
                 }
             }
         });
@@ -607,6 +775,76 @@ mod tests {
         drop(inner); // no-op: already closed
         let tree = end_collection();
         assert_eq!(tree.len(), 2);
+        assert!(tree.is_well_formed());
+    }
+
+    #[test]
+    fn recording_hands_over_pipeline_kinds_and_retains_nothing() {
+        use crate::obs::event::OpKind;
+        let recording = Recording::start();
+        let op = SpanGuard::enter(SpanKind::Op);
+        op.set_label(SpanLabel::Op(OpKind::InsertEdge));
+        let dispatch = SpanGuard::enter_family(SpanKind::IndexDispatch, IndexFamily(3));
+        let split = SpanGuard::enter(SpanKind::Split);
+        let scan = SpanGuard::enter(SpanKind::KernelScan);
+        assert!(
+            !scan.is_recording(),
+            "kernel kinds need an explicit collection"
+        );
+        drop((scan, split, dispatch, op));
+        let mut got = Vec::new();
+        recording.finish(|s| got.push((s.kind, s.family, s.label)));
+        assert_eq!(
+            got,
+            vec![
+                (
+                    SpanKind::Op,
+                    IndexFamily::NONE,
+                    SpanLabel::Op(OpKind::InsertEdge)
+                ),
+                (SpanKind::IndexDispatch, IndexFamily(3), SpanLabel::None),
+                (SpanKind::Split, IndexFamily(3), SpanLabel::None),
+            ]
+        );
+        // Disarmed, and the call's spans are gone.
+        assert!(!SpanGuard::enter(SpanKind::Op).is_recording());
+        assert_eq!(open_depth(), 0);
+        let mut again = 0;
+        Recording::start().finish(|_| again += 1);
+        assert_eq!(again, 0);
+    }
+
+    #[test]
+    fn nested_and_unfinished_recordings_hand_nothing_over() {
+        let outer = Recording::start();
+        let inner = Recording::start();
+        drop(SpanGuard::enter(SpanKind::Op));
+        let (mut from_inner, mut from_outer) = (0, 0);
+        inner.finish(|_| from_inner += 1);
+        outer.finish(|_| from_outer += 1);
+        assert_eq!((from_inner, from_outer), (0, 1));
+
+        let unfinished = Recording::start();
+        drop(SpanGuard::enter(SpanKind::Op));
+        drop(unfinished);
+        assert!(!SpanGuard::enter(SpanKind::Op).is_recording());
+        let mut leaked = 0;
+        Recording::start().finish(|_| leaked += 1);
+        assert_eq!(leaked, 0);
+    }
+
+    #[test]
+    fn recording_inside_an_explicit_collection_keeps_the_tree() {
+        begin_collection();
+        let recording = Recording::start();
+        let op = SpanGuard::enter(SpanKind::Op);
+        drop(SpanGuard::enter(SpanKind::KernelScan));
+        drop(op);
+        let mut kinds = Vec::new();
+        recording.finish(|s| kinds.push(s.kind));
+        assert_eq!(kinds, vec![SpanKind::Op]);
+        let tree = end_collection();
+        assert_eq!(tree.len(), 2, "the tree keeps the kernel span too");
         assert!(tree.is_well_formed());
     }
 

@@ -109,7 +109,6 @@ impl OneIndex {
     ///
     /// Both endpoints must already be indexed (see
     /// [`OneIndex::on_node_added`] for fresh nodes).
-    // xsi-lint: allow(span-coverage, delegates to apply_insert, which opens the Split/Merge spans)
     pub fn insert_edge(
         &mut self,
         g: &mut Graph,
@@ -123,7 +122,6 @@ impl OneIndex {
 
     /// Deletes the dedge `(u, v)` from the graph and maintains the index.
     /// Returns the removed edge's kind alongside the statistics.
-    // xsi-lint: allow(span-coverage, delegates to apply_delete, which opens the Split/Merge spans)
     pub fn delete_edge(
         &mut self,
         g: &mut Graph,
@@ -137,7 +135,6 @@ impl OneIndex {
     /// Deletes a node and all of its incident edges, maintaining the
     /// index throughout — node deletion "based on" edge deletion, as
     /// Section 1 prescribes. The node must not be the root.
-    // xsi-lint: allow(span-coverage, delegates per incident edge to apply_delete, which opens the spans)
     pub fn delete_node(&mut self, g: &mut Graph, n: NodeId) -> Result<UpdateStats, GraphError> {
         let mut stats = UpdateStats {
             no_op: false,
@@ -163,7 +160,6 @@ impl OneIndex {
     /// the caller — for running several indexes over one graph (mutate
     /// the graph once, notify each index). Equivalent to
     /// [`OneIndex::insert_edge`] minus the graph mutation.
-    // xsi-lint: allow(span-coverage, delegates to apply_insert, which opens the Split/Merge spans)
     pub fn notify_edge_inserted(&mut self, g: &Graph, u: NodeId, v: NodeId) -> UpdateStats {
         debug_assert!(g.has_edge(u, v), "notify before mutating the graph");
         self.apply_insert(g, u, v, true)
@@ -171,7 +167,6 @@ impl OneIndex {
 
     /// Maintenance hook for an edge deletion already applied to `g` by
     /// the caller; see [`OneIndex::notify_edge_inserted`].
-    // xsi-lint: allow(span-coverage, delegates to apply_delete, which opens the Split/Merge spans)
     pub fn notify_edge_deleted(&mut self, g: &Graph, u: NodeId, v: NodeId) -> UpdateStats {
         debug_assert!(!g.has_edge(u, v), "notify after mutating the graph");
         self.apply_delete(g, u, v, true)
@@ -203,20 +198,15 @@ impl OneIndex {
         }
         stats.no_op = false;
         {
-            // Span covers exactly the region timed into split_nanos.
             let sp = SpanGuard::enter(SpanKind::Split);
-            let t = std::time::Instant::now();
             self.split_phase(g, v, &mut stats);
-            stats.split_nanos = t.elapsed().as_nanos() as u64;
             sp.add_blocks(stats.splits as u64);
             sp.set_queue_depth(stats.queue_peak as u64);
         }
         stats.intermediate_blocks = self.p.block_count();
         if do_merge {
             let sp = SpanGuard::enter(SpanKind::Merge);
-            let t = std::time::Instant::now();
             self.merge_phase(g, self.p.block_of(v), &mut stats);
-            stats.merge_nanos = t.elapsed().as_nanos() as u64;
             sp.add_blocks(stats.merges as u64);
         }
         stats.final_blocks = self.p.block_count();
@@ -249,9 +239,7 @@ impl OneIndex {
             // Some sibling of v still has a parent in I[u], so v is no
             // longer bisimilar to it: single v out and propagate.
             let sp = SpanGuard::enter(SpanKind::Split);
-            let t = std::time::Instant::now();
             self.split_phase(g, v, &mut stats);
-            stats.split_nanos = t.elapsed().as_nanos() as u64;
             sp.add_blocks(stats.splits as u64);
             sp.set_queue_depth(stats.queue_peak as u64);
         }
@@ -259,9 +247,7 @@ impl OneIndex {
         stats.intermediate_blocks = self.p.block_count();
         if do_merge {
             let sp = SpanGuard::enter(SpanKind::Merge);
-            let t = std::time::Instant::now();
             self.merge_phase(g, self.p.block_of(v), &mut stats);
-            stats.merge_nanos = t.elapsed().as_nanos() as u64;
             sp.add_blocks(stats.merges as u64);
         }
         stats.final_blocks = self.p.block_count();
@@ -301,12 +287,9 @@ impl OneIndex {
         let Some(partner) = self.p.find_merge_partner(start) else {
             return;
         };
-        let m = SpanGuard::enter(SpanKind::Merge);
-        m.add_blocks(2);
         sp.add_blocks(2);
         let merged = self.p.merge_group(&[start, partner]);
         stats.merges += 1;
-        drop(m);
         drop(sp);
         kernel::merge_fold(self, merged, stats);
     }

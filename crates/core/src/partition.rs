@@ -28,7 +28,7 @@
 //! aliasing the block that reused the slot.
 
 use crate::obs::mem::{btree_set_heap, vec_cap_heap, HeapUse, MemReport};
-use crate::store::{CowVec, IedgeMap, ScratchTable, SlotKey, SlotMap, StoreReport};
+use crate::store::{CowVec, IedgeMap, ScratchTable, SlotKey, SlotMap};
 use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::Arc;
@@ -703,22 +703,6 @@ impl Partition {
         }
     }
 
-    /// A point-in-time summary of iedge-map representation state across
-    /// live blocks (plus spill history retained in recycled slots), for
-    /// the obs layer. One pass over the block table.
-    pub fn store_report(&self) -> StoreReport {
-        let mut r = StoreReport::default();
-        for (_, blk) in self.blocks.iter() {
-            r.absorb(&blk.parents);
-            r.absorb(&blk.children);
-            r.blocks += 1;
-        }
-        for blk in self.blocks.iter_all_slots() {
-            r.spill_events += blk.parents.spill_count() as u64 + blk.children.spill_count() as u64;
-        }
-        r
-    }
-
     /// Deep heap bytes owned by the partition (capacity-based); the
     /// decomposed view is [`Partition::mem_report`].
     pub fn heap_use(&self) -> usize {
@@ -1107,14 +1091,19 @@ mod tests {
     }
 
     #[test]
-    fn store_report_counts_maps_and_spills() {
+    fn mem_report_counts_maps() {
         let (_, p, ..) = small();
-        let r = p.store_report();
+        let r = p.mem_report();
         assert_eq!(r.blocks, 3);
-        assert_eq!(r.inline_maps + r.spilled_maps, 6, "two maps per block");
-        assert_eq!(r.spilled_maps, 0, "tiny partition stays inline");
-        assert_eq!(r.spill_events, 0);
-        assert!(r.entries >= 4, "root→a, a→b on both sides");
+        assert_eq!(
+            r.iedge_inline_maps + r.iedge_spilled_maps,
+            6,
+            "two maps per block"
+        );
+        assert_eq!(r.iedge_spilled_maps, 0, "tiny partition stays inline");
+        // root→a and a→b fill one entry on each side of both edges.
+        let filled: u64 = r.inline_occupancy_hist.iter().skip(1).sum();
+        assert_eq!(filled, 4);
     }
 }
 

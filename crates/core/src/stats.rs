@@ -5,12 +5,12 @@
 /// Counters describing what one incremental update did to an index.
 ///
 /// Besides the paper's split/merge counts, maintenance algorithms record
-/// per-phase wall-clock time (`split_nanos`/`merge_nanos`), the peak
-/// Paige–Tarjan work-queue size (`queue_peak`), and — for A(k) — how
-/// many refinement-chain levels the update touched (`levels_touched`);
-/// the observability layer ([`crate::obs`]) turns these into
-/// `split-phase` / `merge-phase` / `rank-maintenance` events and metric
-/// series.
+/// the peak Paige–Tarjan work-queue size (`queue_peak`) and — for A(k)
+/// — how many refinement-chain levels the update touched
+/// (`levels_touched`). The engine hands one op's stats to the
+/// observability layer ([`crate::obs`]) as the label of its
+/// `IndexDispatch` span; phase time is the `Split`/`Merge` span
+/// duration, not a field here.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct UpdateStats {
     /// Number of block splits performed (|Φ₁(G₂)| − |Φ₀(G₀)|).
@@ -29,11 +29,6 @@ pub struct UpdateStats {
     /// [`UpdateStats::identity`], not [`Default::default`], for the flag
     /// to mean anything (`Default` is a non-no-op leaf value).
     pub no_op: bool,
-    /// Wall-clock nanoseconds inside the split phase (0 when the phase
-    /// was skipped or timing is off).
-    pub split_nanos: u64,
-    /// Wall-clock nanoseconds inside the merge phase.
-    pub merge_nanos: u64,
     /// Peak work-queue size during split propagation (blocks enqueued in
     /// compound slots). Aggregates keep the maximum.
     pub queue_peak: usize,
@@ -57,7 +52,7 @@ impl UpdateStats {
     }
 
     /// Accumulates another update's counters into `self` (for workload
-    /// totals): splits/merges/phase-times add, `intermediate_blocks` and
+    /// totals): splits/merges add, `intermediate_blocks` and
     /// `queue_peak`/`levels_touched` keep the maximum, `final_blocks`
     /// keeps the last value, and `no_op` stays `true` only while every
     /// absorbed op was a no-op (fold from [`UpdateStats::identity`]).
@@ -67,8 +62,6 @@ impl UpdateStats {
         self.intermediate_blocks = self.intermediate_blocks.max(other.intermediate_blocks);
         self.final_blocks = other.final_blocks;
         self.no_op &= other.no_op;
-        self.split_nanos += other.split_nanos;
-        self.merge_nanos += other.merge_nanos;
         self.queue_peak = self.queue_peak.max(other.queue_peak);
         self.levels_touched = self.levels_touched.max(other.levels_touched);
     }
@@ -86,8 +79,6 @@ mod tests {
             intermediate_blocks: 10,
             final_blocks: 8,
             no_op: true,
-            split_nanos: 5,
-            merge_nanos: 6,
             queue_peak: 2,
             levels_touched: 1,
         };
@@ -97,8 +88,6 @@ mod tests {
             intermediate_blocks: 7,
             final_blocks: 9,
             no_op: false,
-            split_nanos: 10,
-            merge_nanos: 1,
             queue_peak: 5,
             levels_touched: 3,
         };
@@ -108,8 +97,6 @@ mod tests {
         assert_eq!(a.intermediate_blocks, 10);
         assert_eq!(a.final_blocks, 9);
         assert!(!a.no_op);
-        assert_eq!(a.split_nanos, 15);
-        assert_eq!(a.merge_nanos, 7);
         assert_eq!(a.queue_peak, 5);
         assert_eq!(a.levels_touched, 3);
     }

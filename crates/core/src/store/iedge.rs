@@ -80,10 +80,6 @@ enum Repr<K: SlotKey> {
 #[derive(Clone, Debug)]
 pub struct IedgeMap<K: SlotKey> {
     repr: Repr<K>,
-    /// Cumulative inline→spilled transitions over this map's lifetime.
-    /// Survives `clear` and block recycling (slot values persist), so
-    /// storage reports can sum it across all slots.
-    spills: u32,
 }
 
 impl<K: SlotKey> Default for IedgeMap<K> {
@@ -101,7 +97,6 @@ impl<K: SlotKey> IedgeMap<K> {
                 keys: [K::dangling(); INLINE_CAP],
                 counts: [0; INLINE_CAP],
             },
-            spills: 0,
         }
     }
 
@@ -126,11 +121,6 @@ impl<K: SlotKey> IedgeMap<K> {
         }
     }
 
-    /// Lifetime inline→spilled transition count.
-    pub fn spill_count(&self) -> u32 {
-        self.spills
-    }
-
     /// `Some(entries)` while the map is inline (0..=[`INLINE_CAP`]),
     /// `None` once spilled — feeds the mem-report's inline-occupancy
     /// histogram, which is what the INLINE_CAP sweep reads.
@@ -138,18 +128,6 @@ impl<K: SlotKey> IedgeMap<K> {
         match &self.repr {
             Repr::Inline { len, .. } => Some(*len as usize),
             Repr::Spilled(_) => None,
-        }
-    }
-
-    /// Worst-case comparisons for one lookup at the current size
-    /// (⌈log₂ len⌉ + 1; 0 for an empty map) — the obs layer's
-    /// probe-length proxy for both representations.
-    pub fn probe_len(&self) -> u32 {
-        let n = self.len() as u32;
-        if n == 0 {
-            0
-        } else {
-            32 - n.leading_zeros()
         }
     }
 
@@ -343,7 +321,6 @@ impl<K: SlotKey> IedgeMap<K> {
                 .zip(counts[..*len as usize].iter().copied()) // xsi-lint: allow(slice-index, len is at most INLINE_CAP)
                 .collect();
             self.repr = Repr::Spilled(m);
-            self.spills += 1;
         }
     }
 }
@@ -420,7 +397,6 @@ mod tests {
         assert_eq!(m.get(Key(3)), None);
         assert_eq!(m.len(), 1);
         assert_eq!(m.repr(), IedgeRepr::Inline);
-        assert_eq!(m.spill_count(), 0);
     }
 
     #[test]
@@ -435,7 +411,6 @@ mod tests {
 
         m.add(Key(3), 10); // ninth distinct key: spills
         assert_eq!(m.repr(), IedgeRepr::Spilled);
-        assert_eq!(m.spill_count(), 1);
         let spilled_order: Vec<u32> = m.keys().map(|k| k.0).collect();
         assert_eq!(spilled_order, vec![0, 1, 2, 3, 4, 5, 7, 8, 9]);
         // Entries survive the spill with their counts.
@@ -446,7 +421,7 @@ mod tests {
     }
 
     #[test]
-    fn clear_returns_to_inline_and_keeps_spill_count() {
+    fn clear_returns_to_inline() {
         let mut m: IedgeMap<Key> = IedgeMap::new();
         for k in 0..=INLINE_CAP as u32 {
             m.add(Key(k), 1);
@@ -455,7 +430,6 @@ mod tests {
         m.clear();
         assert!(m.is_empty());
         assert_eq!(m.repr(), IedgeRepr::Inline);
-        assert_eq!(m.spill_count(), 1);
     }
 
     #[test]
@@ -476,17 +450,5 @@ mod tests {
         let drained = m.drain_sorted();
         assert_eq!(drained, vec![(Key(1), 1), (Key(3), 3), (Key(5), 5)]);
         assert!(m.is_empty());
-    }
-
-    #[test]
-    fn probe_len_tracks_size() {
-        let mut m: IedgeMap<Key> = IedgeMap::new();
-        assert_eq!(m.probe_len(), 0);
-        m.add(Key(0), 1);
-        assert_eq!(m.probe_len(), 1);
-        for k in 1..8u32 {
-            m.add(Key(k), 1);
-        }
-        assert_eq!(m.probe_len(), 4); // ⌈log2 8⌉ + 1
     }
 }

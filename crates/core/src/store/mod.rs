@@ -28,9 +28,9 @@
 //!   freeze shares every run in O(1) each, and the writer's next
 //!   mutation of a frozen block clones only that block's run.
 //!
-//! The [`StoreReport`] summarizes iedge-map representation state for the
-//! obs layer (inline vs spilled population, cumulative spill events,
-//! probe lengths).
+//! The obs layer reads the iedge maps' representation state (inline vs
+//! spilled population, inline occupancy) through the indexes'
+//! [`crate::obs::MemReport`].
 
 pub mod cow;
 pub mod iedge;
@@ -41,56 +41,3 @@ pub use cow::CowVec;
 pub use iedge::{IedgeMap, IedgeRepr};
 pub use scratch::ScratchTable;
 pub use slot::{SlotKey, SlotMap};
-
-/// A point-in-time summary of every [`IedgeMap`] owned by one index
-/// structure, cheap enough to compute on demand (one pass over the
-/// block table) and exported through the obs layer as gauges plus a
-/// probe-length histogram.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct StoreReport {
-    /// Live maps currently in the inline representation.
-    pub inline_maps: u64,
-    /// Live maps currently spilled to the sorted-map representation.
-    pub spilled_maps: u64,
-    /// Cumulative inline→spilled transitions, including maps that have
-    /// since been cleared or whose block was recycled.
-    pub spill_events: u64,
-    /// Total (block, neighbor) entries across live maps.
-    pub entries: u64,
-    /// Largest live map.
-    pub max_entries: u64,
-    /// Sum over live maps of the worst-case comparison count of one
-    /// lookup (⌈log₂ len⌉ + 1); divide by the map population for a mean
-    /// probe length.
-    pub probe_total: u64,
-    /// Live blocks scanned.
-    pub blocks: u64,
-}
-
-impl StoreReport {
-    /// Folds one *live* map's representation state into the report.
-    /// Spill events are accounted separately (they survive in recycled
-    /// slots): add [`IedgeMap::spill_count`] over **all** slots to
-    /// `spill_events`.
-    pub fn absorb<K: slot::SlotKey>(&mut self, m: &IedgeMap<K>) {
-        match m.repr() {
-            IedgeRepr::Inline => self.inline_maps += 1,
-            IedgeRepr::Spilled => self.spilled_maps += 1,
-        }
-        let len = m.len() as u64;
-        self.entries += len;
-        self.max_entries = self.max_entries.max(len);
-        self.probe_total += m.probe_len() as u64;
-    }
-
-    /// Merges another report (e.g. per-level or per-family shards).
-    pub fn merge(&mut self, other: &StoreReport) {
-        self.inline_maps += other.inline_maps;
-        self.spilled_maps += other.spilled_maps;
-        self.spill_events += other.spill_events;
-        self.entries += other.entries;
-        self.max_entries = self.max_entries.max(other.max_entries);
-        self.probe_total += other.probe_total;
-        self.blocks += other.blocks;
-    }
-}

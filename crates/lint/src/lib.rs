@@ -12,10 +12,10 @@
 //!   debt in non-test library code, frozen by the ratchet baseline
 //!   (`lint-baseline.json`) so existing call sites are tolerated but any
 //!   *new* one fails CI;
-//! * **`obs-coverage`** — every `pub fn` mutation entry point in the
-//!   engine and the two maintainers must feed the observability layer
-//!   (DESIGN.md §8), by touching the obs hub or the `UpdateStats`
-//!   phase counters;
+//! * **`obs-coverage`** — every `pub fn` entry point in the engine,
+//!   the refinement kernel and the two maintainers must be instrumented
+//!   (DESIGN.md §8): open a causal span, reach the obs hub, or (outside
+//!   the kernel) report the `UpdateStats` that label its dispatch span;
 //! * **`forbid-unsafe` / `hot-assert` / `todo` / `bad-waiver`** —
 //!   hygiene: crate roots carry `#![forbid(unsafe_code)]`, hot paths use
 //!   `debug_assert!` rather than release-mode `assert!`, deferred-work

@@ -13,7 +13,6 @@ pub mod mem_accounting;
 pub mod obs_coverage;
 pub mod panic_reach;
 pub mod panics;
-pub mod span_coverage;
 pub mod store_discipline;
 
 use crate::callgraph::CallGraph;
@@ -244,27 +243,32 @@ use-after-free-shaped correctness bug, never debt to freeze.",
         severity: Severity::Deny,
         baselineable: false,
         waivable: true,
-        summary: "pub mutation/freeze entry points in engine/maintainers must feed the obs layer",
+        summary: "pub entry points in engine/kernel/maintainers must be instrumented",
         explain: "\
-DESIGN.md §8's flight-recorder story is only as good as its coverage: \
-a mutation entry point that bypasses the observability layer produces \
-traces with silent holes, which is worse than no traces. This rule \
-checks every `pub fn` taking `&mut self` in `core/src/engine.rs`, \
-`core/src/oneindex/maintain.rs` and `core/src/akindex/maintain.rs`: \
-the function (signature or body) must reference the obs hub (`obs`, \
-`emit`, `observe_*`) or the `UpdateStats` phase counters \
-(`UpdateStats`, `stats`, `split_nanos`, `merge_nanos`, `queue_peak`, \
-`levels_touched`) that the hub exports. Snapshot entry points (`pub fn \
-freeze*`) are checked regardless of receiver: a read-only freeze that \
-skips the hub silently loses the `snapshot_*` metric series.
+The causal span is the observability layer's one instrumentation \
+primitive (DESIGN.md §8): closed pipeline spans feed the flight \
+recorder and the metrics, and the kernel spans carry the §5.1 work \
+counters. An entry point that skips it leaves silent holes in the \
+trace, the metrics and the CompoundProcess accounting — worse than no \
+instrumentation at all.
 
-Pure delegators (e.g. a convenience wrapper that forwards to an \
-instrumented sibling) should carry a waiver naming the instrumented \
-callee: `// xsi-lint: allow(obs-coverage, delegates to apply_batch)`. \
-Report publishers (`pub fn publish_*`) are checked regardless of \
-receiver, like freezes: publishing IS feeding the hub, so an \
-uninstrumented publisher is a silent no-op the caller cannot tell \
-from working telemetry.",
+Checked entry points: in `core/src/engine.rs`, \
+`core/src/oneindex/maintain.rs` and `core/src/akindex/maintain.rs`, \
+every `pub fn` taking `&mut self`, plus snapshot entry points (`pub fn \
+freeze*`) and report publishers (`pub fn publish*`) regardless of \
+receiver; in `core/src/kernel.rs`, every `pub fn` that threads \
+`UpdateStats` (the driver surface — `process_compounds`, \
+`refine_to_fixpoint`, `merge_fold`; `CompoundQueue` plumbing is \
+exempt). The function (signature or body) must reference the span \
+vocabulary (`SpanGuard`, `enter`, `enter_family`, `SpanKind`, a `span` \
+binder, `Recording`, the engine's `traced` wrapper) or the hub (`obs`, \
+`ObsHub`). Outside the kernel, reporting `UpdateStats` (`UpdateStats`, \
+`stats`, `queue_peak`, `levels_touched`) also counts: the engine hands \
+those stats over as the label of the op's `IndexDispatch` span.
+
+Pure delegators should carry a waiver naming the instrumented callee: \
+`// xsi-lint: allow(obs-coverage, delegates to apply_batch)`. Not \
+baselineable: coverage starts complete and stays complete.",
     },
     RuleInfo {
         name: "mem-accounting",
@@ -293,36 +297,6 @@ counts) gets a waiver on the field line stating the exclusion \
 argument: `// xsi-lint: allow(mem-accounting, transient memo, \
 dropped after each update)`. Not baselineable: the accounting \
 contract starts exact and stays exact.",
-    },
-    RuleInfo {
-        name: "span-coverage",
-        severity: Severity::Deny,
-        baselineable: false,
-        waivable: true,
-        summary:
-            "kernel driver entry points and maintainer split/merge drivers must open a causal span",
-        explain: "\
-The span layer (DESIGN.md §12) answers *which compound block inside a \
-kernel pass ate the time* — but only if every driver entry point opens \
-a `SpanGuard`. A pass that skips the guard shows up in Perfetto as \
-unattributed parent time and silently breaks the ≥90% CompoundProcess \
-accounting contract the perf lab gates on. Sibling of `obs-coverage`: \
-that rule keeps the flat event/metric plane hole-free, this one keeps \
-the hierarchical span tree hole-free.
-
-Checked entry points: in `core/src/kernel.rs`, every `pub fn` that \
-threads `UpdateStats` (the driver surface — `process_compounds`, \
-`refine_to_fixpoint`, `merge_fold`; `CompoundQueue` plumbing is \
-exempt); in `core/src/oneindex/maintain.rs` and \
-`core/src/akindex/maintain.rs`, every `pub fn` taking `&mut self`. The \
-function must reference the span vocabulary (`SpanGuard`, `enter`, \
-`enter_family`, `SpanKind`, or a `span` binder) in its signature or \
-body.
-
-Pure delegators (the maintainers' public entry points forward to \
-`apply_insert`/`apply_delete`/`update_levels`, which open the spans) \
-should carry a waiver naming the span-opening callee: \
-`// xsi-lint: allow(span-coverage, delegates to apply_insert)`.",
     },
     RuleInfo {
         name: "forbid-unsafe",
@@ -431,7 +405,6 @@ pub fn run_all(f: &SourceFile, out: &mut Vec<Finding>) {
     panics::run(f, out);
     mem_accounting::run(f, out);
     obs_coverage::run(f, out);
-    span_coverage::run(f, out);
     hygiene::run(f, out);
     // bad-waiver: malformed directives, plus waivers naming unknown rules.
     for bw in &f.bad_waivers {

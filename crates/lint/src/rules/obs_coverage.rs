@@ -1,11 +1,14 @@
-//! `obs-coverage`: public mutation entry points in the engine and the
-//! two maintainers must feed the observability layer (DESIGN.md §8).
-//! Snapshot freezes are entry points too: any `pub fn freeze*` in a
-//! target file is checked *regardless of receiver* — a `&self` freeze
-//! that skips the hub would silently lose the `snapshot_*` series. So
-//! are report publishers (`pub fn publish_*`): their entire contract
-//! is feeding the hub, so one that never touches it is a silent no-op
-//! the caller cannot distinguish from working telemetry.
+//! `obs-coverage`: public entry points of the engine, the refinement
+//! kernel and the two maintainers must be instrumented (DESIGN.md §8).
+//! The causal span is the observability layer's one primitive, so
+//! "instrumented" means the function opens a span, runs under the
+//! engine's per-call recording, hands records to the hub, or — outside
+//! the kernel — reports the `UpdateStats` that label its
+//! `IndexDispatch` span. Snapshot freezes and report publishers
+//! (`pub fn freeze*`, `pub fn publish*`) in the engine and maintainers
+//! are entry points *regardless of receiver*: a `&self` freeze that
+//! skips the spans silently loses the `snapshot_*` series, and a
+//! publisher exists only to feed the hub.
 //! See the registry entry in [`super::RULES`].
 
 use crate::lexer::{Tok, TokKind};
@@ -14,85 +17,111 @@ use crate::Finding;
 
 /// Files the rule applies to (suffix match on the workspace-relative
 /// path, so fixture mini-workspaces exercise the rule too).
+const KERNEL_SUFFIX: &str = "core/src/kernel.rs";
 const TARGET_SUFFIXES: &[&str] = &[
     "core/src/engine.rs",
     "core/src/oneindex/maintain.rs",
     "core/src/akindex/maintain.rs",
 ];
 
-/// Identifiers that count as "touches the observability layer": the obs
-/// hub itself, its emit/observe entry points, or the `UpdateStats`
-/// phase counters the hub exports (maintainers report through those).
-const OBS_TOKENS: &[&str] = &[
+/// Identifiers that count as instrumentation everywhere: the span
+/// vocabulary (a bare `span` binder counts — the kernel names its
+/// aggregate guards that way), the engine's per-call recording wrapper
+/// `traced`, and the hub itself.
+const SPAN_TOKENS: &[&str] = &[
+    "SpanGuard",
+    "enter",
+    "enter_family",
+    "SpanKind",
+    "span",
+    "Recording",
+    "traced",
     "obs",
     "ObsHub",
-    "emit",
-    "observe_index_dispatch",
-    "Recorder",
-    "UpdateStats",
-    "stats",
-    "split_nanos",
-    "merge_nanos",
-    "queue_peak",
-    "levels_touched",
 ];
 
+/// Outside the kernel the `UpdateStats` a maintainer reports also
+/// counts: it becomes the label of the engine's `IndexDispatch` span.
+/// (Every kernel driver threads `UpdateStats`, so there it proves
+/// nothing.)
+const STATS_TOKENS: &[&str] = &["UpdateStats", "stats", "queue_peak", "levels_touched"];
+
 pub fn run(f: &SourceFile, out: &mut Vec<Finding>) {
-    if !TARGET_SUFFIXES.iter().any(|s| f.rel_path.ends_with(s)) {
+    let is_kernel = f.rel_path.ends_with(KERNEL_SUFFIX);
+    if !is_kernel && !TARGET_SUFFIXES.iter().any(|s| f.rel_path.ends_with(s)) {
         return;
     }
     let toks = &f.toks;
     let mut i = 0usize;
-    while i < toks.len() {
+    while let Some(t) = toks.get(i) {
         // `pub fn name` — but not `pub(crate) fn`: pub(crate) helpers are
         // internal plumbing, not entry points.
-        if toks[i].is_ident("pub")
-            && toks.get(i + 1).is_some_and(|t| t.is_ident("fn"))
-            && toks.get(i + 2).is_some_and(|t| t.kind == TokKind::Ident)
-        {
-            let name = toks[i + 2].text.clone();
-            let line = toks[i + 2].line;
-            if !f.is_test_line(line) {
-                if let Some((body_open, body_close)) = fn_body_span(toks, i + 2) {
-                    let sig = &toks[i + 3..body_open];
-                    // Freeze entry points count whatever their receiver:
-                    // a read-only `freeze` still owes a SnapshotFreeze
-                    // emission or the snapshot_* series silently vanish.
-                    // Publishers likewise: `publish_*` exists only to
-                    // feed the hub, so an uninstrumented one is a
-                    // silent no-op, the worst kind of telemetry hole.
-                    let is_freeze = name.starts_with("freeze");
-                    let is_publisher = name.starts_with("publish");
-                    if takes_mut_self(sig) || is_freeze || is_publisher {
-                        let covered = toks[i + 3..=body_close].iter().any(|t| {
-                            t.kind == TokKind::Ident && OBS_TOKENS.contains(&t.text.as_str())
-                        });
-                        if !covered {
-                            let what = if is_freeze {
-                                format!("snapshot entry point `pub fn {name}(…)`")
-                            } else if is_publisher {
-                                format!("report publisher `pub fn {name}(…)`")
-                            } else {
-                                format!("mutation entry point `pub fn {name}(&mut self, …)`")
-                            };
-                            out.push(super::finding(
-                                f,
-                                "obs-coverage",
-                                line,
-                                format!(
-                                    "{what} never touches the \
-                                     observability layer (no obs hub call, no UpdateStats phase counters); \
-                                     instrument it or waive naming the instrumented delegate"
-                                ),
-                            ));
-                        }
-                        i = body_close + 1;
-                        continue;
-                    }
-                }
-            }
+        let name_tok = toks.get(i + 2).filter(|n| {
+            t.is_ident("pub")
+                && toks.get(i + 1).is_some_and(|t| t.is_ident("fn"))
+                && n.kind == TokKind::Ident
+        });
+        let Some(name_tok) = name_tok else {
+            i += 1;
+            continue;
+        };
+        let (name, line) = (name_tok.text.clone(), name_tok.line);
+        let Some((body_open, body_close)) = fn_body_span(toks, i + 2) else {
+            i += 1;
+            continue;
+        };
+        let sig = toks.get(i + 3..body_open).unwrap_or_default();
+        let is_freeze = !is_kernel && name.starts_with("freeze");
+        let is_publisher = !is_kernel && name.starts_with("publish");
+        // Kernel: the driver entry points are exactly the pub fns
+        // threading `UpdateStats` (process_compounds, refine_to_fixpoint,
+        // merge_fold); queue plumbing is exempt. Elsewhere: every pub
+        // `&mut self` fn, plus freezes and publishers.
+        let is_entry = if is_kernel {
+            sig.iter()
+                .any(|t| t.kind == TokKind::Ident && t.text == "UpdateStats")
+        } else {
+            takes_mut_self(sig) || is_freeze || is_publisher
+        };
+        if !is_entry || f.is_test_line(line) {
+            i += 1;
+            continue;
         }
-        i += 1;
+        let covered = toks
+            .get(i + 3..=body_close)
+            .unwrap_or_default()
+            .iter()
+            .any(|t| {
+                t.kind == TokKind::Ident
+                    && (SPAN_TOKENS.contains(&t.text.as_str())
+                        || (!is_kernel && STATS_TOKENS.contains(&t.text.as_str())))
+            });
+        if !covered {
+            let what = if is_kernel {
+                format!("kernel driver `pub fn {name}(…)`")
+            } else if is_freeze {
+                format!("snapshot entry point `pub fn {name}(…)`")
+            } else if is_publisher {
+                format!("report publisher `pub fn {name}(…)`")
+            } else {
+                format!("mutation entry point `pub fn {name}(&mut self, …)`")
+            };
+            out.push(super::finding(
+                f,
+                "obs-coverage",
+                line,
+                format!(
+                    "{what} is uninstrumented (opens no span, never reaches the obs hub{}); \
+                     instrument it or waive naming the instrumented delegate",
+                    if is_kernel {
+                        ""
+                    } else {
+                        ", reports no UpdateStats"
+                    }
+                ),
+            ));
+        }
+        i = body_close + 1;
     }
 }
 
@@ -150,15 +179,15 @@ mod tests {
     use super::*;
     use std::path::PathBuf;
 
-    fn lint(src: &str) -> Vec<Finding> {
-        let f = SourceFile::parse(
-            "crates/core/src/engine.rs".into(),
-            PathBuf::from("/x/crates/core/src/engine.rs"),
-            src,
-        );
+    fn lint_at(rel: &str, src: &str) -> Vec<Finding> {
+        let f = SourceFile::parse(rel.to_string(), PathBuf::from(format!("/x/{rel}")), src);
         let mut out = Vec::new();
         run(&f, &mut out);
         out
+    }
+
+    fn lint(src: &str) -> Vec<Finding> {
+        lint_at("crates/core/src/engine.rs", src)
     }
 
     #[test]
@@ -177,7 +206,9 @@ mod tests {
 
     #[test]
     fn obs_emit_counts_as_coverage() {
-        let src = "impl E { pub fn mutate(&mut self) { self.obs.emit(x()); self.g.poke(); } }";
+        let src = "impl E { pub fn mutate(&mut self) { self.traced(|e| e.g.poke()) } }";
+        assert!(lint(src).is_empty());
+        let src = "impl E { pub fn mutate(&mut self) { self.obs.record(&r); } }";
         assert!(lint(src).is_empty());
     }
 
@@ -201,13 +232,13 @@ mod tests {
 
     #[test]
     fn instrumented_publisher_is_clean() {
-        let src = "impl E { pub fn publish_reports(&mut self) { self.obs.emit(ev()); } }";
+        let src = "impl E { pub fn publish_reports(&mut self) { self.obs.metrics_mut(); } }";
         assert!(lint(src).is_empty());
     }
 
     #[test]
     fn instrumented_freeze_is_clean() {
-        let src = "impl E { pub fn freeze(&mut self) -> Vec<Snap> { let s = snap(); self.obs.emit(ev(&s)); s } }";
+        let src = "impl E { pub fn freeze(&mut self) -> Vec<Snap> { let sp = SpanGuard::enter(SpanKind::Freeze); snap() } }";
         assert!(lint(src).is_empty());
     }
 
@@ -215,17 +246,50 @@ mod tests {
     fn shared_ref_and_private_fns_ignored() {
         let src = "impl E { pub fn size(&self) -> usize { self.n } fn helper(&mut self) { poke(); } pub(crate) fn h2(&mut self) { poke(); } }";
         assert!(lint(src).is_empty());
+        assert!(lint_at("crates/core/src/oneindex/maintain.rs", src).is_empty());
     }
 
     #[test]
     fn non_target_files_ignored() {
-        let f = SourceFile::parse(
-            "crates/graph/src/graph.rs".into(),
-            PathBuf::from("/x/crates/graph/src/graph.rs"),
-            "impl G { pub fn mutate(&mut self) { poke(); } }",
-        );
-        let mut out = Vec::new();
-        run(&f, &mut out);
-        assert!(out.is_empty());
+        let src = "impl G { pub fn mutate(&mut self, stats: &mut UpdateStats) { poke(); } }";
+        assert!(lint_at("crates/graph/src/graph.rs", src).is_empty());
+        assert!(lint_at("crates/core/src/partition.rs", src).is_empty());
+    }
+
+    #[test]
+    fn kernel_driver_without_span_flagged() {
+        let src =
+            "pub fn process<D: SplitDriver>(d: &mut D, stats: &mut UpdateStats) { d.scan(); }";
+        let hits = lint_at("crates/core/src/kernel.rs", src);
+        assert_eq!(hits.len(), 1);
+        assert!(hits[0].message.contains("kernel driver `pub fn process"));
+    }
+
+    #[test]
+    fn kernel_driver_with_span_guard_is_clean() {
+        let src = "pub fn process<D: SplitDriver>(d: &mut D, stats: &mut UpdateStats) { \
+                   let sp = SpanGuard::enter(SpanKind::KernelScan); d.scan(); drop(sp); }";
+        assert!(lint_at("crates/core/src/kernel.rs", src).is_empty());
+    }
+
+    #[test]
+    fn kernel_queue_plumbing_is_exempt() {
+        let src =
+            "impl<K> CompoundQueue<K> { pub fn push(&mut self, c: Vec<K>) { self.q.push(c); } }";
+        assert!(lint_at("crates/core/src/kernel.rs", src).is_empty());
+    }
+
+    #[test]
+    fn maintainer_mut_self_without_span_flagged() {
+        let src = "impl M { pub fn apply(&mut self, g: &mut Graph) { self.go(g); } }";
+        let hits = lint_at("crates/core/src/oneindex/maintain.rs", src);
+        assert_eq!(hits.len(), 1);
+    }
+
+    #[test]
+    fn maintainer_with_enter_family_is_clean() {
+        let src = "impl M { pub fn apply(&mut self, g: &mut Graph) { \
+                   let sp = SpanGuard::enter_family(SpanKind::Split, self.family); self.go(g); drop(sp); } }";
+        assert!(lint_at("crates/core/src/akindex/maintain.rs", src).is_empty());
     }
 }

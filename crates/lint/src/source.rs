@@ -338,15 +338,15 @@ mod tests {
         // Two waivers (and a doc comment) above one declaration: every
         // own-line waiver must reach the code line below the block.
         let f = file(
-            "// xsi-lint: allow(span-coverage, delegate opens the span)\n\
-             // xsi-lint: allow(obs-coverage, caller times it)\n\
+            "// xsi-lint: allow(panic-reach, callers validate the node)\n\
+             // xsi-lint: allow(obs-coverage, caller opens the span)\n\
              /// Registers a node.\n\
              pub fn on_node_added() {}\n\
              fn next() {}\n",
         );
-        assert!(f.waived("span-coverage", 4));
+        assert!(f.waived("panic-reach", 4));
         assert!(f.waived("obs-coverage", 4));
-        assert!(!f.waived("span-coverage", 5));
+        assert!(!f.waived("panic-reach", 5));
         assert!(!f.waived("obs-coverage", 5));
     }
 

@@ -1,4 +1,4 @@
-//! Fixture for `span-coverage`: one uninstrumented driver entry point,
+//! Fixture for `obs-coverage` in the kernel: one uninstrumented driver entry point,
 //! one waived delegator, one instrumented driver, and exempt queue
 //! plumbing (no `UpdateStats` in the signature).
 
@@ -17,7 +17,7 @@ pub fn refine_pass(d: &mut Driver, stats: &mut UpdateStats) {
     d.pending.clear();
 }
 
-// xsi-lint: allow(span-coverage, delegates to refine_pass, which opens the guard)
+// xsi-lint: allow(obs-coverage, delegates to refine_pass, which opens the guard)
 pub fn refine_waived(d: &mut Driver, stats: &mut UpdateStats) {
     refine_pass(d, stats);
 }

@@ -458,8 +458,8 @@ fn engine_equals_sequential_on_cyclic_graphs() {
 }
 
 /// An engine over `g0` with all three maintained families registered and
-/// the obs hub fully on (flight recorder big enough to keep every event,
-/// plus metrics).
+/// the obs hub fully on (flight recorder big enough to keep every
+/// record, plus metrics).
 fn traced_engine(g0: &Graph) -> UpdateEngine {
     let mut engine = UpdateEngine::new(g0.clone());
     engine
@@ -518,8 +518,8 @@ fn metrics_without_batch_series(engine: &UpdateEngine) -> Vec<Json> {
         .collect()
 }
 
-/// The stable trace minus `batch-segment` lines, with sequence numbers
-/// dropped (segment events take sequence numbers too).
+/// The stable trace minus `BatchSegment` records, with sequence
+/// numbers dropped (segment records take sequence numbers too).
 fn trace_without_batch_segments(engine: &UpdateEngine) -> Vec<String> {
     assert!(engine.obs().events_emitted() < 1 << 14, "recorder wrapped");
     engine
@@ -527,7 +527,7 @@ fn trace_without_batch_segments(engine: &UpdateEngine) -> Vec<String> {
         .stable_trace()
         .into_iter()
         .map(|line| line.split_once(' ').unwrap().1.to_string())
-        .filter(|line| !line.starts_with("batch-segment "))
+        .filter(|line| !line.starts_with("BatchSegment "))
         .collect()
 }
 
@@ -537,9 +537,9 @@ fn trace_without_batch_segments(engine: &UpdateEngine) -> Vec<String> {
 /// as single-op calls on one engine and as one-op `apply` calls on its
 /// twin, leave identical index states, `EngineStats`, deterministic
 /// metrics (minus the `batch_*` series) and stable traces (minus the
-/// `batch-segment` lines). A removal through single ops is its incident
-/// edge deletions followed by the removal of the edgeless node, so the
-/// traces also pin where a removal's `op-received` event falls.
+/// `BatchSegment` records). A removal through single ops is its
+/// incident edge deletions followed by the removal of the edgeless
+/// node, so the traces also pin where a removal's `Op` record falls.
 #[test]
 fn engine_batch_path_matches_single_ops() {
     let base = test_seed(0xBA7C);

@@ -10,7 +10,8 @@
 //! change to how the pipeline is instrumented must reproduce the same
 //! numbers.
 
-use xsi_core::obs::{IndexFamily, MetricKey};
+use xsi_core::obs::span;
+use xsi_core::obs::{IndexFamily, MetricKey, SpanRecord};
 use xsi_core::{
     AkIndex, FlightRecorder, NodeRef, OneIndex, PropagateOneIndex, SimpleAkIndex, UpdateEngine,
     UpdateOp,
@@ -109,6 +110,45 @@ fn deterministic_metrics_match_the_golden() {
         "rebuilds_total must count the policy rebuilds"
     );
     assert_eq!(deterministic_lines(&engine), GOLDEN);
+}
+
+/// Arming an explicit span collection around the same run changes
+/// nothing the hub sees: the stable trace and the deterministic metrics
+/// are identical, and the hub's records are exactly the collected
+/// tree's pipeline-kind spans, in open order, each with its effective
+/// family. So exporting the tree (`xsi_bench --chrome-trace-out`) never
+/// counts a span twice.
+#[test]
+fn explicit_collection_leaves_the_hub_records_unchanged() {
+    let plain = golden_run();
+    span::begin_collection();
+    let collected = golden_run();
+    let tree = span::end_collection();
+    assert_eq!(tree.dropped, 0);
+    assert_eq!(plain.obs().stable_trace(), collected.obs().stable_trace());
+    assert_eq!(deterministic_lines(&plain), deterministic_lines(&collected));
+
+    let pipeline: Vec<SpanRecord> = tree
+        .spans
+        .iter()
+        .filter(|s| s.kind.is_pipeline())
+        .map(|s| SpanRecord {
+            family: tree.effective_family(s.id),
+            ..s.clone()
+        })
+        .collect();
+    let records: Vec<SpanRecord> = collected
+        .obs()
+        .flight_records()
+        .into_iter()
+        .map(|(_, span)| span)
+        .collect();
+    assert_eq!(records.len() as u64, collected.obs().events_emitted());
+    assert!(
+        records.len() < tree.len(),
+        "kernel spans stay out of the hub"
+    );
+    assert_eq!(records, pipeline);
 }
 
 const GOLDEN: &str = r#"{"format":"xsi-metrics-v1","counters":[

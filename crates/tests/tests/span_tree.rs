@@ -1,8 +1,8 @@
 //! Cross-crate invariants for the causal span layer: balanced
 //! open/close under panics, correct parent links across nested kernel
-//! scans, byte-identical folded output on seed-pinned replays, and the
-//! CompoundProcess accounting contract against the engine's phase
-//! timers.
+//! scans, no kind nested inside its own kind, byte-identical folded
+//! output on seed-pinned replays, and the CompoundProcess accounting
+//! contract against the Split/Merge phase spans.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -12,13 +12,9 @@ use xsi_core::{AkIndex, OneIndex, UpdateEngine};
 use xsi_graph::{EdgeKind, NodeId};
 use xsi_workload::{generate_xmark, EdgePool, XmarkParams};
 
-/// One seeded engine run over pooled IDREF edges with span collection
-/// armed; returns the finished tree plus the engine and its index
-/// handles (for the phase timers).
-fn collected_run(
-    seed: u64,
-    pairs: usize,
-) -> (span::SpanTree, UpdateEngine, Vec<xsi_core::IndexHandle>) {
+/// One seeded engine run over pooled IDREF edges, then one freeze, with
+/// span collection armed; returns the finished tree plus the engine.
+fn collected_run(seed: u64, pairs: usize) -> (span::SpanTree, UpdateEngine) {
     let mut g = generate_xmark(&XmarkParams::new(0.01, 1.0, seed));
     let mut pool = EdgePool::extract(&mut g, 0.2, seed);
     let mut edges: Vec<(NodeId, NodeId)> = Vec::new();
@@ -30,10 +26,8 @@ fn collected_run(
     assert!(!edges.is_empty(), "xmark pool yielded no IDREF edges");
 
     let mut engine = UpdateEngine::new(g);
-    let handles = vec![
-        engine.register(Box::new(OneIndex::build(engine.graph()))),
-        engine.register(Box::new(AkIndex::build(engine.graph(), 2))),
-    ];
+    engine.register(Box::new(OneIndex::build(engine.graph())));
+    engine.register(Box::new(AkIndex::build(engine.graph(), 2)));
 
     span::begin_collection();
     for i in 0..pairs {
@@ -43,12 +37,13 @@ fn collected_run(
             .expect("pooled insert");
         engine.delete_edge(u, v).expect("pooled delete");
     }
-    (span::end_collection(), engine, handles)
+    engine.freeze();
+    (span::end_collection(), engine)
 }
 
 #[test]
 fn workload_tree_is_well_formed_and_balanced() {
-    let (tree, _engine, _handles) = collected_run(7, 40);
+    let (tree, _engine) = collected_run(7, 40);
     assert!(!tree.is_empty(), "instrumented run recorded no spans");
     assert_eq!(tree.dropped, 0);
     assert!(tree.is_well_formed());
@@ -61,6 +56,7 @@ fn workload_tree_is_well_formed_and_balanced() {
         SpanKind::Merge,
         SpanKind::CompoundProcess,
         SpanKind::KernelScan,
+        SpanKind::Freeze,
     ] {
         assert!(
             tree.kind_count(kind) > 0,
@@ -71,7 +67,7 @@ fn workload_tree_is_well_formed_and_balanced() {
 
 #[test]
 fn parent_links_nest_kernel_scans_under_dispatch() {
-    let (tree, _engine, _handles) = collected_run(11, 40);
+    let (tree, _engine) = collected_run(11, 40);
     // Every KernelScan sits under a CompoundProcess (per-iteration
     // scans) or directly under a Split (the aggregate fixpoint span);
     // walking further up must reach an IndexDispatch before any root.
@@ -102,25 +98,12 @@ fn parent_links_nest_kernel_scans_under_dispatch() {
     }
     assert!(scans_checked > 0);
 
-    // CompoundProcess never self-nests (the maintainers drop their seed
-    // span before entering merge_fold), and every one carries the
-    // per-family dispatch above it.
+    // Every CompoundProcess carries the per-family dispatch above it.
     for s in tree
         .spans
         .iter()
         .filter(|s| s.kind == SpanKind::CompoundProcess)
     {
-        let mut cur = s.parent;
-        while let Some(a) = tree.get(cur) {
-            assert_ne!(
-                a.kind,
-                SpanKind::CompoundProcess,
-                "CompoundProcess {} nested inside CompoundProcess {}",
-                s.id,
-                a.id
-            );
-            cur = a.parent;
-        }
         assert_ne!(
             tree.effective_family(s.id),
             xsi_core::obs::IndexFamily::NONE,
@@ -130,10 +113,34 @@ fn parent_links_nest_kernel_scans_under_dispatch() {
     }
 }
 
+/// No pipeline kind has an ancestor of its own kind — so summing a
+/// kind's durations never counts a region twice — and neither does
+/// CompoundProcess (the maintainers drop their seed span before
+/// entering merge_fold).
+#[test]
+fn no_kind_nests_inside_its_own_kind() {
+    let (tree, _engine) = collected_run(5, 40);
+    let checked = tree
+        .spans
+        .iter()
+        .filter(|s| s.kind.is_pipeline() || s.kind == SpanKind::CompoundProcess);
+    for s in checked {
+        let mut cur = s.parent;
+        while let Some(a) = tree.get(cur) {
+            assert_ne!(
+                a.kind, s.kind,
+                "{:?} {} nested inside {:?} {}",
+                s.kind, s.id, a.kind, a.id
+            );
+            cur = a.parent;
+        }
+    }
+}
+
 #[test]
 fn folded_count_output_is_byte_identical_across_replays() {
-    let (tree_a, engine_a, _ha) = collected_run(42, 30);
-    let (tree_b, engine_b, _hb) = collected_run(42, 30);
+    let (tree_a, engine_a) = collected_run(42, 30);
+    let (tree_b, engine_b) = collected_run(42, 30);
     let folded_a = folded_stacks(&tree_a, engine_a.obs().families(), FoldWeight::Count);
     let folded_b = folded_stacks(&tree_b, engine_b.obs().families(), FoldWeight::Count);
     assert!(!folded_a.is_empty());
@@ -145,14 +152,8 @@ fn folded_count_output_is_byte_identical_across_replays() {
 
 #[test]
 fn compound_spans_account_for_phase_nanos() {
-    let (tree, engine, handles) = collected_run(3, 60);
-    let phase_nanos: u64 = handles
-        .iter()
-        .map(|&h| {
-            let s = engine.index_stats(h);
-            s.split_nanos + s.merge_nanos
-        })
-        .sum();
+    let (tree, _engine) = collected_run(3, 60);
+    let phase_nanos = tree.kind_nanos(SpanKind::Split) + tree.kind_nanos(SpanKind::Merge);
     let compound = tree.kind_nanos(SpanKind::CompoundProcess);
     assert!(phase_nanos > 0);
     // Release runs on xmark 0.05 hold >= 90% (EXPERIMENTS.md records the
