@@ -217,7 +217,7 @@ fn run(args: &Args) {
         results.push((r, c));
     }
     // Engine for the freeze bench; kept alive to the end of main so the
-    // --metrics-out export (store reports included) can reuse it.
+    // --metrics-out export (mem reports included) can reuse it.
     let mut engine = {
         // Freeze cost: O(blocks) Arc bumps per family, no extent copies
         // (the dropped snapshots decref the same Arcs — both sides of
@@ -341,9 +341,9 @@ fn run(args: &Args) {
     }
 
     if let Some(path) = args.str("metrics-out") {
-        // Store AND mem/quality reports are published inside
-        // export_metrics_json, so probe-length/spill telemetry and the
-        // mem_*/quality_* attribution always land in the artifact.
+        // Mem/quality reports are published inside export_metrics_json,
+        // so the iedge map counts and the mem_*/quality_* attribution
+        // always land in the artifact.
         match engine.export_metrics_json() {
             Some(metrics) => write_artifact(path, &metrics, "metrics registry"),
             None => {

@@ -24,7 +24,7 @@
 //!   batch phases all call it, each passing a closure that runs its own
 //!   hook;
 //! * while the obs hub is active, every public mutation and `freeze`
-//!   runs under a [`Recording`] that hands the call's closed pipeline
+//!   runs under a span `Recording` that hands the call's closed pipeline
 //!   spans to [`ObsHub::record`] — the engine's only way of feeding the
 //!   flight recorder and the metrics (DESIGN.md §8);
 //! * an optional per-index [`RebuildPolicy`] triggers the paper's

@@ -14,8 +14,7 @@
 //!
 //! * [`span`] — the one instrumentation primitive: RAII
 //!   [`SpanGuard`]s forming a causal tree, armed explicitly
-//!   ([`span::begin_collection`]) or per engine call
-//!   ([`span::Recording`]);
+//!   ([`span::begin_collection`]) or by the engine for one call;
 //! * [`event`] — what a recorded span carries ([`SpanLabel`], the
 //!   [`OpKind`]/[`BatchSegment`] labels, compact [`IndexFamily`]
 //!   handles) and its JSONL and stable renderings;
@@ -50,7 +49,7 @@ pub use export::{chrome_trace_json, folded_stacks, FoldWeight};
 pub use mem::{HeapUse, MemReport};
 pub use metrics::{Histogram, MetricKey, MetricsRegistry};
 pub use recorder::{FlightRecorder, JsonlWriter, NullRecorder, Recorder};
-pub use span::{Recording, SpanCounters, SpanGuard, SpanKind, SpanRecord, SpanTree};
+pub use span::{SpanCounters, SpanGuard, SpanKind, SpanRecord, SpanTree};
 
 /// The observability hub an [`crate::engine::UpdateEngine`] owns: one
 /// pluggable [`Recorder`], an optional [`MetricsRegistry`], the index

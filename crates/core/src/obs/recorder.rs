@@ -14,7 +14,7 @@
 //!   own account of the failing op.
 //! * [`JsonlWriter`] — streams one JSON object per line to any
 //!   `io::Write`, using the hand-rolled serializer in
-//!   [`jsonl_line`](super::event::jsonl_line).
+//!   [`jsonl_line`].
 
 use std::io;
 

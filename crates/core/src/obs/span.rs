@@ -22,9 +22,9 @@
 //! * **explicitly** — [`begin_collection`] arms every kind until
 //!   [`end_collection`] hands the finished [`SpanTree`] back (chrome
 //!   trace, folded stacks, the benchmark's kernel counters);
-//! * **for one engine call** — a [`Recording`] (started by the engine
+//! * **for one engine call** — a `Recording` (started by the engine
 //!   whenever its hub is active) arms the pipeline kinds only, and on
-//!   [`Recording::finish`] hands the call's closed pipeline spans to a
+//!   `Recording::finish` hands the call's closed pipeline spans to a
 //!   sink in open order. Without an explicit collection the recorded
 //!   spans are discarded after the hand-over, so retained span memory
 //!   is bounded by one engine call. The kernel kinds (`CompoundProcess`,
@@ -47,7 +47,7 @@
 //! leaked child) closes every span opened after it as well, so the
 //! stack can never wedge. `end_collection` with guards still open
 //! simply detaches them: a stale guard holds a generation tag and will
-//! not touch a newer collection. A [`Recording`] dropped without
+//! not touch a newer collection. A `Recording` dropped without
 //! `finish` (an engine call unwinding) disarms and hands nothing over.
 //!
 //! # Overflow policy
@@ -170,7 +170,7 @@ pub struct SpanRecord {
     pub kind: SpanKind,
     /// Index family, or [`IndexFamily::NONE`] for engine/kernel-level
     /// spans (which inherit the family of their nearest ancestor; a
-    /// [`Recording`] hands records over with the inherited family).
+    /// `Recording` hands records over with the inherited family).
     pub family: IndexFamily,
     /// What the span is about beyond kind and family (pipeline kinds).
     pub label: SpanLabel,
@@ -379,7 +379,7 @@ pub fn is_collecting() -> bool {
 /// [`Recording::finish`]; dropping it unfinished disarms and hands
 /// nothing over.
 #[must_use = "a recording hands its spans over in finish"]
-pub struct Recording {
+pub(crate) struct Recording {
     /// The collector generation and the index of the call's first span;
     /// `None` for a nested start (the outer recording hands over).
     armed: Option<(u32, usize)>,
@@ -390,7 +390,7 @@ impl Recording {
     /// collection the call's spans are recorded into it (and stay there
     /// after the hand-over); otherwise into a per-thread buffer that
     /// starts empty and is emptied again when the recording ends.
-    pub fn start() -> Recording {
+    pub(crate) fn start() -> Recording {
         if MODE.with(|m| m.get() & PIPELINE != 0) {
             return Recording { armed: None };
         }
@@ -414,7 +414,7 @@ impl Recording {
     /// Hands every pipeline span recorded since [`Recording::start`] to
     /// `sink`, in open order, each with its effective family; then
     /// disarms.
-    pub fn finish(self, mut sink: impl FnMut(&SpanRecord)) {
+    pub(crate) fn finish(self, mut sink: impl FnMut(&SpanRecord)) {
         let Some((generation, cursor)) = self.armed else {
             return;
         };
@@ -467,7 +467,7 @@ pub fn open_depth() -> usize {
 
 /// The currently-open span stack, outermost first, rendered as stable
 /// `Kind` / `Kind[family-id]` frames. Empty when nothing is armed;
-/// only the pipeline kinds under a [`Recording`] alone.
+/// only the pipeline kinds while the engine records a call.
 ///
 /// This is the postmortem hook's view: a panic hook runs *before*
 /// unwinding drops the open [`SpanGuard`]s, so calling this from a
