@@ -46,7 +46,7 @@ pub enum UpdateOp {
 
 impl UpdateOp {
     /// The batch phase segment this op runs in.
-    pub fn segment(&self) -> BatchSegment {
+    pub(crate) fn segment(&self) -> BatchSegment {
         match self {
             UpdateOp::AddNode { .. } => BatchSegment::AddNodes,
             UpdateOp::InsertEdge { .. } => BatchSegment::InsertEdges,

@@ -83,7 +83,7 @@ impl BatchSegment {
 }
 
 /// What a pipeline span is about beyond its kind, family and counters.
-/// Set once per span through [`crate::obs::SpanGuard::set_label`].
+/// Set once per span by the engine through `SpanGuard::set_label`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum SpanLabel {
     /// Kernel spans and phase spans carry no label.

@@ -593,7 +593,7 @@ impl SpanGuard {
 
     /// Set the span's label (pipeline kinds; see [`SpanLabel`]).
     #[inline]
-    pub fn set_label(&self, label: SpanLabel) {
+    pub(crate) fn set_label(&self, label: SpanLabel) {
         self.update(|r| r.label = label);
     }
 
