@@ -56,6 +56,7 @@ use crate::obs::ObsHub;
 use crate::rebuild::RebuildPolicy;
 use crate::stats::UpdateStats;
 use crate::view::IndexSnapshot;
+use std::panic::{self, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 use xsi_graph::{EdgeKind, Graph, GraphError, NodeId};
 
@@ -413,15 +414,18 @@ impl UpdateEngine {
 
     /// Runs one public engine call; while the obs hub is active, under
     /// a [`Recording`] whose closed pipeline spans go to
-    /// [`ObsHub::record`] in open order when the call returns.
+    /// [`ObsHub::record`] in open order when the call returns — or
+    /// unwinds: a panicking call (a paranoid check, a broken index
+    /// invariant) still leaves its account in the flight recorder
+    /// before the panic resumes.
     fn traced<R>(&mut self, call: impl FnOnce(&mut Self) -> R) -> R {
         if !self.obs.is_active() {
             return call(self);
         }
         let recording = Recording::start();
-        let out = call(self);
+        let out = panic::catch_unwind(AssertUnwindSafe(|| call(self)));
         recording.finish(|span| self.obs.record(span));
-        out
+        out.unwrap_or_else(|payload| panic::resume_unwind(payload))
     }
 
     /// The fan-out core, and the only copy of the per-op instrumentation:
@@ -763,6 +767,84 @@ mod tests {
         assert_eq!(idx.merges, 1);
         assert_eq!(engine.stats().merges, 1);
         engine.check().unwrap();
+    }
+
+    /// A 1-index whose insert hook panics.
+    struct PanicsOnInsert(OneIndex);
+
+    impl StructuralIndex for PanicsOnInsert {
+        fn describe(&self) -> String {
+            "panics-on-insert".into()
+        }
+        fn block_count(&self) -> usize {
+            self.0.block_count()
+        }
+        fn on_node_added(&mut self, g: &Graph, n: NodeId) {
+            self.0.on_node_added(g, n);
+        }
+        fn on_node_removing(&mut self, g: &Graph, n: NodeId) {
+            self.0.on_node_removing(g, n);
+        }
+        fn on_edge_inserted(&mut self, _: &Graph, _: NodeId, _: NodeId) -> UpdateStats {
+            panic!("planted: insert hook");
+        }
+        fn on_edge_deleted(&mut self, g: &Graph, u: NodeId, v: NodeId) -> UpdateStats {
+            self.0.notify_edge_deleted(g, u, v)
+        }
+        fn rebuild(&mut self, g: &Graph) {
+            self.0 = OneIndex::build(g);
+        }
+        fn minimum_block_count(&self, g: &Graph) -> usize {
+            OneIndex::build(g).block_count()
+        }
+        fn check(&self, g: &Graph) -> Result<(), String> {
+            StructuralIndex::check(&self.0, g)
+        }
+        fn query_view<'a>(&'a self, g: &'a Graph) -> Box<dyn crate::IndexQueryView + 'a> {
+            self.0.query_view(g)
+        }
+        fn as_any(&self) -> &dyn std::any::Any {
+            self
+        }
+    }
+
+    /// An engine call that panics still hands the spans it closed to
+    /// the hub before the panic leaves the engine, and the next call
+    /// records normally.
+    #[test]
+    fn an_unwinding_call_still_hands_its_records_over() {
+        use crate::obs::FlightRecorder;
+        let (g, ids) = host();
+        let mut engine = UpdateEngine::new(g);
+        engine
+            .obs_mut()
+            .set_recorder(Box::new(FlightRecorder::new(64)));
+        engine.register(Box::new(OneIndex::build(engine.graph())));
+        let faulty = PanicsOnInsert(OneIndex::build(engine.graph()));
+        engine.register(Box::new(faulty));
+        let unwound = panic::catch_unwind(AssertUnwindSafe(|| {
+            engine.insert_edge(ids[&4], ids[&3], EdgeKind::IdRef)
+        }));
+        assert!(unwound.is_err());
+        let kinds = |e: &UpdateEngine| -> Vec<(SpanKind, IndexFamily)> {
+            e.obs()
+                .flight_records()
+                .iter()
+                .map(|(_, s)| (s.kind, s.family))
+                .collect()
+        };
+        let recorded = kinds(&engine);
+        assert_eq!(recorded.first(), Some(&(SpanKind::Op, IndexFamily::NONE)));
+        assert!(recorded.contains(&(SpanKind::IndexDispatch, IndexFamily(0))));
+        assert_eq!(
+            recorded.last(),
+            Some(&(SpanKind::IndexDispatch, IndexFamily(1))),
+            "the panicking dispatch closed during the unwind: {recorded:?}"
+        );
+        engine.freeze();
+        let after = kinds(&engine);
+        assert_eq!(after.len(), recorded.len() + 2);
+        assert_eq!(after.last(), Some(&(SpanKind::Freeze, IndexFamily(1))));
     }
 
     #[test]

@@ -48,7 +48,8 @@
 //! stack can never wedge. `end_collection` with guards still open
 //! simply detaches them: a stale guard holds a generation tag and will
 //! not touch a newer collection. A `Recording` dropped without
-//! `finish` (an engine call unwinding) disarms and hands nothing over.
+//! `finish` disarms and hands nothing over (the engine finishes its
+//! recording even when the call unwinds).
 //!
 //! # Overflow policy
 //!
