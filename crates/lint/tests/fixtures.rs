@@ -111,20 +111,40 @@ fn obs_coverage_fires_on_uninstrumented_entry_point_only() {
     // In the engine: one uninstrumented mutation entry point + one
     // uninstrumented `&self` freeze + one uninstrumented `&self`
     // publisher (snapshot and report entry points are
-    // receiver-agnostic). In the kernel: exactly the uninstrumented
-    // driver; the instrumented one and the `UpdateStats`-free queue
-    // plumbing stay quiet.
+    // receiver-agnostic). The kernel's one hit is checked below.
     assert_eq!(hits.len(), 4, "{hits:?}");
     let in_engine = hits
         .iter()
         .filter(|h| h.0 == "crates/core/src/engine.rs")
         .count();
     assert_eq!(in_engine, 3, "{hits:?}");
-    assert!(hits.contains(&("crates/core/src/kernel.rs".to_string(), 15)));
     assert!(r.findings.iter().any(|f| f.rule == "obs-coverage"
         && f.suppressed.is_none()
         && f.message.contains("publish_uninstrumented")));
     assert_eq!(count_suppressed(&r, "obs-coverage", Suppression::Waived), 3);
+}
+
+#[test]
+fn obs_coverage_fires_in_kernel_respects_waiver_and_is_not_baselineable() {
+    const KERNEL: &str = "crates/core/src/kernel.rs";
+    let r = run_fixture(None);
+    let hits: Vec<_> = live(&r, "obs-coverage")
+        .into_iter()
+        .filter(|h| h.0 == KERNEL)
+        .collect();
+    // Exactly the uninstrumented driver; the instrumented one and the
+    // `UpdateStats`-free queue plumbing stay quiet.
+    assert_eq!(hits, vec![(KERNEL.to_string(), 15)]);
+    let waived = r
+        .findings
+        .iter()
+        .filter(|f| {
+            f.rule == "obs-coverage"
+                && f.path == KERNEL
+                && f.suppressed == Some(Suppression::Waived)
+        })
+        .count();
+    assert_eq!(waived, 1);
     // Not baselineable: freezing today's counts must not hide it.
     let frozen = Baseline::from_counts(r.ratchet_counts.clone());
     let second = run_fixture(Some(frozen));
