@@ -135,6 +135,7 @@ impl AkIndex {
     /// Inserts the dedge `(u, v)` and maintains the A(0)..A(k) chain
     /// (Figure 7). Returns per-update statistics (block counts refer to
     /// the level-k index).
+    // xsi-lint: allow(obs-coverage, delegates to update_levels, which opens the Split/Merge spans)
     pub fn insert_edge(
         &mut self,
         g: &mut Graph,
@@ -151,6 +152,7 @@ impl AkIndex {
     }
 
     /// Deletes the dedge `(u, v)` and maintains the chain.
+    // xsi-lint: allow(obs-coverage, delegates to update_levels, which opens the Split/Merge spans)
     pub fn delete_edge(
         &mut self,
         g: &mut Graph,
@@ -165,6 +167,7 @@ impl AkIndex {
 
     /// Deletes a node and all of its incident edges, maintaining the
     /// chain throughout. The node must not be the root.
+    // xsi-lint: allow(obs-coverage, delegates per incident edge to update_levels, which opens the spans)
     pub fn delete_node(&mut self, g: &mut Graph, n: NodeId) -> Result<UpdateStats, GraphError> {
         let mut stats = UpdateStats {
             no_op: false,
@@ -189,6 +192,7 @@ impl AkIndex {
     /// Maintenance hook for an edge insertion already applied to `g` by
     /// the caller — for running several indexes over one graph. Equivalent
     /// to [`AkIndex::insert_edge`] minus the graph mutation.
+    // xsi-lint: allow(obs-coverage, delegates to update_levels, which opens the Split/Merge spans)
     pub fn notify_edge_inserted(&mut self, g: &Graph, u: NodeId, v: NodeId) -> UpdateStats {
         debug_assert!(g.has_edge(u, v), "notify before mutating the graph");
         let j0 = self.affected_from(g, u, v, true);
@@ -198,6 +202,7 @@ impl AkIndex {
 
     /// Maintenance hook for an edge deletion already applied to `g` by
     /// the caller; see [`AkIndex::notify_edge_inserted`].
+    // xsi-lint: allow(obs-coverage, delegates to update_levels, which opens the Split/Merge spans)
     pub fn notify_edge_deleted(&mut self, g: &Graph, u: NodeId, v: NodeId) -> UpdateStats {
         debug_assert!(!g.has_edge(u, v), "notify after mutating the graph");
         self.unregister_edge(u, v);

@@ -13,9 +13,10 @@
 //!   (`lint-baseline.json`) so existing call sites are tolerated but any
 //!   *new* one fails CI;
 //! * **`obs-coverage`** — every `pub fn` entry point in the engine,
-//!   the refinement kernel and the two maintainers must be instrumented
-//!   (DESIGN.md §8): open a causal span, reach the obs hub, or (outside
-//!   the kernel) report the `UpdateStats` that label its dispatch span;
+//!   the refinement kernel and the two maintainers must open a causal
+//!   span (DESIGN.md §8); in the engine, reaching the obs hub or
+//!   reporting the `UpdateStats` that label its dispatch span also
+//!   counts;
 //! * **`forbid-unsafe` / `hot-assert` / `todo` / `bad-waiver`** —
 //!   hygiene: crate roots carry `#![forbid(unsafe_code)]`, hot paths use
 //!   `debug_assert!` rather than release-mode `assert!`, deferred-work

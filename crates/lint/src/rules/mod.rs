@@ -261,14 +261,18 @@ receiver; in `core/src/kernel.rs`, every `pub fn` that threads \
 `refine_to_fixpoint`, `merge_fold`; `CompoundQueue` plumbing is \
 exempt). The function (signature or body) must reference the span \
 vocabulary (`SpanGuard`, `enter`, `enter_family`, `SpanKind`, a `span` \
-binder, `Recording`, the engine's `traced` wrapper) or the hub (`obs`, \
-`ObsHub`). Outside the kernel, reporting `UpdateStats` (`UpdateStats`, \
-`stats`, `queue_peak`, `levels_touched`) also counts: the engine hands \
-those stats over as the label of the op's `IndexDispatch` span.
+binder). In the engine these count too: the per-call recording \
+(`Recording`, the `traced` wrapper), the hub (`obs`, `ObsHub`), and \
+reporting `UpdateStats` (`UpdateStats`, `stats`, `queue_peak`, \
+`levels_touched`), which the engine hands over as the label of the \
+op's `IndexDispatch` span. Not in the kernel or the maintainers: \
+nearly every fn there threads `UpdateStats`, and phase time is the \
+`Split`/`Merge` span duration, so only an opened span counts.
 
 Pure delegators should carry a waiver naming the instrumented callee: \
-`// xsi-lint: allow(obs-coverage, delegates to apply_batch)`. Not \
-baselineable: coverage starts complete and stays complete.",
+`// xsi-lint: allow(obs-coverage, delegates to apply_insert, which \
+opens the Split/Merge spans)`. Not baselineable: coverage starts \
+complete and stays complete.",
     },
     RuleInfo {
         name: "mem-accounting",

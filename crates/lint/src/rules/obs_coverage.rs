@@ -1,10 +1,12 @@
 //! `obs-coverage`: public entry points of the engine, the refinement
 //! kernel and the two maintainers must be instrumented (DESIGN.md §8).
 //! The causal span is the observability layer's one primitive, so
-//! "instrumented" means the function opens a span, runs under the
-//! engine's per-call recording, hands records to the hub, or — outside
-//! the kernel — reports the `UpdateStats` that label its
-//! `IndexDispatch` span. Snapshot freezes and report publishers
+//! "instrumented" means the function opens a span. In the engine it may
+//! instead run under the per-call recording, hand records to the hub,
+//! or report the `UpdateStats` that label its `IndexDispatch` span; a
+//! kernel driver or maintainer must open the span itself (or waive
+//! naming the delegate that does), since phase time is the `Split` /
+//! `Merge` span duration. Snapshot freezes and report publishers
 //! (`pub fn freeze*`, `pub fn publish*`) in the engine and maintainers
 //! are entry points *regardless of receiver*: a `&self` freeze that
 //! skips the spans silently loses the `snapshot_*` series, and a
@@ -18,37 +20,38 @@ use crate::Finding;
 /// Files the rule applies to (suffix match on the workspace-relative
 /// path, so fixture mini-workspaces exercise the rule too).
 const KERNEL_SUFFIX: &str = "core/src/kernel.rs";
-const TARGET_SUFFIXES: &[&str] = &[
-    "core/src/engine.rs",
+const ENGINE_SUFFIX: &str = "core/src/engine.rs";
+const MAINTAINER_SUFFIXES: &[&str] = &[
     "core/src/oneindex/maintain.rs",
     "core/src/akindex/maintain.rs",
 ];
 
 /// Identifiers that count as instrumentation everywhere: the span
 /// vocabulary (a bare `span` binder counts — the kernel names its
-/// aggregate guards that way), the engine's per-call recording wrapper
-/// `traced`, and the hub itself.
-const SPAN_TOKENS: &[&str] = &[
-    "SpanGuard",
-    "enter",
-    "enter_family",
-    "SpanKind",
-    "span",
+/// aggregate guards that way).
+const SPAN_TOKENS: &[&str] = &["SpanGuard", "enter", "enter_family", "SpanKind", "span"];
+
+/// In the engine these count too: the per-call recording (`Recording`,
+/// the `traced` wrapper), the hub, and the `UpdateStats` that become the
+/// label of the op's `IndexDispatch` span. Not in the kernel or the
+/// maintainers, where nearly every fn threads `UpdateStats`: there they
+/// prove nothing about the `Split`/`Merge` spans.
+const ENGINE_TOKENS: &[&str] = &[
     "Recording",
     "traced",
     "obs",
     "ObsHub",
+    "UpdateStats",
+    "stats",
+    "queue_peak",
+    "levels_touched",
 ];
-
-/// Outside the kernel the `UpdateStats` a maintainer reports also
-/// counts: it becomes the label of the engine's `IndexDispatch` span.
-/// (Every kernel driver threads `UpdateStats`, so there it proves
-/// nothing.)
-const STATS_TOKENS: &[&str] = &["UpdateStats", "stats", "queue_peak", "levels_touched"];
 
 pub fn run(f: &SourceFile, out: &mut Vec<Finding>) {
     let is_kernel = f.rel_path.ends_with(KERNEL_SUFFIX);
-    if !is_kernel && !TARGET_SUFFIXES.iter().any(|s| f.rel_path.ends_with(s)) {
+    let is_engine = f.rel_path.ends_with(ENGINE_SUFFIX);
+    let is_maintainer = MAINTAINER_SUFFIXES.iter().any(|s| f.rel_path.ends_with(s));
+    if !is_kernel && !is_engine && !is_maintainer {
         return;
     }
     let toks = &f.toks;
@@ -94,7 +97,7 @@ pub fn run(f: &SourceFile, out: &mut Vec<Finding>) {
             .any(|t| {
                 t.kind == TokKind::Ident
                     && (SPAN_TOKENS.contains(&t.text.as_str())
-                        || (!is_kernel && STATS_TOKENS.contains(&t.text.as_str())))
+                        || (is_engine && ENGINE_TOKENS.contains(&t.text.as_str())))
             });
         if !covered {
             let what = if is_kernel {
@@ -111,12 +114,12 @@ pub fn run(f: &SourceFile, out: &mut Vec<Finding>) {
                 "obs-coverage",
                 line,
                 format!(
-                    "{what} is uninstrumented (opens no span, never reaches the obs hub{}); \
+                    "{what} is uninstrumented (opens no span{}); \
                      instrument it or waive naming the instrumented delegate",
-                    if is_kernel {
-                        ""
+                    if is_engine {
+                        ", never reaches the obs hub, reports no UpdateStats"
                     } else {
-                        ", reports no UpdateStats"
+                        ""
                     }
                 ),
             ));
@@ -300,6 +303,18 @@ mod tests {
         let src = "impl M { pub fn apply(&mut self, g: &mut Graph) { self.go(g); } }";
         let hits = lint_at("crates/core/src/oneindex/maintain.rs", src);
         assert_eq!(hits.len(), 1);
+    }
+
+    #[test]
+    fn maintainer_reporting_stats_without_span_flagged() {
+        // The stats label the engine's IndexDispatch span, but the
+        // maintainer's own Split/Merge spans are what phase time is.
+        let src = "impl M { pub fn apply(&mut self, g: &Graph) -> UpdateStats { self.go(g) } }";
+        let hits = lint_at("crates/core/src/oneindex/maintain.rs", src);
+        assert_eq!(hits.len(), 1);
+        assert!(hits[0].message.contains("opens no span"));
+        let src = "impl M { pub fn apply(&mut self, g: &Graph) { self.obs.record(&r); } }";
+        assert_eq!(lint_at("crates/core/src/akindex/maintain.rs", src).len(), 1);
     }
 
     #[test]
