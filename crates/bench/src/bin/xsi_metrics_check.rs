@@ -517,15 +517,7 @@ fn check_jsonl_trace(trace_path: &str) -> Option<ExitCode> {
                 i + 1
             )));
         };
-        let family_tagged = matches!(
-            kind,
-            SpanKind::IndexDispatch
-                | SpanKind::Split
-                | SpanKind::Merge
-                | SpanKind::Rebuild
-                | SpanKind::Freeze
-        );
-        if family_tagged && ev.get("family").and_then(Json::as_str).is_none() {
+        if kind.is_family_tagged() && ev.get("family").and_then(Json::as_str).is_none() {
             return Some(fail(&format!(
                 "{trace_path}:{}: {} record without family",
                 i + 1,

@@ -39,7 +39,7 @@ use crate::fault::{one_index_canonical, one_index_partition, FaultyOneIndex};
 use crate::scenario::{Scenario, ScenarioOp};
 use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use xsi_core::obs::{SpanKind, SpanLabel, SpanRecord};
+use xsi_core::obs::{LabeledSpan, SpanKind, SpanLabel, SpanRecord};
 use xsi_core::{
     check, reference, AkIndex, FlightRecorder, IndexHandle, IndexSnapshot, NodeRef, OneIndex,
     PropagateOneIndex, SimpleAkIndex, StructuralIndex, UpdateEngine, UpdateOp,
@@ -219,12 +219,13 @@ fn run_scenario_impl(
         }));
         // One OracleCheck record per attempted op (skips included): the
         // reproducer trace shows exactly how far the oracles got.
-        engine.obs_mut().record(&SpanRecord {
+        // Built here, not opened as a span: it carries no timestamp.
+        engine.obs_mut().record(&LabeledSpan {
+            span: SpanRecord::new(SpanKind::OracleCheck),
             label: SpanLabel::Oracle {
                 checks: report.checks as u64,
                 failed: !matches!(outcome, Ok(Ok(_))),
             },
-            ..SpanRecord::new(SpanKind::OracleCheck)
         });
         match outcome {
             Ok(Ok(true)) => report.applied += 1,

@@ -830,7 +830,7 @@ mod tests {
             e.obs()
                 .flight_records()
                 .iter()
-                .map(|(_, s)| (s.kind, s.family))
+                .map(|(_, rec)| (rec.span.kind, rec.span.family))
                 .collect()
         };
         let recorded = kinds(&engine);

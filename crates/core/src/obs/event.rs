@@ -1,12 +1,13 @@
 //! What the hub records: the labels a pipeline span carries and the two
 //! renderings of a recorded span.
 //!
-//! A closed pipeline [`SpanRecord`] is the only record type the
-//! [`crate::obs::ObsHub`] accepts. Besides its kind, family and
-//! counters it carries a [`SpanLabel`]: the op kind of an `Op`, the op
-//! kind and [`UpdateStats`] summary of an `IndexDispatch`, the segment
-//! of a `BatchSegment`, and so on. Index families are referenced by a
-//! compact [`IndexFamily`] handle into the hub's registration table.
+//! A closed pipeline span is the only record type the
+//! [`crate::obs::ObsHub`] accepts: a [`LabeledSpan`], the
+//! [`SpanRecord`] (kind, family, time, counters) and the [`SpanLabel`]
+//! the engine gave it — the op kind of an `Op`, the op kind and
+//! [`UpdateStats`] summary of an `IndexDispatch`, the segment of a
+//! `BatchSegment`, and so on. Index families are referenced by a compact
+//! [`IndexFamily`] handle into the hub's registration table.
 //!
 //! Two renderings exist, both over the same field list:
 //!
@@ -111,6 +112,17 @@ pub enum SpanLabel {
     },
 }
 
+/// A closed pipeline span as the hub receives it: the span record and
+/// its label. The label travels beside the record rather than in it, so
+/// collected [`SpanRecord`]s stay 64 bytes.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct LabeledSpan {
+    /// The closed span, with its effective family.
+    pub span: SpanRecord,
+    /// What the span is about beyond kind, family and counters.
+    pub label: SpanLabel,
+}
+
 /// One rendered field value.
 enum Value {
     Str(String),
@@ -121,15 +133,15 @@ enum Value {
 /// The deterministic fields of a record, in render order: family, label
 /// fields, then the non-zero counters.
 fn fields(
-    span: &SpanRecord,
+    rec: &LabeledSpan,
     family_name: impl Fn(IndexFamily) -> String,
 ) -> Vec<(&'static str, Value)> {
     let mut out = Vec::new();
-    if span.family != IndexFamily::NONE {
-        out.push(("family", Value::Str(family_name(span.family))));
+    if rec.span.family != IndexFamily::NONE {
+        out.push(("family", Value::Str(family_name(rec.span.family))));
     }
     let num = |v: usize| Value::Num(v as u64);
-    match span.label {
+    match rec.label {
         SpanLabel::None => {}
         SpanLabel::Op(op) => out.push(("op", Value::Str(op.as_str().into()))),
         SpanLabel::Dispatch(op, stats) => {
@@ -151,7 +163,7 @@ fn fields(
             out.push(("failed", Value::Bool(failed)));
         }
     }
-    let c = &span.counters;
+    let c = &rec.span.counters;
     for (key, v) in [
         ("blocks", c.blocks),
         ("elems", c.elems),
@@ -170,16 +182,16 @@ fn fields(
 /// stays dependency-free.
 pub fn jsonl_line(
     seq: u64,
-    span: &SpanRecord,
+    rec: &LabeledSpan,
     family_name: impl Fn(IndexFamily) -> String,
 ) -> String {
     let mut out = format!(
         "{{\"seq\":{seq},\"kind\":\"{}\",\"ts_ns\":{},\"dur_ns\":{}",
-        span.kind.name(),
-        span.ts_nanos,
-        span.dur_nanos
+        rec.span.kind.name(),
+        rec.span.ts_nanos,
+        rec.span.dur_nanos
     );
-    for (key, value) in fields(span, family_name) {
+    for (key, value) in fields(rec, family_name) {
         out.push_str(",\"");
         out.push_str(key);
         out.push_str("\":");
@@ -203,11 +215,11 @@ pub fn jsonl_line(
 /// produce identical lines. This is what conformance reproducers embed.
 pub fn stable_line(
     seq: u64,
-    span: &SpanRecord,
+    rec: &LabeledSpan,
     family_name: impl Fn(IndexFamily) -> String,
 ) -> String {
-    let mut s = format!("{seq} {}", span.kind.name());
-    for (key, value) in fields(span, family_name) {
+    let mut s = format!("{seq} {}", rec.span.kind.name());
+    for (key, value) in fields(rec, family_name) {
         let value = match value {
             Value::Str(v) => v,
             Value::Num(n) => n.to_string(),
@@ -232,17 +244,19 @@ mod tests {
         }
     }
 
-    fn record(kind: SpanKind, family: IndexFamily, label: SpanLabel) -> SpanRecord {
-        SpanRecord {
-            family,
-            label,
-            ts_nanos: 5,
-            dur_nanos: 10,
-            counters: SpanCounters {
-                blocks: 2,
-                ..SpanCounters::default()
+    fn record(kind: SpanKind, family: IndexFamily, label: SpanLabel) -> LabeledSpan {
+        LabeledSpan {
+            span: SpanRecord {
+                family,
+                ts_nanos: 5,
+                dur_nanos: 10,
+                counters: SpanCounters {
+                    blocks: 2,
+                    ..SpanCounters::default()
+                },
+                ..SpanRecord::new(kind)
             },
-            ..SpanRecord::new(kind)
+            label,
         }
     }
 
@@ -285,7 +299,7 @@ mod tests {
     }
 
     /// One record of every kind, each with its label.
-    fn every_kind() -> Vec<SpanRecord> {
+    fn every_kind() -> Vec<LabeledSpan> {
         let family = IndexFamily(1);
         let stats = UpdateStats {
             splits: 2,
@@ -296,7 +310,7 @@ mod tests {
             levels_touched: 3,
             no_op: false,
         };
-        let records: Vec<SpanRecord> = SpanKind::ALL
+        let records: Vec<LabeledSpan> = SpanKind::ALL
             .iter()
             .map(|&kind| {
                 // Exhaustive on purpose: a new kind does not compile here
@@ -335,9 +349,9 @@ mod tests {
     /// tokens — no runs of spaces, no bare words.
     #[test]
     fn stable_lines_are_single_spaced_key_value_tokens() {
-        for (seq, span) in every_kind().iter().enumerate() {
-            let line = stable_line(seq as u64, span, fam);
-            let head = format!("{seq} {}", span.kind.name());
+        for (seq, rec) in every_kind().iter().enumerate() {
+            let line = stable_line(seq as u64, rec, fam);
+            let head = format!("{seq} {}", rec.span.kind.name());
             let rest = line
                 .strip_prefix(&head)
                 .unwrap_or_else(|| panic!("{line:?} does not start with {head:?}"));
@@ -358,10 +372,11 @@ mod tests {
 
     #[test]
     fn stable_line_excludes_time() {
-        let mk = |ts, dur| SpanRecord {
-            ts_nanos: ts,
-            dur_nanos: dur,
-            ..record(SpanKind::Merge, IndexFamily(0), SpanLabel::None)
+        let mk = |ts, dur| {
+            let mut rec = record(SpanKind::Merge, IndexFamily(0), SpanLabel::None);
+            rec.span.ts_nanos = ts;
+            rec.span.dur_nanos = dur;
+            rec
         };
         assert_eq!(
             stable_line(0, &mk(1, 10), fam),

@@ -20,9 +20,9 @@
 //! [`MetricsRegistry::to_deterministic_json`] projection (timing
 //! histograms excluded) across identically seeded runs.
 
-use crate::obs::event::{IndexFamily, SpanLabel};
+use crate::obs::event::{IndexFamily, LabeledSpan, SpanLabel};
 use crate::obs::json::quote;
-use crate::obs::span::{SpanKind, SpanRecord};
+use crate::obs::span::SpanKind;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -217,10 +217,11 @@ impl MetricsRegistry {
     /// single mapping from span records to metric series — the hub
     /// calls it for every record when metrics are enabled. Phase time
     /// is the `Split`/`Merge` span duration.
-    pub fn observe_span(&mut self, s: &SpanRecord) {
+    pub fn observe_span(&mut self, rec: &LabeledSpan) {
+        let s = &rec.span;
         let family = MetricKey::named("").family(s.family);
         let key = |name| MetricKey { name, ..family };
-        match (s.kind, s.label) {
+        match (s.kind, rec.label) {
             (SpanKind::Op, SpanLabel::Op(op)) => {
                 self.counter_add(MetricKey::named("ops_total").op(op.as_str()), 1);
             }

@@ -44,7 +44,7 @@ pub mod postmortem;
 pub mod recorder;
 pub mod span;
 
-pub use event::{BatchSegment, IndexFamily, OpKind, SpanLabel};
+pub use event::{BatchSegment, IndexFamily, LabeledSpan, OpKind, SpanLabel};
 pub use export::{chrome_trace_json, folded_stacks, FoldWeight};
 pub use mem::{HeapUse, MemReport};
 pub use metrics::{Histogram, MetricKey, MetricsRegistry};
@@ -207,17 +207,17 @@ impl ObsHub {
     /// way records enter the hub: the recorder stores or streams it
     /// under the next sequence number, the metrics registry files it.
     /// No-op when inactive.
-    pub fn record(&mut self, span: &SpanRecord) {
+    pub fn record(&mut self, rec: &LabeledSpan) {
         if !self.is_active() {
             return;
         }
         let seq = self.seq;
         self.seq += 1;
         if let Some(r) = self.recorder.as_mut() {
-            r.record(seq, span);
+            r.record(seq, rec);
         }
         if let Some(m) = self.metrics.as_mut() {
-            m.observe_span(span);
+            m.observe_span(rec);
         }
     }
 
@@ -230,7 +230,7 @@ impl ObsHub {
 
     /// Snapshot of the recorder's retained `(seq, record)` pairs (empty
     /// when tracing is off or the recorder does not retain).
-    pub fn flight_records(&self) -> Vec<(u64, SpanRecord)> {
+    pub fn flight_records(&self) -> Vec<(u64, LabeledSpan)> {
         self.recorder
             .as_ref()
             .map(|r| r.records())
@@ -243,7 +243,7 @@ impl ObsHub {
     pub fn stable_trace(&self) -> Vec<String> {
         self.flight_records()
             .iter()
-            .map(|(seq, span)| event::stable_line(*seq, span, |f| self.family_name(f)))
+            .map(|(seq, rec)| event::stable_line(*seq, rec, |f| self.family_name(f)))
             .collect()
     }
 
@@ -278,23 +278,30 @@ mod tests {
     use super::*;
     use crate::stats::UpdateStats;
 
-    fn dispatch(family: IndexFamily, stats: UpdateStats) -> SpanRecord {
-        SpanRecord {
-            family,
-            label: SpanLabel::Dispatch(OpKind::DeleteEdge, Some(stats)),
-            dur_nanos: 123,
-            ..SpanRecord::new(SpanKind::IndexDispatch)
-        }
+    fn labeled(span: SpanRecord, label: SpanLabel) -> LabeledSpan {
+        LabeledSpan { span, label }
+    }
+
+    fn op(op: OpKind) -> LabeledSpan {
+        labeled(SpanRecord::new(SpanKind::Op), SpanLabel::Op(op))
+    }
+
+    fn dispatch(family: IndexFamily, stats: UpdateStats) -> LabeledSpan {
+        labeled(
+            SpanRecord {
+                family,
+                dur_nanos: 123,
+                ..SpanRecord::new(SpanKind::IndexDispatch)
+            },
+            SpanLabel::Dispatch(OpKind::DeleteEdge, Some(stats)),
+        )
     }
 
     #[test]
     fn disabled_hub_is_inert() {
         let mut hub = ObsHub::disabled();
         assert!(!hub.is_active());
-        hub.record(&SpanRecord {
-            label: SpanLabel::Op(OpKind::InsertEdge),
-            ..SpanRecord::new(SpanKind::Op)
-        });
+        hub.record(&op(OpKind::InsertEdge));
         assert_eq!(hub.events_emitted(), 0);
         assert!(hub.flight_records().is_empty());
         assert!(hub.metrics().is_none());
@@ -318,10 +325,7 @@ mod tests {
         hub.set_recorder(Box::new(FlightRecorder::new(16)));
         hub.enable_metrics();
         let fam = hub.register_family("1-index");
-        hub.record(&SpanRecord {
-            label: SpanLabel::Op(OpKind::DeleteEdge),
-            ..SpanRecord::new(SpanKind::Op)
-        });
+        hub.record(&op(OpKind::DeleteEdge));
         let stats = UpdateStats {
             splits: 2,
             merges: 1,
@@ -332,16 +336,19 @@ mod tests {
             levels_touched: 2,
         };
         hub.record(&dispatch(fam, stats));
-        hub.record(&SpanRecord {
-            family: fam,
-            dur_nanos: 40,
-            ..SpanRecord::new(SpanKind::Split)
-        });
+        hub.record(&labeled(
+            SpanRecord {
+                family: fam,
+                dur_nanos: 40,
+                ..SpanRecord::new(SpanKind::Split)
+            },
+            SpanLabel::None,
+        ));
 
         let recs = hub.flight_records();
         let seqs: Vec<u64> = recs.iter().map(|(seq, _)| *seq).collect();
         assert_eq!(seqs, vec![0, 1, 2]);
-        assert_eq!(recs[2].1.kind, SpanKind::Split);
+        assert_eq!(recs[2].1.span.kind, SpanKind::Split);
 
         // Metrics saw the same records.
         let m = hub.metrics().unwrap();

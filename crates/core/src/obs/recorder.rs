@@ -18,22 +18,21 @@
 
 use std::io;
 
-use super::event::{jsonl_line, IndexFamily};
-use super::span::SpanRecord;
+use super::event::{jsonl_line, IndexFamily, LabeledSpan};
 
 /// A record sink. Single-writer by design: the [`ObsHub`](super::ObsHub)
 /// owns exactly one recorder and all engine mutations flow through one
 /// `&mut` engine, so no interior mutability or locking is needed.
 pub trait Recorder {
     /// Consumes record `seq` (the hub's sequence number).
-    fn record(&mut self, seq: u64, span: &SpanRecord);
+    fn record(&mut self, seq: u64, rec: &LabeledSpan);
 
     /// Flushes buffered output (no-op for in-memory recorders).
     fn flush(&mut self) {}
 
     /// A chronological snapshot of retained `(seq, record)` pairs.
     /// Recorders that do not retain records return an empty vec.
-    fn records(&self) -> Vec<(u64, SpanRecord)> {
+    fn records(&self) -> Vec<(u64, LabeledSpan)> {
         Vec::new()
     }
 
@@ -49,7 +48,7 @@ pub struct NullRecorder;
 
 impl Recorder for NullRecorder {
     #[inline]
-    fn record(&mut self, _seq: u64, _span: &SpanRecord) {}
+    fn record(&mut self, _seq: u64, _rec: &LabeledSpan) {}
 
     fn describe(&self) -> &'static str {
         "null"
@@ -60,7 +59,7 @@ impl Recorder for NullRecorder {
 /// overwriting the oldest once full ("flight recorder" semantics).
 #[derive(Debug, Clone)]
 pub struct FlightRecorder {
-    buf: Vec<(u64, SpanRecord)>,
+    buf: Vec<(u64, LabeledSpan)>,
     /// Next write position (wraps at `cap`).
     head: usize,
     /// Total records ever recorded (monotonic, does not wrap).
@@ -92,7 +91,7 @@ impl FlightRecorder {
     }
 
     /// Chronological (oldest → newest) snapshot of retained records.
-    pub fn snapshot(&self) -> Vec<(u64, SpanRecord)> {
+    pub fn snapshot(&self) -> Vec<(u64, LabeledSpan)> {
         if self.buf.len() < self.cap {
             // Not yet wrapped: buffer is already in order.
             self.buf.clone()
@@ -105,8 +104,8 @@ impl FlightRecorder {
 
 impl Recorder for FlightRecorder {
     #[inline]
-    fn record(&mut self, seq: u64, span: &SpanRecord) {
-        let entry = (seq, span.clone());
+    fn record(&mut self, seq: u64, rec: &LabeledSpan) {
+        let entry = (seq, rec.clone());
         if self.buf.len() < self.cap {
             self.buf.push(entry);
         } else {
@@ -116,7 +115,7 @@ impl Recorder for FlightRecorder {
         self.total += 1;
     }
 
-    fn records(&self) -> Vec<(u64, SpanRecord)> {
+    fn records(&self) -> Vec<(u64, LabeledSpan)> {
         self.snapshot()
     }
 
@@ -169,12 +168,12 @@ impl<W: io::Write> JsonlWriter<W> {
 }
 
 impl<W: io::Write> Recorder for JsonlWriter<W> {
-    fn record(&mut self, seq: u64, span: &SpanRecord) {
+    fn record(&mut self, seq: u64, rec: &LabeledSpan) {
         if self.error.is_some() {
             return;
         }
         let families = &self.families;
-        let line = jsonl_line(seq, span, |f| Self::family_name(families, f));
+        let line = jsonl_line(seq, rec, |f| Self::family_name(families, f));
         if let Err(e) = self
             .out
             .write_all(line.as_bytes())
@@ -199,12 +198,16 @@ impl<W: io::Write> Recorder for JsonlWriter<W> {
 
 #[cfg(test)]
 mod tests {
+    use super::super::event::SpanLabel;
     use super::super::json::Json;
-    use super::super::span::SpanKind;
+    use super::super::span::{SpanKind, SpanRecord};
     use super::*;
 
-    fn rec() -> SpanRecord {
-        SpanRecord::new(SpanKind::Op)
+    fn rec() -> LabeledSpan {
+        LabeledSpan {
+            span: SpanRecord::new(SpanKind::Op),
+            label: SpanLabel::None,
+        }
     }
 
     fn seqs(r: &FlightRecorder) -> Vec<u64> {

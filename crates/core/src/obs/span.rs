@@ -3,11 +3,14 @@
 //!
 //! RAII [`SpanGuard`]s with parent ids and typed [`SpanKind`]s form a
 //! tree (`Op` → `IndexDispatch` → `Split` → `CompoundProcess` →
-//! `KernelScan`, …) with close-time attached [`SpanCounters`] and, for
-//! the pipeline kinds, a [`SpanLabel`]. A closed pipeline span is also
-//! the one record type the [`crate::obs::ObsHub`] accepts: the flight
-//! recorder, the JSONL writer, the stable trace and the metrics
-//! registry all read it (DESIGN.md §8).
+//! `KernelScan`, …) with close-time attached [`SpanCounters`]. A closed
+//! pipeline span, with the [`SpanLabel`] the engine gave it, is also the
+//! one record type the [`crate::obs::ObsHub`] accepts (a
+//! [`LabeledSpan`]): the flight recorder, the JSONL writer, the stable
+//! trace and the metrics registry all read it (DESIGN.md §8). Labels
+//! are kept in a side table beside the collected records and joined at
+//! the hand-over, so a [`SpanRecord`] stays 64 bytes — most of an
+//! explicit collection is unlabelled kernel spans.
 //!
 //! # Single-writer span stack, two ways to arm it
 //!
@@ -24,12 +27,13 @@
 //!   trace, folded stacks, the benchmark's kernel counters);
 //! * **for one engine call** — a `Recording` (started by the engine
 //!   whenever its hub is active) arms the pipeline kinds only, and on
-//!   `Recording::finish` hands the call's closed pipeline spans to a
-//!   sink in open order. Without an explicit collection the recorded
-//!   spans are discarded after the hand-over, so retained span memory
-//!   is bounded by one engine call. The kernel kinds (`CompoundProcess`,
-//!   `KernelScan`) are recorded only explicitly: they are the bulk of
-//!   the tree and no hub series reads them.
+//!   `Recording::finish` hands the call's closed pipeline spans, each
+//!   with its label, to a sink in open order. Without an explicit
+//!   collection the recorded spans are discarded after the hand-over,
+//!   so retained span memory is bounded by one engine call. The kernel
+//!   kinds (`CompoundProcess`, `KernelScan`) are recorded only
+//!   explicitly: they are the bulk of the tree and no hub series reads
+//!   them.
 //!
 //! # Self-overhead contract
 //!
@@ -51,17 +55,28 @@
 //! `finish` disarms and hands nothing over (the engine finishes its
 //! recording even when the call unwinds).
 //!
+//! # Timestamps
+//!
+//! Every collection on a thread stamps times from one per-thread clock
+//! origin that is never reset, so the timestamps a thread hands the hub
+//! only grow, also across [`begin_collection`] and [`end_collection`].
+//!
 //! # Overflow policy
 //!
-//! Collections are capped (default [`DEFAULT_CAP`]). When full,
-//! `enter` counts the span as dropped and returns an inert guard —
-//! drop-*newest*, so every recorded parent id stays valid and the open
-//! stack stays balanced. [`SpanTree::dropped`] reports the loss.
+//! A collection caps its *kernel* spans (default [`DEFAULT_CAP`]). When
+//! full, `enter` counts a kernel span as dropped and returns an inert
+//! guard — drop-*newest*, so every recorded parent id stays valid and
+//! the open stack stays balanced. [`SpanTree::dropped`] reports the
+//! loss. Pipeline spans are never dropped: they are the hub's records,
+//! and the hub must see the same records with or without a collection
+//! armed. They number a few per op and index, so an explicit collection
+//! holds the run's pipeline spans in full, and a per-call recording
+//! holds one engine call's.
 
 use std::cell::{Cell, RefCell};
 use std::time::Instant;
 
-use super::event::{IndexFamily, SpanLabel};
+use super::event::{IndexFamily, LabeledSpan, SpanLabel};
 
 /// Typed span kinds, one per causal layer of the update pipeline.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -128,6 +143,21 @@ impl SpanKind {
     pub fn is_pipeline(self) -> bool {
         !matches!(self, SpanKind::CompoundProcess | SpanKind::KernelScan)
     }
+
+    /// Pipeline kinds about one index: the engine opens them per index
+    /// (`IndexDispatch`, `Rebuild`, `Freeze`) or they run below such a
+    /// span (`Split`, `Merge`), so their hub records always carry a
+    /// family.
+    pub fn is_family_tagged(self) -> bool {
+        matches!(
+            self,
+            SpanKind::IndexDispatch
+                | SpanKind::Split
+                | SpanKind::Merge
+                | SpanKind::Rebuild
+                | SpanKind::Freeze
+        )
+    }
 }
 
 /// Counters attached to a span at close time. All additive; zero means
@@ -160,7 +190,8 @@ impl SpanCounters {
 /// One closed span. Ids are 1-based in open order; `parent == 0` marks
 /// a root. Children always appear after their parent in
 /// [`SpanTree::spans`], and close before it (RAII), so `dur_nanos` of a
-/// parent always covers the sum of its children.
+/// parent always covers the sum of its children. 64 bytes: a pipeline
+/// span's [`SpanLabel`] travels beside it ([`LabeledSpan`]).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SpanRecord {
     /// 1-based id in open order.
@@ -173,9 +204,8 @@ pub struct SpanRecord {
     /// spans (which inherit the family of their nearest ancestor; a
     /// `Recording` hands records over with the inherited family).
     pub family: IndexFamily,
-    /// What the span is about beyond kind and family (pipeline kinds).
-    pub label: SpanLabel,
-    /// Open time, nanos since the collection began.
+    /// Open time, nanos since the thread's span clock origin (see the
+    /// module docs); 0 on a record built with [`SpanRecord::new`].
     pub ts_nanos: u64,
     /// Close − open, nanos (≥ 1 once closed; 0 only if never closed).
     pub dur_nanos: u64,
@@ -184,16 +214,15 @@ pub struct SpanRecord {
 }
 
 impl SpanRecord {
-    /// A closed root record of `kind` with no family, label, time or
-    /// counters — for callers that hand the hub a record they built
-    /// themselves (the conformance lab's `OracleCheck`).
+    /// A closed root record of `kind` with no family, time or counters —
+    /// for callers that hand the hub a record they built themselves (the
+    /// conformance lab's `OracleCheck`, which has no timestamp).
     pub fn new(kind: SpanKind) -> SpanRecord {
         SpanRecord {
             id: 0,
             parent: 0,
             kind,
             family: IndexFamily::NONE,
-            label: SpanLabel::None,
             ts_nanos: 0,
             dur_nanos: 0,
             counters: SpanCounters::default(),
@@ -206,7 +235,7 @@ impl SpanRecord {
 pub struct SpanTree {
     /// All spans in open order (parents before children).
     pub spans: Vec<SpanRecord>,
-    /// Spans not recorded because the collection cap was hit.
+    /// Kernel spans not recorded because the collection cap was hit.
     pub dropped: u64,
 }
 
@@ -290,29 +319,45 @@ fn effective_family(spans: &[SpanRecord], id: u32) -> IndexFamily {
     IndexFamily::NONE
 }
 
-/// Default collection cap: ~128 MiB of span records, far above any
-/// single benchmark run while still bounding a runaway loop.
+/// Default cap on a collection's kernel spans: ~64 MiB of span
+/// records, far above any single benchmark run while still bounding a
+/// runaway loop.
 pub const DEFAULT_CAP: usize = 1 << 20;
 
 struct Collector {
+    /// The thread's span clock origin ([`ORIGIN`]).
     epoch: Instant,
     generation: u32,
     spans: Vec<SpanRecord>,
+    /// `(span id, label)` for the labelled pipeline spans, in
+    /// `set_label` order.
+    labels: Vec<(u32, SpanLabel)>,
     stack: Vec<u32>,
+    /// Cap on recorded kernel spans.
     cap: usize,
+    kernel_spans: usize,
     dropped: u64,
 }
 
 impl Collector {
     fn new(cap: usize) -> Collector {
         Collector {
-            epoch: Instant::now(),
+            epoch: ORIGIN.with(|o| *o),
             generation: next_generation(),
             spans: Vec::new(),
+            labels: Vec::new(),
             stack: Vec::new(),
             cap: cap.max(1),
+            kernel_spans: 0,
             dropped: 0,
         }
+    }
+
+    /// Forgets the recorded spans (a per-call recording's reset).
+    fn clear(&mut self) {
+        self.spans.clear();
+        self.labels.clear();
+        self.stack.clear();
     }
 }
 
@@ -326,6 +371,8 @@ thread_local! {
     static MODE: Cell<u8> = const { Cell::new(0) };
     static COLLECTOR: RefCell<Option<Collector>> = const { RefCell::new(None) };
     static GENERATION: Cell<u32> = const { Cell::new(0) };
+    /// The thread's span clock origin, fixed by its first collection.
+    static ORIGIN: Instant = Instant::now();
 }
 
 fn next_generation() -> u32 {
@@ -345,9 +392,10 @@ pub fn begin_collection() {
     begin_collection_with_cap(DEFAULT_CAP)
 }
 
-/// Arm span collection on the current thread with an explicit span cap
-/// (drop-newest past the cap). Replaces any in-progress collection;
-/// guards from the replaced collection become inert.
+/// Arm span collection on the current thread with an explicit cap on
+/// its kernel spans (drop-newest past the cap; pipeline spans are never
+/// dropped). Replaces any in-progress collection; guards from the
+/// replaced collection become inert.
 pub fn begin_collection_with_cap(cap: usize) {
     COLLECTOR.with(|c| *c.borrow_mut() = Some(Collector::new(cap)));
     set_mode_bit(EXPLICIT, true);
@@ -381,9 +429,10 @@ pub fn is_collecting() -> bool {
 /// nothing over.
 #[must_use = "a recording hands its spans over in finish"]
 pub(crate) struct Recording {
-    /// The collector generation and the index of the call's first span;
-    /// `None` for a nested start (the outer recording hands over).
-    armed: Option<(u32, usize)>,
+    /// The collector generation and the indexes of the call's first span
+    /// and first label; `None` for a nested start (the outer recording
+    /// hands over).
+    armed: Option<(u32, usize, usize)>,
 }
 
 impl Recording {
@@ -403,20 +452,19 @@ impl Recording {
                 // A fresh generation: a guard leaked from an earlier
                 // call must not touch this call's reused ids.
                 col.generation = next_generation();
-                col.spans.clear();
-                col.stack.clear();
+                col.clear();
             }
-            (col.generation, col.spans.len())
+            (col.generation, col.spans.len(), col.labels.len())
         });
         set_mode_bit(PIPELINE, true);
         Recording { armed: Some(armed) }
     }
 
     /// Hands every pipeline span recorded since [`Recording::start`] to
-    /// `sink`, in open order, each with its effective family; then
-    /// disarms.
-    pub(crate) fn finish(self, mut sink: impl FnMut(&SpanRecord)) {
-        let Some((generation, cursor)) = self.armed else {
+    /// `sink`, in open order, each with its effective family and its
+    /// label; then disarms.
+    pub(crate) fn finish(self, mut sink: impl FnMut(&LabeledSpan)) {
+        let Some((generation, cursor, label_cursor)) = self.armed else {
             return;
         };
         // Taken out for the hand-over so the sink runs with no borrow of
@@ -424,21 +472,34 @@ impl Recording {
         let taken = COLLECTOR.with(|c| {
             let mut slot = c.borrow_mut();
             let col = slot.as_mut().filter(|col| col.generation == generation)?;
-            Some(std::mem::take(&mut col.spans))
+            Some((
+                std::mem::take(&mut col.spans),
+                std::mem::take(&mut col.labels),
+            ))
         });
-        let Some(spans) = taken else {
+        let Some((spans, mut labels)) = taken else {
             return;
         };
+        let call_labels = labels.get_mut(label_cursor..).unwrap_or_default();
+        call_labels.sort_by_key(|&(id, _)| id);
         for s in spans.iter().skip(cursor).filter(|s| s.kind.is_pipeline()) {
-            let family = effective_family(&spans, s.id);
-            sink(&SpanRecord {
-                family,
-                ..s.clone()
+            let label = call_labels
+                .binary_search_by_key(&s.id, |&(id, _)| id)
+                .ok()
+                .and_then(|i| call_labels.get(i))
+                .map_or(SpanLabel::None, |&(_, label)| label);
+            sink(&LabeledSpan {
+                span: SpanRecord {
+                    family: effective_family(&spans, s.id),
+                    ..s.clone()
+                },
+                label,
             });
         }
         COLLECTOR.with(|c| {
             if let Some(col) = c.borrow_mut().as_mut() {
                 col.spans = spans;
+                col.labels = labels;
             }
         });
     }
@@ -453,8 +514,7 @@ impl Drop for Recording {
         if !is_collecting() {
             let _ = COLLECTOR.try_with(|c| {
                 if let Some(col) = c.borrow_mut().as_mut() {
-                    col.spans.clear();
-                    col.stack.clear();
+                    col.clear();
                 }
             });
         }
@@ -535,12 +595,15 @@ impl SpanGuard {
                     generation: 0,
                 };
             };
-            if col.spans.len() >= col.cap {
-                col.dropped += 1;
-                return SpanGuard {
-                    id: 0,
-                    generation: 0,
-                };
+            if !kind.is_pipeline() {
+                if col.kernel_spans >= col.cap {
+                    col.dropped += 1;
+                    return SpanGuard {
+                        id: 0,
+                        generation: 0,
+                    };
+                }
+                col.kernel_spans += 1;
             }
             let id = clamp_id(col.spans.len() + 1);
             let parent = col.stack.last().copied().unwrap_or(0);
@@ -550,7 +613,6 @@ impl SpanGuard {
                 parent,
                 kind,
                 family,
-                label: SpanLabel::None,
                 ts_nanos,
                 dur_nanos: 0,
                 counters: SpanCounters::default(),
@@ -592,24 +654,35 @@ impl SpanGuard {
         self.update(|r| r.counters.cow_clones += n);
     }
 
-    /// Set the span's label (pipeline kinds; see [`SpanLabel`]).
+    /// Set the span's label (pipeline kinds, once per span; see
+    /// [`SpanLabel`]).
     #[inline]
     pub(crate) fn set_label(&self, label: SpanLabel) {
-        self.update(|r| r.label = label);
+        let id = self.id;
+        self.with_collector(|col| col.labels.push((id, label)));
     }
 
     #[inline]
     fn update(&self, f: impl FnOnce(&mut SpanRecord)) {
+        let id = self.id;
+        self.with_collector(|col| {
+            if let Some(rec) = col.spans.get_mut((id - 1) as usize) {
+                f(rec);
+            }
+        });
+    }
+
+    /// Runs `f` on the collector this guard records into; nothing for an
+    /// inert or stale guard.
+    #[inline]
+    fn with_collector(&self, f: impl FnOnce(&mut Collector)) {
         if self.id == 0 {
             return;
         }
         COLLECTOR.with(|c| {
             if let Some(col) = c.borrow_mut().as_mut() {
-                if col.generation != self.generation {
-                    return;
-                }
-                if let Some(rec) = col.spans.get_mut((self.id - 1) as usize) {
-                    f(rec);
+                if col.generation == self.generation {
+                    f(col);
                 }
             }
         });
@@ -737,18 +810,39 @@ mod tests {
     #[test]
     fn cap_drops_newest_and_counts() {
         begin_collection_with_cap(2);
-        let a = SpanGuard::enter(SpanKind::Op);
-        let b = SpanGuard::enter(SpanKind::Split);
-        let c = SpanGuard::enter(SpanKind::Merge);
+        let a = SpanGuard::enter(SpanKind::CompoundProcess);
+        let b = SpanGuard::enter(SpanKind::KernelScan);
+        let c = SpanGuard::enter(SpanKind::KernelScan);
         assert!(a.is_recording() && b.is_recording());
         assert!(!c.is_recording());
+        // Pipeline kinds are the hub's records: never dropped.
+        let d = SpanGuard::enter(SpanKind::Merge);
+        assert!(d.is_recording());
+        drop(d);
         drop(c);
         drop(b);
         drop(a);
         let tree = end_collection();
-        assert_eq!(tree.len(), 2);
+        assert_eq!(tree.len(), 3);
         assert_eq!(tree.dropped, 1);
         assert!(tree.is_well_formed());
+        assert_eq!(tree.spans[2].parent, tree.spans[1].id);
+    }
+
+    #[test]
+    fn span_record_stays_64_bytes() {
+        assert_eq!(std::mem::size_of::<SpanRecord>(), 64);
+    }
+
+    #[test]
+    fn timestamps_do_not_restart_with_a_collection() {
+        begin_collection();
+        drop(SpanGuard::enter(SpanKind::Op));
+        let first = end_collection().spans[0].clone();
+        begin_collection();
+        drop(SpanGuard::enter(SpanKind::Op));
+        let second = end_collection().spans[0].clone();
+        assert!(second.ts_nanos >= first.ts_nanos + first.dur_nanos);
     }
 
     #[test]
@@ -792,9 +886,12 @@ mod tests {
             !scan.is_recording(),
             "kernel kinds need an explicit collection"
         );
-        drop((scan, split, dispatch, op));
+        drop((scan, split));
+        // Labelled after its child opened: the join is by span id.
+        dispatch.set_label(SpanLabel::Dispatch(OpKind::InsertEdge, None));
+        drop((dispatch, op));
         let mut got = Vec::new();
-        recording.finish(|s| got.push((s.kind, s.family, s.label)));
+        recording.finish(|s| got.push((s.span.kind, s.span.family, s.label)));
         assert_eq!(
             got,
             vec![
@@ -803,7 +900,11 @@ mod tests {
                     IndexFamily::NONE,
                     SpanLabel::Op(OpKind::InsertEdge)
                 ),
-                (SpanKind::IndexDispatch, IndexFamily(3), SpanLabel::None),
+                (
+                    SpanKind::IndexDispatch,
+                    IndexFamily(3),
+                    SpanLabel::Dispatch(OpKind::InsertEdge, None)
+                ),
                 (SpanKind::Split, IndexFamily(3), SpanLabel::None),
             ]
         );
@@ -842,7 +943,7 @@ mod tests {
         drop(SpanGuard::enter(SpanKind::KernelScan));
         drop(op);
         let mut kinds = Vec::new();
-        recording.finish(|s| kinds.push(s.kind));
+        recording.finish(|s| kinds.push(s.span.kind));
         assert_eq!(kinds, vec![SpanKind::Op]);
         let tree = end_collection();
         assert_eq!(tree.len(), 2, "the tree keeps the kernel span too");

@@ -141,7 +141,7 @@ fn explicit_collection_leaves_the_hub_records_unchanged() {
         .obs()
         .flight_records()
         .into_iter()
-        .map(|(_, span)| span)
+        .map(|(_, rec)| rec.span)
         .collect();
     assert_eq!(records.len() as u64, collected.obs().events_emitted());
     assert!(
@@ -149,6 +149,36 @@ fn explicit_collection_leaves_the_hub_records_unchanged() {
         "kernel spans stay out of the hub"
     );
     assert_eq!(records, pipeline);
+    // The family-tagged kinds are exactly the records with a family.
+    for rec in &records {
+        assert_eq!(
+            rec.kind.is_family_tagged(),
+            rec.family != IndexFamily::NONE,
+            "{rec:?}"
+        );
+    }
+}
+
+/// A collection whose cap is hit drops kernel spans only: the hub still
+/// sees every record, so the stable trace and the deterministic metrics
+/// match the run without a collection.
+#[test]
+fn capped_collection_leaves_the_hub_records_unchanged() {
+    let plain = golden_run();
+    span::begin_collection_with_cap(16);
+    let capped = golden_run();
+    let tree = span::end_collection();
+    assert!(tree.dropped > 0, "the cap must be hit");
+    assert_eq!(plain.obs().stable_trace(), capped.obs().stable_trace());
+    assert_eq!(deterministic_lines(&plain), deterministic_lines(&capped));
+    assert_eq!(
+        tree.spans.iter().filter(|s| !s.kind.is_pipeline()).count(),
+        16
+    );
+    assert_eq!(
+        tree.spans.iter().filter(|s| s.kind.is_pipeline()).count() as u64,
+        capped.obs().events_emitted()
+    );
 }
 
 const GOLDEN: &str = r#"{"format":"xsi-metrics-v1","counters":[
