@@ -20,8 +20,10 @@
 //! `--bench-out` writes the versioned trajectory record
 //! (`xsi-bench-trajectory-v1`): per bench, median/p90/min/max ns, a
 //! per-bench noise threshold, and key span counters from one separate
-//! instrumented pass (timing batches run with span collection OFF, so
-//! the numbers keep the zero-cost disabled path). `xsi_perf_diff`
+//! instrumented pass before the timing batches (which run with span
+//! collection OFF, so the numbers keep the zero-cost disabled path).
+//! The pass runs a pair bench once per sampled pair, from the bench's
+//! fresh state, so its counters are deterministic. `xsi_perf_diff`
 //! compares two such records; CI gates on the committed
 //! `BENCH_baseline.json`. Medians of 11 batches via `micro::bench` —
 //! honest but container-noisy; compare trends, not single digits.
@@ -72,11 +74,30 @@ fn summarize(tree: &SpanTree) -> SpanSummary {
     }
 }
 
-/// Runs `f` once with span collection armed and summarizes the tree.
-fn instrumented<R>(f: &mut impl FnMut() -> R) -> SpanSummary {
+/// Runs `f` `passes` times with span collection armed and summarizes
+/// the tree.
+fn instrumented<R>(f: &mut impl FnMut() -> R, passes: usize) -> SpanSummary {
     span::begin_collection();
-    std::hint::black_box(f());
+    for _ in 0..passes {
+        std::hint::black_box(f());
+    }
     summarize(&span::end_collection())
+}
+
+/// Benchmarks `f`. With `want_counters` the instrumented pass runs first
+/// (`passes` calls), so it starts from the state the bench set up.
+fn measure<R>(
+    name: &str,
+    want_counters: bool,
+    passes: usize,
+    mut f: impl FnMut() -> R,
+) -> (MicroResult, SpanSummary) {
+    let c = if want_counters {
+        instrumented(&mut f, passes)
+    } else {
+        SpanSummary::default()
+    };
+    (bench_value(name, &mut f), c)
 }
 
 /// Per-bench noise threshold for `xsi_perf_diff`, as a percentage of
@@ -165,56 +186,34 @@ fn run(args: &Args) {
         let (mut g, edges) = setup(scale, seed);
         let mut idx = OneIndex::build(&g);
         let mut i = 0usize;
-        let mut work = || {
+        let work = || {
             let (u, v) = edges[i % edges.len()]; // xsi-lint: allow(slice-index, i mod len is in range)
             i += 1;
             idx.insert_edge(&mut g, u, v, EdgeKind::IdRef).unwrap(); // xsi-lint: allow(panic-unwrap, bench harness aborts loudly on a broken workload)
             idx.delete_edge(&mut g, u, v).unwrap(); // xsi-lint: allow(panic-unwrap, bench harness aborts loudly on a broken workload)
         };
-        let r = bench_value("1index_pair", &mut work);
-        let c = if want_counters {
-            instrumented(&mut work)
-        } else {
-            SpanSummary::default()
-        };
-        results.push((r, c));
+        results.push(measure("1index_pair", want_counters, edges.len(), work));
     }
     {
         let (mut g, edges) = setup(scale, seed);
         let mut idx = AkIndex::build(&g, 3);
         let mut i = 0usize;
-        let mut work = || {
+        let work = || {
             let (u, v) = edges[i % edges.len()]; // xsi-lint: allow(slice-index, i mod len is in range)
             i += 1;
             idx.insert_edge(&mut g, u, v, EdgeKind::IdRef).unwrap(); // xsi-lint: allow(panic-unwrap, bench harness aborts loudly on a broken workload)
             idx.delete_edge(&mut g, u, v).unwrap(); // xsi-lint: allow(panic-unwrap, bench harness aborts loudly on a broken workload)
         };
-        let r = bench_value("ak3_pair", &mut work);
-        let c = if want_counters {
-            instrumented(&mut work)
-        } else {
-            SpanSummary::default()
-        };
-        results.push((r, c));
+        results.push(measure("ak3_pair", want_counters, edges.len(), work));
     }
     {
         let (g, _) = setup(scale, seed);
-        let mut build1 = || OneIndex::build(&g);
-        let r = bench_value("1index_build", &mut build1);
-        let c = if want_counters {
-            instrumented(&mut build1)
-        } else {
-            SpanSummary::default()
-        };
-        results.push((r, c));
-        let mut build_ak = || AkIndex::build(&g, 3);
-        let r = bench_value("ak3_build", &mut build_ak);
-        let c = if want_counters {
-            instrumented(&mut build_ak)
-        } else {
-            SpanSummary::default()
-        };
-        results.push((r, c));
+        results.push(measure("1index_build", want_counters, 1, || {
+            OneIndex::build(&g)
+        }));
+        results.push(measure("ak3_build", want_counters, 1, || {
+            AkIndex::build(&g, 3)
+        }));
     }
     // Engine for the freeze bench; kept alive to the end of main so the
     // --metrics-out export (mem reports included) can reuse it.
@@ -229,14 +228,9 @@ fn run(args: &Args) {
         if args.str("metrics-out").is_some() {
             engine.obs_mut().enable_metrics();
         }
-        let mut work = || engine.freeze();
-        let r = bench_value("snapshot_freeze", &mut work);
-        let c = if want_counters {
-            instrumented(&mut work)
-        } else {
-            SpanSummary::default()
-        };
-        results.push((r, c));
+        results.push(measure("snapshot_freeze", want_counters, 1, || {
+            engine.freeze()
+        }));
         engine
     };
     {

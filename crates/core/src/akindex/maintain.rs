@@ -24,7 +24,7 @@
 //! `split_levels_by` stabilization (all per-call maps are epoch-stamped
 //! [`ScratchTable`](crate::store::ScratchTable)s on the index, so the hot
 //! path allocates nothing per call) and the (tree parent, cross-parent
-//! set) merge key.
+//! set) merge key, bucketed by the cross-parent count and signature.
 //!
 //! ### Splits move nodes, never re-parent blocks
 //!
@@ -43,6 +43,7 @@ use super::{ABlockId, AkIndex};
 use crate::kernel::{self, CompoundQueue, MergeDriver, SplitDriver};
 use crate::obs::span::{SpanGuard, SpanKind};
 use crate::stats::UpdateStats;
+use std::cmp::Ordering;
 use xsi_graph::{EdgeKind, Graph, GraphError, NodeId};
 
 impl SplitDriver for AkIndex {
@@ -98,19 +99,31 @@ impl SplitDriver for AkIndex {
 
 impl MergeDriver for AkIndex {
     type Block = ABlockId;
-    /// (tree parent, sorted cross-parent set) — Lemma 6's merge
-    /// equivalence for siblingless candidates.
-    type GroupKey = (ABlockId, Vec<ABlockId>);
+    /// (tree parent, cross-parent count, cross-parent signature) — a
+    /// coarsening of Lemma 6's (tree parent, cross-parent set) merge
+    /// equivalence.
+    type Bucket = (ABlockId, u32, u32);
 
     fn merge_successors(&self, b: ABlockId) -> Vec<ABlockId> {
         self.blocks[b].succ_cross.keys().collect()
     }
 
-    fn merge_key(&self, c: ABlockId) -> (ABlockId, Vec<ABlockId>) {
-        let parent = self
-            .tree_parent(c)
-            .expect("invariant: every block above level 0 has a tree parent");
-        (parent, self.cross_parents(c).collect())
+    fn merge_bucket(&self, c: ABlockId) -> (ABlockId, u32, u32) {
+        let blk = &self.blocks[c]; // xsi-lint: allow(slice-index, merge candidates are cross-successors of a live block, hence live)
+        (
+            blk.tree_parent,
+            blk.pred_cross.len() as u32,
+            blk.pred_cross.key_sig(),
+        )
+    }
+
+    /// Tree parent, then the sorted cross-parent sequence (Definition 6).
+    fn merge_cmp(&self, a: ABlockId, b: ABlockId) -> Ordering {
+        // xsi-lint: allow(slice-index, merge candidates are cross-successors of a live block, hence live)
+        let (x, y) = (&self.blocks[a], &self.blocks[b]);
+        x.tree_parent
+            .cmp(&y.tree_parent)
+            .then_with(|| x.pred_cross.keys().cmp(y.pred_cross.keys()))
     }
 
     fn is_live(&self, b: ABlockId) -> bool {
@@ -417,14 +430,18 @@ impl AkIndex {
             // Per-level sibling search is one merge work item; the span
             // closes before merge_fold (whose served blocks open their
             // own CompoundProcess spans) so the kind never self-nests.
+            // Its elems counter is the tree siblings scanned.
             let sp = SpanGuard::enter(SpanKind::CompoundProcess);
             let bv = self.block_of_at(v, j);
             let parent = self
                 .tree_parent(bv)
                 .expect("invariant: affected levels are >= 1 and have parents");
-            let sibling = self
-                .tree_children(parent)
-                .find(|&s| s != bv && self.same_cross_parents(s, bv));
+            let mut scanned = 0u64;
+            let sibling = self.tree_children(parent).find(|&s| {
+                scanned += 1;
+                s != bv && self.same_cross_parents(s, bv)
+            });
+            sp.add_elems(scanned);
             if let Some(s) = sibling {
                 sp.add_blocks(2);
                 let merged = self.merge_pair(s, bv);

@@ -36,6 +36,7 @@ pub use simple::SimpleAkIndex;
 pub use storage::StorageReport;
 
 use crate::obs::mem::{btree_set_heap, vec_cap_heap, HeapUse, MemReport};
+use crate::store::iedge::key_set_sig;
 use crate::store::{CowVec, IedgeMap, ScratchTable, SlotKey, SlotMap};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
@@ -405,12 +406,13 @@ impl AkIndex {
     }
 
     /// Whether two same-level blocks have identical A(level−1)-index
-    /// parent sets. Both key iterations are sorted, so this is one
-    /// linear sweep.
+    /// parent sets. Rejects on parent count or signature in O(1);
+    /// otherwise both key iterations are sorted, so the exact check is
+    /// one linear sweep.
     pub fn same_cross_parents(&self, a: ABlockId, b: ABlockId) -> bool {
-        let pa = &self.blocks[a].pred_cross;
-        let pb = &self.blocks[b].pred_cross;
-        pa.len() == pb.len() && pa.keys().eq(pb.keys())
+        self.blocks[a]
+            .pred_cross
+            .same_keys(&self.blocks[b].pred_cross)
     }
 
     /// The class assignment of the A(level)-index, in
@@ -924,6 +926,16 @@ impl AkIndex {
             }
             if blk.weight == 0 {
                 return Err(format!("live block {b:?} has weight 0"));
+            }
+            for m in [
+                &blk.pred_cross,
+                &blk.succ_cross,
+                &blk.pred_intra,
+                &blk.succ_intra,
+            ] {
+                if m.key_sig() != key_set_sig(m.keys()) {
+                    return Err(format!("an iedge map signature of {b:?} is stale"));
+                }
             }
         }
         if level_counts != self.level_counts {

@@ -19,17 +19,20 @@
 //!   [`refine_to_fixpoint`] layers from-scratch refinement (construction,
 //!   rebuild) on the same stabilization primitive with one scan per
 //!   queued block.
-//! * [`MergeDriver`] — successor enumeration, the merge-equivalence key,
-//!   and the family-specific group merge. [`merge_fold`] runs the
-//!   worklist.
+//! * [`MergeDriver`] — successor enumeration, a `Copy` bucket that
+//!   coarsens the merge-equivalence key, the exact key order, and the
+//!   family-specific group merge. [`merge_fold`] runs the worklist.
 //!
 //! Everything here iterates in sorted or explicitly-queued order —
-//! `CompoundQueue` tracks membership in a `BTreeMap`, `merge_fold`
-//! groups in a `BTreeMap` — so the kernel adds no hash-order
-//! nondeterminism on top of the drivers.
+//! `CompoundQueue` tracks membership in a `BTreeMap`, `merge_fold` sorts
+//! successors by bucket and folds the merge classes in exact key order —
+//! so the kernel adds no hash-order nondeterminism on top of the
+//! drivers. (A bucket's key-set signature is a fixed function of the
+//! block handles, and it only filters.)
 
 use crate::obs::span::{SpanGuard, SpanKind};
 use crate::stats::UpdateStats;
+use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt::Debug;
 use xsi_graph::{Graph, NodeId};
@@ -297,14 +300,21 @@ pub fn refine_to_fixpoint<D: SplitDriver>(
 pub trait MergeDriver {
     /// The family's block handle.
     type Block: Copy + Ord + Debug;
-    /// Merge-equivalence key: two successors merge iff their keys are
-    /// equal (label + index-parent set for the 1-index; tree parent +
-    /// cross-parent set for the A(k) chain).
-    type GroupKey: Ord;
+    /// A cheap coarsening of the merge-equivalence key (label +
+    /// index-parent set for the 1-index; tree parent + cross-parent set
+    /// for the A(k) chain) that replaces the parent set by its size and
+    /// key-set signature. Merge-equivalent blocks always share a bucket;
+    /// blocks sharing a bucket are equivalent only if
+    /// [`MergeDriver::merge_cmp`] returns `Equal`.
+    type Bucket: Copy + Ord;
     /// The index successors of `b` to consider for merging.
     fn merge_successors(&self, b: Self::Block) -> Vec<Self::Block>;
-    /// The merge-equivalence key of `b`.
-    fn merge_key(&self, b: Self::Block) -> Self::GroupKey;
+    /// The merge bucket of `b`.
+    fn merge_bucket(&self, b: Self::Block) -> Self::Bucket;
+    /// The exact merge-key order: the first key component, then the
+    /// sorted parent set compared lexicographically. `Equal` iff `a` and
+    /// `b` are merge-equivalent.
+    fn merge_cmp(&self, a: Self::Block, b: Self::Block) -> Ordering;
     /// Whether `b` is still a live, current handle (queued blocks can be
     /// merged away before they are served).
     fn is_live(&self, b: Self::Block) -> bool;
@@ -315,11 +325,12 @@ pub trait MergeDriver {
     fn requeue(&self, survivor: Self::Block) -> bool;
 }
 
-/// The iterative merge fold: starting from `seed`, group each served
-/// block's successors by merge key, fold every group of ≥2 into one
-/// survivor, and requeue survivors whose successors may now merge in
-/// turn. Grouping is a `BTreeMap`, so merge order — and therefore
-/// surviving block ids — is deterministic.
+/// The iterative merge fold: starting from `seed`, split each served
+/// block's successors into merge classes, fold every class of ≥2 into
+/// one survivor, and requeue survivors whose successors may now merge in
+/// turn. Classes fold in exact key order with their members ascending,
+/// so merge order — and therefore surviving block ids — is
+/// deterministic.
 pub fn merge_fold<D: MergeDriver>(d: &mut D, seed: D::Block, stats: &mut UpdateStats) {
     let mut queue: VecDeque<D::Block> = VecDeque::new();
     let mut queued: BTreeSet<D::Block> = BTreeSet::new();
@@ -331,19 +342,14 @@ pub fn merge_fold<D: MergeDriver>(d: &mut D, seed: D::Block, stats: &mut UpdateS
             continue; // merged away after being enqueued
         }
         // One CompoundProcess span per served work item (the merge-side
-        // analogue of the split loop's compound iteration); its blocks
-        // counter sums the folded groups.
+        // analogue of the split loop's compound iteration); its elems
+        // counter is the successors examined, its blocks counter sums
+        // the folded groups.
         let sp = SpanGuard::enter(SpanKind::CompoundProcess);
         sp.set_queue_depth(queue.len() as u64 + 1);
-        let mut groups: BTreeMap<D::GroupKey, Vec<D::Block>> = BTreeMap::new();
-        for c in d.merge_successors(i) {
-            groups.entry(d.merge_key(c)).or_default().push(c);
-        }
-        for (_, mut group) in groups {
-            if group.len() < 2 {
-                continue;
-            }
-            group.sort_unstable();
+        let succ = d.merge_successors(i);
+        sp.add_elems(succ.len() as u64);
+        for group in merge_classes(d, succ) {
             sp.add_blocks(group.len() as u64);
             let survivor = d.merge_group(&group, stats);
             if d.requeue(survivor) && queued.insert(survivor) {
@@ -351,6 +357,38 @@ pub fn merge_fold<D: MergeDriver>(d: &mut D, seed: D::Block, stats: &mut UpdateS
             }
         }
     }
+}
+
+/// The merge classes of two or more members among `succ`, all decided
+/// before any merge: sort by bucket, cut each bucket of ≥2 into exact
+/// classes (more than one only on a signature collision), and order the
+/// classes by exact key with members ascending — the order of grouping
+/// by the full key in a sorted map.
+fn merge_classes<D: MergeDriver>(d: &D, succ: Vec<D::Block>) -> Vec<Vec<D::Block>> {
+    let mut keyed: Vec<(D::Bucket, D::Block)> =
+        succ.into_iter().map(|b| (d.merge_bucket(b), b)).collect();
+    keyed.sort_unstable();
+    let mut classes: Vec<(D::Block, Vec<D::Block>)> = Vec::new();
+    for bucket in keyed.chunk_by(|x, y| x.0 == y.0) {
+        if bucket.len() < 2 {
+            continue;
+        }
+        let first = classes.len();
+        for &(_, b) in bucket {
+            // Members arrive ascending, so each class's first member is
+            // its smallest and its members stay sorted.
+            match classes[first..] // xsi-lint: allow(slice-index, first was classes.len() before this bucket's pushes)
+                .iter_mut()
+                .find(|(rep, _)| d.merge_cmp(*rep, b) == Ordering::Equal)
+            {
+                Some((_, members)) => members.push(b),
+                None => classes.push((b, vec![b])),
+            }
+        }
+    }
+    classes.retain(|(_, members)| members.len() >= 2);
+    classes.sort_by(|x, y| d.merge_cmp(x.0, y.0));
+    classes.into_iter().map(|(_, members)| members).collect()
 }
 
 #[cfg(test)]

@@ -32,6 +32,7 @@ use crate::kernel::{self, CompoundQueue, MergeDriver, SplitDriver};
 use crate::obs::span::{SpanGuard, SpanKind};
 use crate::partition::BlockId;
 use crate::stats::UpdateStats;
+use std::cmp::Ordering;
 use xsi_graph::{EdgeKind, Graph, GraphError, NodeId};
 
 use super::OneIndex;
@@ -74,18 +75,20 @@ impl SplitDriver for OneIndex {
 
 impl MergeDriver for OneIndex {
     type Block = BlockId;
-    /// (label, sorted index-parent set) — Lemma 3's merge equivalence.
-    type GroupKey = (u32, Vec<BlockId>);
+    /// (label, parent count, parent-set signature) — a coarsening of
+    /// Lemma 3's (label, index-parent set) merge equivalence.
+    type Bucket = (u32, u32, u32);
 
     fn merge_successors(&self, b: BlockId) -> Vec<BlockId> {
         self.p.children(b).map(|(c, _)| c).collect()
     }
 
-    fn merge_key(&self, c: BlockId) -> (u32, Vec<BlockId>) {
-        // `parents` iterates in sorted block order, so the key is
-        // canonical without a sort.
-        let parents: Vec<BlockId> = self.p.parents(c).map(|(p, _)| p).collect();
-        (self.p.label(c).index() as u32, parents)
+    fn merge_bucket(&self, c: BlockId) -> (u32, u32, u32) {
+        self.p.merge_bucket(c)
+    }
+
+    fn merge_cmp(&self, a: BlockId, b: BlockId) -> Ordering {
+        self.p.merge_cmp(a, b)
     }
 
     fn is_live(&self, b: BlockId) -> bool {
@@ -287,9 +290,12 @@ impl OneIndex {
     pub(crate) fn merge_phase(&mut self, _g: &Graph, start: BlockId, stats: &mut UpdateStats) {
         // The seed twin-search is its own work item (the fold's served
         // blocks open their own CompoundProcess spans); closed before
-        // merge_fold so CompoundProcess spans never self-nest.
+        // merge_fold so CompoundProcess spans never self-nest. Its elems
+        // counter is the candidate blocks the search examined.
         let sp = SpanGuard::enter(SpanKind::CompoundProcess);
-        let Some(partner) = self.p.find_merge_partner(start) else {
+        let (partner, examined) = self.p.find_merge_partner(start);
+        sp.add_elems(examined as u64);
+        let Some(partner) = partner else {
             return;
         };
         sp.add_blocks(2);

@@ -126,7 +126,7 @@ impl OneIndex {
         debug_assert_eq!(g.in_degree(n) + g.out_degree(n), 0);
         let b = self.p.new_block(g.label(n));
         self.p.attach_node(n, b);
-        if let Some(partner) = self.p.find_merge_partner(b) {
+        if let (Some(partner), _) = self.p.find_merge_partner(b) {
             self.p.merge_blocks(partner, b);
         }
     }

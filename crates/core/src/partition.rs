@@ -28,7 +28,9 @@
 //! aliasing the block that reused the slot.
 
 use crate::obs::mem::{btree_set_heap, vec_cap_heap, HeapUse, MemReport};
+use crate::store::iedge::key_set_sig;
 use crate::store::{CowVec, IedgeMap, ScratchTable, SlotKey, SlotMap};
+use std::cmp::Ordering;
 use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::Arc;
@@ -292,12 +294,36 @@ impl Partition {
 
     /// Whether `a` and `b` have exactly the same set of index parents —
     /// together with label equality, the merge-legality test that makes an
-    /// index minimal (Definition 5 and the remark following it). Both key
-    /// sequences are sorted, so this is one linear pass.
+    /// index minimal (Definition 5 and the remark following it). Rejects
+    /// on parent count or parent-set signature in O(1); otherwise both
+    /// key sequences are sorted, so the exact check is one linear pass.
     pub fn same_parent_set(&self, a: BlockId, b: BlockId) -> bool {
-        let pa = &self.blocks[a].parents;
-        let pb = &self.blocks[b].parents;
-        pa.len() == pb.len() && pa.keys().eq(pb.keys())
+        self.blocks[a].parents.same_keys(&self.blocks[b].parents)
+    }
+
+    /// The merge fold's `Copy` bucket of `b`: (label, parent count,
+    /// parent-set signature). Blocks that may merge always share a
+    /// bucket; blocks sharing one may merge only if
+    /// [`Partition::merge_cmp`] says so.
+    pub(crate) fn merge_bucket(&self, b: BlockId) -> (u32, u32, u32) {
+        let blk = &self.blocks[b]; // xsi-lint: allow(slice-index, merge candidates are children of a live block, hence live)
+        (
+            blk.label.index() as u32,
+            blk.parents.len() as u32,
+            blk.parents.key_sig(),
+        )
+    }
+
+    /// The exact merge-key order of the 1-index: label, then the sorted
+    /// index-parent sequence compared lexicographically. `Equal` iff `a`
+    /// and `b` may merge (Definition 5).
+    pub(crate) fn merge_cmp(&self, a: BlockId, b: BlockId) -> Ordering {
+        // xsi-lint: allow(slice-index, merge candidates are children of a live block, hence live)
+        let (x, y) = (&self.blocks[a], &self.blocks[b]);
+        x.label
+            .index()
+            .cmp(&y.label.index())
+            .then_with(|| x.parents.keys().cmp(y.parents.keys()))
     }
 
     /// Allocates a fresh, empty, live block with the given label.
@@ -576,10 +602,11 @@ impl Partition {
             // xsi-lint: allow(cow-discipline, take_unique proved the run unshared; no snapshot can observe the swap)
             self.blocks[src].extent = recycled.into();
         }
-        // Count transfer. Drain src's maps (sorted, keeping their spill
-        // history in the slot), remove the src↔src self entry (it appears
-        // in both maps but describes the same dedges), then replay every
-        // count onto dst with src re-keyed to dst.
+        // Count transfer. Drain src's maps (sorted; the drain leaves them
+        // empty and inline for the slot's next tenant), remove the src↔src
+        // self entry (it appears in both maps but describes the same
+        // dedges), then replay every count onto dst with src re-keyed to
+        // dst.
         let mut src_parents = self.blocks[src].parents.drain_sorted();
         let mut src_children = self.blocks[src].children.drain_sorted();
         let self_cnt = src_parents
@@ -652,18 +679,25 @@ impl Partition {
     /// Looks for a live block that could legally merge with `b`: same
     /// label, same set of index parents (the merge-phase probe of
     /// Figure 3). Searches only `b`'s siblings (blocks sharing an index
-    /// parent), or other orphan blocks when `b` has no parents.
-    pub fn find_merge_partner(&self, b: BlockId) -> Option<BlockId> {
+    /// parent), or other orphan blocks when `b` has no parents. Returns
+    /// the partner, if any, and the number of candidate blocks examined.
+    pub fn find_merge_partner(&self, b: BlockId) -> (Option<BlockId>, usize) {
         let label = self.label(b);
-        let blk = &self.blocks[b];
-        // Any index parent works as the sibling anchor (all legal partners
-        // share *every* parent of `b`), but both the anchor and the partner
-        // are chosen by `min` so the merge twin — and hence the surviving
-        // block id — is canonical.
-        let anchor = blk.parents.keys().min();
+        let parents = &self.blocks[b].parents;
+        // Every legal partner shares *every* parent of `b`, so the
+        // children of any one parent hold all of them: anchor on the
+        // parent with the fewest children (ties to the smaller id) and
+        // take the `min` partner, which is the same whichever parent
+        // anchors. `same_parent_set` rejects a non-twin's parent set by
+        // length or signature in O(1).
+        let anchor = parents
+            .keys()
+            // xsi-lint: allow(slice-index, parent keys of a live block name live blocks)
+            .min_by_key(|&p| (self.blocks[p].children.len(), p));
         if let Some(p) = anchor {
-            self.blocks[p]
-                .children
+            // xsi-lint: allow(slice-index, the anchor is a parent key of a live block)
+            let siblings = &self.blocks[p].children;
+            let partner = siblings
                 .keys()
                 .filter(|&cand| {
                     cand != b
@@ -671,13 +705,16 @@ impl Partition {
                         && self.label(cand) == label
                         && self.same_parent_set(cand, b)
                 })
-                .min()
+                .min();
+            (partner, siblings.len())
         } else {
-            self.orphans
+            let partner = self
+                .orphans
                 .iter()
                 .copied()
                 .filter(|&cand| cand != b && self.label(cand) == label)
-                .min()
+                .min();
+            (partner, self.orphans.len())
         }
     }
 
@@ -794,6 +831,11 @@ impl Partition {
             }
             if self.orphans.contains(&b) != blk.parents.is_empty() {
                 return Err(format!("orphan set wrong for {b:?}"));
+            }
+            for (side, m) in [("parent", &blk.parents), ("child", &blk.children)] {
+                if m.key_sig() != key_set_sig(m.keys()) {
+                    return Err(format!("{side} map signature of {b:?} is stale"));
+                }
             }
         }
         if live != self.blocks.len() {
@@ -998,14 +1040,17 @@ mod tests {
     #[test]
     fn orphan_tracking() {
         let (mut g, mut p, broot, ba, _) = small();
-        assert!(p.find_merge_partner(broot).is_none(), "root is lone orphan");
+        assert!(
+            p.find_merge_partner(broot).0.is_none(),
+            "root is lone orphan"
+        );
         // Cut a's only incoming edge: ba becomes an orphan.
         let a = p.extent(ba)[0];
         g.delete_edge(g.root(), a).unwrap();
         p.on_edge_deleted(g.root(), a);
         // ba now parentless; the only other orphan is root with a different
         // label, so still no partner.
-        assert!(p.find_merge_partner(ba).is_none());
+        assert!(p.find_merge_partner(ba).0.is_none());
         p.check_consistency(&g).unwrap();
     }
 
@@ -1025,8 +1070,9 @@ mod tests {
         let b2 = p.new_block(g.label(ids[&2]));
         p.attach_node(ids[&2], b2);
         p.rebuild_counts(&g);
-        assert_eq!(p.find_merge_partner(b1), Some(b2));
-        assert_eq!(p.find_merge_partner(b2), Some(b1));
+        // The root anchors both searches and has two children to examine.
+        assert_eq!(p.find_merge_partner(b1), (Some(b2), 2));
+        assert_eq!(p.find_merge_partner(b2), (Some(b1), 2));
     }
 
     #[test]

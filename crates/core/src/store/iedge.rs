@@ -13,6 +13,15 @@
 //! and iteration is sorted in *both* representations, which removes
 //! hash-iteration order from the bug surface entirely (the PR 2/PR 4
 //! incident class).
+//!
+//! Every map also carries a **key-set signature** ([`IedgeMap::key_sig`]):
+//! the wrapping sum of [`key_hash`] over its keys, updated on every key
+//! insertion and removal in both representations. Two maps with
+//! different signatures hold different key sets, so the merge phase's
+//! parent-set comparisons reject most non-twins in O(1); equal
+//! signatures are always confirmed by [`IedgeMap::same_keys`]'s exact
+//! comparison. The signature sits in the inline variant's padding, so
+//! it costs no space (DESIGN.md §10.2).
 
 use super::slot::SlotKey;
 use std::collections::BTreeMap;
@@ -64,14 +73,41 @@ pub enum IedgeRepr {
     Spilled,
 }
 
+/// The fixed hash behind the key-set signature: a SplitMix64 finalizer
+/// over the key's (slot, generation), folded to 32 bits. It depends on
+/// nothing but the key (no per-process seed), so a signature is the
+/// same in every run, and a recycled slot's new tenant hashes apart
+/// from its stale handle.
+#[inline]
+pub fn key_hash<K: SlotKey>(k: K) -> u32 {
+    let mut z = (((k.idx() as u64) << 32) | k.gen() as u64).wrapping_add(0x9e37_79b9_7f4a_7c15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    ((z ^ (z >> 31)) >> 32) as u32
+}
+
+/// The signature of a key set, recomputed from scratch: what
+/// [`IedgeMap::key_sig`] must equal for the map's `keys()`.
+pub(crate) fn key_set_sig<K: SlotKey>(keys: impl IntoIterator<Item = K>) -> u32 {
+    keys.into_iter()
+        .fold(0u32, |sig, k| sig.wrapping_add(key_hash(k)))
+}
+
+// Both variants carry the signature: a field beside the enum would
+// grow the map by 8 B, while inside the inline variant it fills the
+// padding after `len`.
 #[derive(Clone, Debug)]
 enum Repr<K: SlotKey> {
     Inline {
         len: u8,
+        sig: u32,
         keys: [K; INLINE_CAP],
         counts: [u32; INLINE_CAP],
     },
-    Spilled(BTreeMap<K, u32>),
+    Spilled {
+        map: BTreeMap<K, u32>,
+        sig: u32,
+    },
 }
 
 /// A count-valued map keyed by block handles, with an adaptive
@@ -94,6 +130,7 @@ impl<K: SlotKey> IedgeMap<K> {
         IedgeMap {
             repr: Repr::Inline {
                 len: 0,
+                sig: 0,
                 keys: [K::dangling(); INLINE_CAP],
                 counts: [0; INLINE_CAP],
             },
@@ -104,8 +141,27 @@ impl<K: SlotKey> IedgeMap<K> {
     pub fn len(&self) -> usize {
         match &self.repr {
             Repr::Inline { len, .. } => *len as usize,
-            Repr::Spilled(m) => m.len(),
+            Repr::Spilled { map, .. } => map.len(),
         }
+    }
+
+    /// The key-set signature: the wrapping sum of [`key_hash`] over the
+    /// keys. Equal key sets have equal signatures; the converse holds
+    /// only with high probability, so use it to reject, never to accept.
+    #[inline]
+    pub fn key_sig(&self) -> u32 {
+        match &self.repr {
+            Repr::Inline { sig, .. } | Repr::Spilled { sig, .. } => *sig,
+        }
+    }
+
+    /// Whether both maps hold exactly the same key set (counts are
+    /// ignored). Rejects on length or signature in O(1), then confirms
+    /// with one linear pass over the sorted keys.
+    pub fn same_keys(&self, other: &Self) -> bool {
+        self.len() == other.len()
+            && self.key_sig() == other.key_sig()
+            && self.keys().eq(other.keys())
     }
 
     /// True when the map holds no entries.
@@ -117,7 +173,7 @@ impl<K: SlotKey> IedgeMap<K> {
     pub fn repr(&self) -> IedgeRepr {
         match &self.repr {
             Repr::Inline { .. } => IedgeRepr::Inline,
-            Repr::Spilled(_) => IedgeRepr::Spilled,
+            Repr::Spilled { .. } => IedgeRepr::Spilled,
         }
     }
 
@@ -127,21 +183,23 @@ impl<K: SlotKey> IedgeMap<K> {
     pub fn inline_occupancy(&self) -> Option<usize> {
         match &self.repr {
             Repr::Inline { len, .. } => Some(*len as usize),
-            Repr::Spilled(_) => None,
+            Repr::Spilled { .. } => None,
         }
     }
 
     /// The count for `k`, or `None` if absent.
     pub fn get(&self, k: K) -> Option<u32> {
         match &self.repr {
-            Repr::Inline { len, keys, counts } => {
+            Repr::Inline {
+                len, keys, counts, ..
+            } => {
                 keys[..*len as usize] // xsi-lint: allow(slice-index, len is at most INLINE_CAP)
                     .binary_search(&k)
                     .ok()
                     // xsi-lint: allow(slice-index, i is a binary_search hit within len)
                     .map(|i| counts[i])
             }
-            Repr::Spilled(m) => m.get(&k).copied(),
+            Repr::Spilled { map, .. } => map.get(&k).copied(),
         }
     }
 
@@ -155,7 +213,12 @@ impl<K: SlotKey> IedgeMap<K> {
     /// capacity is exceeded.
     pub fn add(&mut self, k: K, delta: u32) -> u32 {
         match &mut self.repr {
-            Repr::Inline { len, keys, counts } => {
+            Repr::Inline {
+                len,
+                sig,
+                keys,
+                counts,
+            } => {
                 let n = *len as usize;
                 // xsi-lint: allow(slice-index, n = len is at most INLINE_CAP)
                 match keys[..n].binary_search(&k) {
@@ -169,6 +232,7 @@ impl<K: SlotKey> IedgeMap<K> {
                         keys[i] = k; // xsi-lint: allow(slice-index, insertion point i is at most n, n < INLINE_CAP)
                         counts[i] = delta; // xsi-lint: allow(slice-index, insertion point i is at most n, n < INLINE_CAP)
                         *len += 1;
+                        *sig = sig.wrapping_add(key_hash(k));
                         delta
                     }
                     Err(_) => {
@@ -177,8 +241,12 @@ impl<K: SlotKey> IedgeMap<K> {
                     }
                 }
             }
-            Repr::Spilled(m) => {
-                let c = m.entry(k).or_insert(0);
+            Repr::Spilled { map, sig } => {
+                let c = map.entry(k).or_insert(0);
+                if *c == 0 {
+                    // Zero counts are never stored: the key is new.
+                    *sig = sig.wrapping_add(key_hash(k));
+                }
                 *c += delta;
                 *c
             }
@@ -193,7 +261,12 @@ impl<K: SlotKey> IedgeMap<K> {
     /// underflow is a maintenance-invariant violation).
     pub fn sub(&mut self, k: K, delta: u32) -> u32 {
         match &mut self.repr {
-            Repr::Inline { len, keys, counts } => {
+            Repr::Inline {
+                len,
+                sig,
+                keys,
+                counts,
+            } => {
                 let n = *len as usize;
                 // xsi-lint: allow(slice-index, n = len is at most INLINE_CAP)
                 let i = match keys[..n].binary_search(&k) {
@@ -211,20 +284,22 @@ impl<K: SlotKey> IedgeMap<K> {
                     counts.copy_within(i + 1..n, i);
                     *len -= 1;
                     keys[*len as usize] = K::dangling(); // xsi-lint: allow(slice-index, len was just decremented below INLINE_CAP)
+                    *sig = sig.wrapping_sub(key_hash(k));
                     0
                 } else {
                     counts[i] // xsi-lint: allow(slice-index, i is a binary_search hit within n)
                 }
             }
-            Repr::Spilled(m) => {
-                let Some(c) = m.get_mut(&k) else {
+            Repr::Spilled { map, sig } => {
+                let Some(c) = map.get_mut(&k) else {
                     debug_assert!(false, "iedge count underflow: missing entry {k:?}");
                     return 0;
                 };
                 debug_assert!(*c >= delta, "iedge count underflow for {k:?}");
                 *c = c.saturating_sub(delta);
                 if *c == 0 {
-                    m.remove(&k);
+                    map.remove(&k);
+                    *sig = sig.wrapping_sub(key_hash(k));
                     0
                 } else {
                     *c
@@ -238,7 +313,12 @@ impl<K: SlotKey> IedgeMap<K> {
     pub fn insert(&mut self, k: K, v: u32) -> Option<u32> {
         debug_assert!(v > 0, "zero counts are never stored");
         match &mut self.repr {
-            Repr::Inline { len, keys, counts } => {
+            Repr::Inline {
+                len,
+                sig,
+                keys,
+                counts,
+            } => {
                 let n = *len as usize;
                 // xsi-lint: allow(slice-index, n = len is at most INLINE_CAP)
                 match keys[..n].binary_search(&k) {
@@ -249,6 +329,7 @@ impl<K: SlotKey> IedgeMap<K> {
                         keys[i] = k; // xsi-lint: allow(slice-index, insertion point i is at most n, n < INLINE_CAP)
                         counts[i] = v; // xsi-lint: allow(slice-index, insertion point i is at most n, n < INLINE_CAP)
                         *len += 1;
+                        *sig = sig.wrapping_add(key_hash(k));
                         None
                     }
                     Err(_) => {
@@ -257,14 +338,25 @@ impl<K: SlotKey> IedgeMap<K> {
                     }
                 }
             }
-            Repr::Spilled(m) => m.insert(k, v),
+            Repr::Spilled { map, sig } => {
+                let prev = map.insert(k, v);
+                if prev.is_none() {
+                    *sig = sig.wrapping_add(key_hash(k));
+                }
+                prev
+            }
         }
     }
 
     /// Removes `k`'s entry, returning its count if present.
     pub fn remove(&mut self, k: K) -> Option<u32> {
-        match &mut self.repr {
-            Repr::Inline { len, keys, counts } => {
+        let (sig, c) = match &mut self.repr {
+            Repr::Inline {
+                len,
+                sig,
+                keys,
+                counts,
+            } => {
                 let n = *len as usize;
                 let i = keys[..n].binary_search(&k).ok()?; // xsi-lint: allow(slice-index, n = len is at most INLINE_CAP)
                 let c = counts[i]; // xsi-lint: allow(slice-index, i is a binary_search hit within n)
@@ -272,17 +364,20 @@ impl<K: SlotKey> IedgeMap<K> {
                 counts.copy_within(i + 1..n, i);
                 *len -= 1;
                 keys[*len as usize] = K::dangling(); // xsi-lint: allow(slice-index, len was just decremented below INLINE_CAP)
-                Some(c)
+                (sig, c)
             }
-            Repr::Spilled(m) => m.remove(&k),
-        }
+            Repr::Spilled { map, sig } => (sig, map.remove(&k)?),
+        };
+        *sig = sig.wrapping_sub(key_hash(k));
+        Some(c)
     }
 
     /// Empties the map and returns it to the inline representation
-    /// (the cumulative spill count is retained).
+    /// (signature 0).
     pub fn clear(&mut self) {
         self.repr = Repr::Inline {
             len: 0,
+            sig: 0,
             keys: [K::dangling(); INLINE_CAP],
             counts: [0; INLINE_CAP],
         };
@@ -291,12 +386,14 @@ impl<K: SlotKey> IedgeMap<K> {
     /// Entries in ascending key order — in both representations.
     pub fn iter(&self) -> IedgeIter<'_, K> {
         match &self.repr {
-            Repr::Inline { len, keys, counts } => IedgeIter::Inline {
+            Repr::Inline {
+                len, keys, counts, ..
+            } => IedgeIter::Inline {
                 keys: &keys[..*len as usize], // xsi-lint: allow(slice-index, len is at most INLINE_CAP)
                 counts: &counts[..*len as usize], // xsi-lint: allow(slice-index, len is at most INLINE_CAP)
                 i: 0,
             },
-            Repr::Spilled(m) => IedgeIter::Spilled(m.iter()),
+            Repr::Spilled { map, .. } => IedgeIter::Spilled(map.iter()),
         }
     }
 
@@ -314,13 +411,19 @@ impl<K: SlotKey> IedgeMap<K> {
     }
 
     fn spill(&mut self) {
-        if let Repr::Inline { len, keys, counts } = &self.repr {
-            let m: BTreeMap<K, u32> = keys[..*len as usize] // xsi-lint: allow(slice-index, len is at most INLINE_CAP)
+        if let Repr::Inline {
+            len,
+            sig,
+            keys,
+            counts,
+        } = &self.repr
+        {
+            let map: BTreeMap<K, u32> = keys[..*len as usize] // xsi-lint: allow(slice-index, len is at most INLINE_CAP)
                 .iter()
                 .copied()
                 .zip(counts[..*len as usize].iter().copied()) // xsi-lint: allow(slice-index, len is at most INLINE_CAP)
                 .collect();
-            self.repr = Repr::Spilled(m);
+            self.repr = Repr::Spilled { map, sig: *sig };
         }
     }
 }
@@ -332,7 +435,7 @@ impl<K: SlotKey> crate::obs::mem::HeapUse for IedgeMap<K> {
     fn heap_use(&self) -> usize {
         match &self.repr {
             Repr::Inline { .. } => 0,
-            Repr::Spilled(m) => crate::obs::mem::btree_map_heap::<K, u32>(m.len()),
+            Repr::Spilled { map, .. } => crate::obs::mem::btree_map_heap::<K, u32>(map.len()),
         }
     }
 }
@@ -439,6 +542,94 @@ mod tests {
         assert_eq!(m.insert(Key(5), 9), Some(4));
         assert_eq!(m.remove(Key(5)), Some(9));
         assert_eq!(m.remove(Key(5)), None);
+    }
+
+    /// A seeded random walk over every mutating call that crosses the
+    /// inline→spilled boundary both ways: after each call the stored
+    /// signature equals the one recomputed from `keys()`, and
+    /// `same_keys` agrees with an exact key comparison.
+    #[test]
+    fn key_sig_tracks_the_key_set_through_every_call() {
+        use xsi_workload::SplitMix64;
+        let mut rng = SplitMix64::seed_from_u64(0x5eed);
+        // Uniform in 0..n.
+        let mut pick = |n: u32| rng.random_range(0..u64::from(n)) as u32;
+        let mut m: IedgeMap<Key> = IedgeMap::new();
+        let mut twin: IedgeMap<Key> = IedgeMap::new();
+        let universe = 3 * INLINE_CAP as u32;
+        let (mut spills, mut unspills) = (0, 0);
+        for step in 0..20_000 {
+            let k = Key(pick(universe));
+            let before = m.repr();
+            match pick(100) {
+                0..=34 => {
+                    m.add(k, 1 + pick(3));
+                }
+                35..=59 => {
+                    if let Some(c) = m.get(k) {
+                        m.sub(k, 1 + pick(c));
+                    }
+                }
+                60..=74 => {
+                    m.insert(k, 1 + pick(8));
+                }
+                75..=94 => {
+                    m.remove(k);
+                }
+                95..=97 => m.clear(),
+                _ => {
+                    let drained = m.drain_sorted();
+                    assert!(drained.windows(2).all(|w| w[0].0 < w[1].0));
+                }
+            }
+            if before == IedgeRepr::Inline && m.repr() == IedgeRepr::Spilled {
+                spills += 1;
+            }
+            if before == IedgeRepr::Spilled && m.repr() == IedgeRepr::Inline {
+                unspills += 1;
+            }
+            assert_eq!(m.key_sig(), key_set_sig(m.keys()), "step {step}");
+            // The twin holds the same key set under other counts, in
+            // whatever representation its own history left it.
+            twin.clear();
+            for key in m.keys() {
+                twin.insert(key, 7);
+            }
+            assert!(m.same_keys(&twin) && twin.same_keys(&m), "step {step}");
+            twin.add(Key(universe), 1);
+            assert!(!m.same_keys(&twin), "step {step}");
+        }
+        assert!(
+            spills > 10 && unspills > 10,
+            "{spills} spills, {unspills} returns"
+        );
+    }
+
+    #[test]
+    fn key_hash_is_a_fixed_function_of_slot_and_generation() {
+        use crate::partition::BlockId;
+        let a = BlockId::from_raw_parts(3, 0);
+        let recycled = BlockId::from_raw_parts(3, 1);
+        assert_eq!(key_hash(a), key_hash(BlockId::from_raw_parts(3, 0)));
+        assert_ne!(key_hash(a), key_hash(recycled));
+        // Pinned, so the hash cannot silently pick up a per-process seed.
+        assert_eq!(key_hash(a), 0x4fad_8879);
+    }
+
+    /// The signature lives in padding: the map stays 104 B for both
+    /// handle types under the default capacity.
+    #[test]
+    fn map_size_is_unchanged_by_the_signature() {
+        if INLINE_CAP == 8 {
+            assert_eq!(
+                std::mem::size_of::<IedgeMap<crate::partition::BlockId>>(),
+                104
+            );
+            assert_eq!(
+                std::mem::size_of::<IedgeMap<crate::akindex::ABlockId>>(),
+                104
+            );
+        }
     }
 
     #[test]
