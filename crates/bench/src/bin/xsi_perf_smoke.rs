@@ -74,30 +74,24 @@ fn summarize(tree: &SpanTree) -> SpanSummary {
     }
 }
 
-/// Runs `f` `passes` times with span collection armed and summarizes
-/// the tree.
-fn instrumented<R>(f: &mut impl FnMut() -> R, passes: usize) -> SpanSummary {
-    span::begin_collection();
-    for _ in 0..passes {
-        std::hint::black_box(f());
-    }
-    summarize(&span::end_collection())
-}
-
-/// Benchmarks `f`. With `want_counters` the instrumented pass runs first
-/// (`passes` calls), so it starts from the state the bench set up.
+/// Benchmarks `f`. With `want_counters` it first calls `f` `passes`
+/// times with span collection armed and summarizes the tree, so the
+/// instrumented pass starts from the state the bench set up.
 fn measure<R>(
     name: &str,
     want_counters: bool,
     passes: usize,
     mut f: impl FnMut() -> R,
 ) -> (MicroResult, SpanSummary) {
-    let c = if want_counters {
-        instrumented(&mut f, passes)
-    } else {
-        SpanSummary::default()
-    };
-    (bench_value(name, &mut f), c)
+    let mut counters = SpanSummary::default();
+    if want_counters {
+        span::begin_collection();
+        for _ in 0..passes {
+            std::hint::black_box(f());
+        }
+        counters = summarize(&span::end_collection());
+    }
+    (bench_value(name, &mut f), counters)
 }
 
 /// Per-bench noise threshold for `xsi_perf_diff`, as a percentage of
