@@ -39,5 +39,6 @@ pub mod slot;
 
 pub use cow::CowVec;
 pub use iedge::{IedgeMap, IedgeRepr};
+pub(crate) use scratch::next_epoch;
 pub use scratch::ScratchTable;
 pub use slot::{SlotKey, SlotMap};

@@ -9,6 +9,22 @@
 //! deterministic iteration order for free (and sort it when a
 //! different order is part of the contract).
 
+/// Advances `epoch` to a value no entry of `stamps` holds, so every
+/// stamp written under an earlier epoch reads as stale. Fresh stamps
+/// are 0 and 0 is never handed out; once per 2^32 calls the counter
+/// would wrap, so the stamps are cleared for real and counting restarts
+/// at 1. The one epoch rule of every stamped table in the crate.
+pub(crate) fn next_epoch(epoch: &mut u32, stamps: &mut [u32]) -> u32 {
+    *epoch = match epoch.checked_add(1) {
+        Some(e) => e,
+        None => {
+            stamps.fill(0);
+            1
+        }
+    };
+    *epoch
+}
+
 /// A dense `u32 → V` map with O(1) bulk reset via epoch stamps.
 #[derive(Clone, Debug, Default)]
 pub struct ScratchTable<V: Copy + Default> {
@@ -27,14 +43,7 @@ impl<V: Copy + Default> ScratchTable<V> {
     /// Starts a fresh use of the table: previous entries become absent.
     pub fn begin(&mut self) {
         self.touched.clear();
-        self.epoch = match self.epoch.checked_add(1) {
-            Some(e) => e,
-            None => {
-                // One clear per 2^32 uses: reset the stamps for real.
-                self.stamp.iter_mut().for_each(|s| *s = 0);
-                1
-            }
-        };
+        next_epoch(&mut self.epoch, &mut self.stamp);
     }
 
     /// Grows the key space to cover indexes `< n`.
