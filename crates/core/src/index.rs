@@ -115,15 +115,24 @@ pub trait StructuralIndex {
     fn as_any(&self) -> &dyn std::any::Any;
 }
 
-/// Block-level navigation over an index graph: everything the generic
-/// query evaluator needs, with raw `u32` block ids so one object-safe
-/// interface covers [`crate::partition::BlockId`] and
-/// [`crate::akindex::ABlockId`] alike.
+/// Block-level navigation over an index graph: everything the block
+/// walk of `xsi-query` needs (DESIGN.md §11.3), with raw `u32` block
+/// ids so one object-safe interface covers
+/// [`crate::partition::BlockId`], [`crate::akindex::ABlockId`] and the
+/// slot ids of a frozen [`IndexSnapshot`] alike. No method allocates or
+/// returns an owned collection, so a walk pays nothing per visited
+/// block beyond the visit itself.
 pub trait IndexQueryView {
     /// The block containing the graph root.
     fn start_block(&self) -> u32;
-    /// Iedge successors of a block.
-    fn isucc(&self, b: u32) -> Vec<u32>;
+    /// One past the largest raw block id a walk can meet: the walker
+    /// sizes its dense per-walk marks by it. Live views answer their
+    /// slot count (live and free slots), a snapshot its slot table's
+    /// length.
+    fn slot_bound(&self) -> usize;
+    /// Calls `f` with each iedge successor of block `b`, in ascending
+    /// raw id order, borrowing the index's own successor map.
+    fn for_each_isucc(&self, b: u32, f: &mut dyn FnMut(u32));
     /// The label name shared by the block's extent.
     fn label_name(&self, b: u32) -> &str;
     /// The block's extent of dnodes, borrowed from the index — extent
@@ -213,11 +222,16 @@ impl IndexQueryView for OneIndexView<'_> {
         self.idx.block_of(self.g.root()).raw()
     }
 
-    fn isucc(&self, b: u32) -> Vec<u32> {
+    fn slot_bound(&self) -> usize {
+        self.idx.partition().slot_bound()
+    }
+
+    fn for_each_isucc(&self, b: u32, f: &mut dyn FnMut(u32)) {
         // Raw view ids are slot indexes; reconstruct the live
         // generation-checked handle before touching the partition.
-        let b = self.idx.partition().handle(b);
-        self.idx.isucc(b).map(|c| c.raw()).collect()
+        for c in self.idx.isucc(self.idx.partition().handle(b)) {
+            f(c.raw());
+        }
     }
 
     fn label_name(&self, b: u32) -> &str {
@@ -400,11 +414,14 @@ impl IndexQueryView for AkIndexView<'_> {
         self.idx.block_of(self.g.root()).raw()
     }
 
-    fn isucc(&self, b: u32) -> Vec<u32> {
-        self.idx
-            .isucc(self.idx.handle(b))
-            .map(|c| c.raw())
-            .collect()
+    fn slot_bound(&self) -> usize {
+        self.idx.slot_bound()
+    }
+
+    fn for_each_isucc(&self, b: u32, f: &mut dyn FnMut(u32)) {
+        for c in self.idx.isucc(self.idx.handle(b)) {
+            f(c.raw());
+        }
     }
 
     fn label_name(&self, b: u32) -> &str {
@@ -581,8 +598,12 @@ mod tests {
         let simple_view = StructuralIndex::query_view(&simple, &g);
         assert_eq!(simple_view.label_name(simple_view.start_block()), "ROOT");
         assert_eq!(simple_view.precise_up_to(), Some(2));
-        let a_block = simple_view
-            .isucc(simple_view.isucc(simple_view.start_block())[0])
+        let succ = |b: u32| {
+            let mut out = Vec::new();
+            simple_view.for_each_isucc(b, &mut |c| out.push(c));
+            out
+        };
+        let a_block = succ(succ(simple_view.start_block())[0])
             .into_iter()
             .find(|&b| simple_view.label_name(b) == "a")
             .expect("site has an a child block");

@@ -238,11 +238,17 @@ impl IndexQueryView for IndexSnapshot {
         self.start
     }
 
-    fn isucc(&self, b: u32) -> Vec<u32> {
-        self.block(b)
-            .expect("invariant: walker only visits live frozen block ids")
-            .isucc
-            .clone()
+    fn slot_bound(&self) -> usize {
+        self.blocks.len()
+    }
+
+    fn for_each_isucc(&self, b: u32, f: &mut dyn FnMut(u32)) {
+        let block = self
+            .block(b)
+            .expect("invariant: walker only visits live frozen block ids");
+        for &c in &block.isucc {
+            f(c);
+        }
     }
 
     fn label_name(&self, b: u32) -> &str {
