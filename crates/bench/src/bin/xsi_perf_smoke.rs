@@ -14,6 +14,11 @@
 //! * `1index_build` / `ak3_build`: Paige–Tarjan refinement from scratch
 //!   (pure splitter-scan throughput).
 //!
+//! Tier 2 adds the freeze, the block walk of one query over a frozen
+//! snapshot (`frozen_query`) and over the live 1-index's query view
+//! (`live_query`), and four readers sharing one snapshot
+//! (`frozen_reader_throughput`).
+//!
 //! Usage: `xsi_perf_smoke [--scale 0.05] [--seed 42] [--json out.json]
 //! [--bench-out BENCH.json] [--metrics-out m.json]`.
 //!
@@ -229,7 +234,8 @@ fn run(args: &Args) {
     };
     {
         // Query evaluation over a frozen view: the raw block walk on
-        // owned data, no live graph or index in sight.
+        // owned data, no live graph or index in sight. `live_query`
+        // runs the same walk over the live index's query view.
         let (g, _) = setup(scale, seed);
         let idx = OneIndex::build(&g);
         let snap = idx
@@ -238,6 +244,11 @@ fn run(args: &Args) {
         let expr = PathExpr::parse(FROZEN_QUERY).unwrap(); // xsi-lint: allow(panic-unwrap, bench harness aborts loudly on a broken workload)
         results.push((
             bench_value("frozen_query", || eval_index_raw(&snap, &expr)),
+            SpanSummary::default(),
+        ));
+        let view = idx.query_view(&g);
+        results.push((
+            bench_value("live_query", || eval_index_raw(&*view, &expr)),
             SpanSummary::default(),
         ));
     }
