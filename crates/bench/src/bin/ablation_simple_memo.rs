@@ -25,6 +25,8 @@ fn main() {
     let scale = args.f64("scale", 0.1);
     let pairs = args.usize("pairs", 100);
     let seed = args.u64("seed", 42);
+    let out = args.str("out");
+    args.finish();
 
     let mut t = Table::new(
         "Ablation: simple-baseline signature memoization (µs per update)",
@@ -63,7 +65,7 @@ fn main() {
     t.print();
     println!("\nThe non-memoized column grows super-linearly in k — the paper's");
     println!("\"cost of this simple algorithm is exponential in k\".");
-    if let Some(out) = args.str("out") {
+    if let Some(out) = out {
         xsi_bench::write_csv(&t, std::path::Path::new(out)).expect("write csv");
     }
 }

@@ -15,6 +15,8 @@ fn main() {
     let args = Args::parse_env();
     let scale = args.f64("scale", 1.0);
     let seed = args.u64("seed", 42);
+    let out = args.str("out");
+    args.finish();
 
     let mut t = Table::new(
         &format!("Generated datasets at scale {scale} (paper originals in brackets)"),
@@ -50,7 +52,7 @@ fn main() {
         format!("{}", idx.block_count()),
     ]);
     t.print();
-    if let Some(out) = args.str("out") {
+    if let Some(out) = out {
         xsi_bench::write_csv(&t, std::path::Path::new(out)).expect("write csv");
     }
 }

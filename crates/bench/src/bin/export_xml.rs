@@ -17,14 +17,17 @@ fn main() {
     let dataset = args.str("dataset").unwrap_or("xmark");
     let scale = args.f64("scale", 0.01);
     let seed = args.u64("seed", 42);
+    let cyclicity = args.f64("cyclicity", 1.0);
+    let out = args.str("out");
+    args.finish();
     let g = match dataset {
-        "xmark" => generate_xmark(&XmarkParams::new(scale, args.f64("cyclicity", 1.0), seed)),
+        "xmark" => generate_xmark(&XmarkParams::new(scale, cyclicity, seed)),
         "imdb" => generate_imdb(&ImdbParams::new(scale, seed)),
         "dblp" => generate_dblp(&DblpParams::new(scale, seed)),
         other => panic!("unknown dataset {other:?} (expected xmark, imdb or dblp)"),
     };
     let xml = serialize(&g, &SerializeOptions::default()).expect("generated graphs are trees");
-    match args.str("out") {
+    match out {
         Some(path) => {
             std::fs::write(path, &xml).expect("write output file");
             eprintln!(

@@ -56,6 +56,8 @@ fn main() {
         .split(',')
         .map(|s| s.trim().parse().expect("--depths expects integers"))
         .collect();
+    let out = args.str("out");
+    args.finish();
 
     let mut t = Table::new(
         "Figure 5: worst-case intermediate index blow-up",
@@ -89,7 +91,7 @@ fn main() {
     }
     t.print();
     println!("\nThe blow-up column grows linearly with the chain depth: Ω(n).");
-    if let Some(out) = args.str("out") {
+    if let Some(out) = out {
         xsi_bench::write_csv(&t, std::path::Path::new(out)).expect("write csv");
     }
 }

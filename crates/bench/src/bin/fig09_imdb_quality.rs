@@ -19,6 +19,8 @@ fn main() {
     let pairs = args.usize("pairs", 5000);
     let sample_every = args.usize("sample-every", (pairs / 25).max(1));
     let seed = args.u64("seed", 42);
+    let out = args.str("out");
+    args.finish();
 
     let mut rows: Vec<Vec<String>> = Vec::new();
     let mut summaries = Vec::new();
@@ -59,7 +61,7 @@ fn main() {
             s.rebuild_count
         );
     }
-    if let Some(out) = args.str("out") {
+    if let Some(out) = out {
         xsi_bench::write_csv(&t, std::path::Path::new(out)).expect("write csv");
     }
 }

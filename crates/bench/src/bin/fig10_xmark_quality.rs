@@ -20,6 +20,8 @@ fn main() {
     let pairs = args.usize("pairs", 5000);
     let sample_every = args.usize("sample-every", (pairs / 25).max(1));
     let seed = args.u64("seed", 42);
+    let out = args.str("out");
+    args.finish();
 
     let mut t = Table::new(
         "Figure 10: 1-index quality over mixed updates, XMark(c)",
@@ -57,7 +59,7 @@ fn main() {
         }
     }
     t.print();
-    if let Some(out) = args.str("out") {
+    if let Some(out) = out {
         xsi_bench::write_csv(&t, std::path::Path::new(out)).expect("write csv");
     }
 }

@@ -20,6 +20,8 @@ fn main() {
     let scale = args.f64("scale", 1.0);
     let pairs = args.usize("pairs", 5000);
     let seed = args.u64("seed", 42);
+    let out = args.str("out");
+    args.finish();
 
     let datasets: Vec<(String, Box<dyn Fn() -> Graph>)> = vec![
         (
@@ -74,7 +76,7 @@ fn main() {
         eprintln!("{name} done");
     }
     t.print();
-    if let Some(out) = args.str("out") {
+    if let Some(out) = out {
         xsi_bench::write_csv(&t, std::path::Path::new(out)).expect("write csv");
     }
 }

@@ -35,6 +35,8 @@ fn main() {
     let count = args.usize("subgraphs", 500);
     let sample_every = args.usize("sample-every", (count / 20).max(1));
     let seed = args.u64("seed", 42);
+    let out = args.str("out");
+    args.finish();
 
     let mut t = Table::new(
         "Figure 12: 1-index quality during subgraph additions",
@@ -104,7 +106,7 @@ fn main() {
             spent.as_secs_f64() * 1e3 / (*n).max(1) as f64
         );
     }
-    if let Some(out) = args.str("out") {
+    if let Some(out) = out {
         xsi_bench::write_csv(&t, std::path::Path::new(out)).expect("write csv");
     }
 }

@@ -21,6 +21,8 @@ fn main() {
     let pairs = args.usize("pairs", 1000);
     let sample_every = args.usize("sample-every", (pairs / 20).max(1));
     let seed = args.u64("seed", 42);
+    let out = args.str("out");
+    args.finish();
 
     let mut t = Table::new(
         "Figure 13: A(k)-index quality of the simple algorithm, XMark",
@@ -51,7 +53,7 @@ fn main() {
         }
     }
     t.print();
-    if let Some(out) = args.str("out") {
+    if let Some(out) = out {
         xsi_bench::write_csv(&t, std::path::Path::new(out)).expect("write csv");
     }
 }

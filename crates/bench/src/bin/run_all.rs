@@ -25,6 +25,7 @@ fn main() {
         .str("outdir")
         .map(PathBuf::from)
         .unwrap_or_else(|| PathBuf::from("target/experiments"));
+    args.finish();
     std::fs::create_dir_all(&outdir).expect("create output directory");
 
     let bin_dir = std::env::current_exe()
@@ -80,8 +81,11 @@ fn main() {
     for (name, extra) in jobs {
         let csv = outdir.join(format!("{name}.csv"));
         let mut cmd = Command::new(bin_dir.join(name));
-        cmd.args(["--seed", &seed_s])
-            .args(extra)
+        // fig05 is a fixed construction and reads no seed.
+        if name != "fig05_worstcase" {
+            cmd.args(["--seed", &seed_s]);
+        }
+        cmd.args(extra)
             .args(["--out", csv.to_str().expect("utf-8 path")]);
         println!("\n──── {name} ────");
         let status = cmd.status().unwrap_or_else(|e| panic!("spawn {name}: {e}"));

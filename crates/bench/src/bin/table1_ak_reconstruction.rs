@@ -20,6 +20,8 @@ fn main() {
     let scale = args.f64("scale", 1.0);
     let pairs = args.usize("pairs", 1000); // 2000 updates, like the paper
     let seed = args.u64("seed", 42);
+    let out = args.str("out");
+    args.finish();
 
     let mut t = Table::new(
         "Table 1: avg updates between reconstructions (simple algorithm)",
@@ -59,7 +61,7 @@ fn main() {
         t.row(&cells);
     }
     t.print();
-    if let Some(out) = args.str("out") {
+    if let Some(out) = out {
         xsi_bench::write_csv(&t, std::path::Path::new(out)).expect("write csv");
     }
 }

@@ -20,6 +20,8 @@ fn main() {
     let scale = args.f64("scale", 1.0);
     let pairs = args.usize("pairs", 1000);
     let seed = args.u64("seed", 42);
+    let out = args.str("out");
+    args.finish();
 
     let mut t = Table::new(
         "Table 2: avg per-update time (µs) of A(k) algorithms",
@@ -48,7 +50,7 @@ fn main() {
         }
     }
     t.print();
-    if let Some(out) = args.str("out") {
+    if let Some(out) = out {
         xsi_bench::write_csv(&t, std::path::Path::new(out)).expect("write csv");
     }
 }

@@ -18,6 +18,8 @@ fn main() {
     let args = Args::parse_env();
     let scale = args.f64("scale", 1.0);
     let seed = args.u64("seed", 42);
+    let out = args.str("out");
+    args.finish();
 
     let mut t = Table::new(
         "Table 3: storage of the refinement tree vs stand-alone A(k) (KB)",
@@ -43,7 +45,7 @@ fn main() {
         t.row(&overhead);
     }
     t.print();
-    if let Some(out) = args.str("out") {
+    if let Some(out) = out {
         xsi_bench::write_csv(&t, std::path::Path::new(out)).expect("write csv");
     }
 }

@@ -21,6 +21,8 @@ fn main() {
     let pairs = args.usize("pairs", 2000);
     let check_every = args.usize("check-every", (pairs / 20).max(1));
     let seed = args.u64("seed", 42);
+    let out = args.str("out");
+    args.finish();
 
     let mut g = generate_dblp(&DblpParams::new(scale, seed));
     assert!(is_acyclic(&g), "DBLP generator must produce a DAG");
@@ -70,7 +72,7 @@ fn main() {
         println!("\nVIOLATION: {divergences} samples diverged from the minimum!");
         std::process::exit(1);
     }
-    if let Some(out) = args.str("out") {
+    if let Some(out) = out {
         xsi_bench::write_csv(&t, std::path::Path::new(out)).expect("write csv");
     }
 }

@@ -103,6 +103,7 @@ fn main() {
         .str("current")
         .unwrap_or_else(|| die("--current <path> is required"));
     let fail_pct = args.f64("fail-pct", 25.0);
+    args.finish();
 
     let baseline = load(baseline_path);
     let current = load(current_path);
