@@ -29,40 +29,10 @@ use std::collections::BTreeMap;
 /// Entries held inline before spilling. Chosen to cover the bulk of
 /// the degree distribution while keeping the struct within a few cache
 /// lines; see DESIGN.md §10 for the measurement notes and
-/// EXPERIMENTS.md for the 8/16/32 sweep that confirmed the default.
-///
-/// Overridable at *compile time* via the `XSI_INLINE_CAP` environment
-/// variable (`option_env!`), clamped to `1..=64` — the upper bound
-/// keeps `len: u8` honest and matches the inline-occupancy histogram's
-/// bucket range. Invalid values fall back to the default of 8.
-pub const INLINE_CAP: usize = parse_inline_cap(option_env!("XSI_INLINE_CAP"));
-
-/// Const-parses the `XSI_INLINE_CAP` override; default 8, clamp 1..=64.
-const fn parse_inline_cap(env: Option<&str>) -> usize {
-    let Some(s) = env else { return 8 };
-    let bytes = s.as_bytes();
-    if bytes.is_empty() {
-        return 8;
-    }
-    let mut v: usize = 0;
-    let mut i = 0;
-    while i < bytes.len() {
-        let b = bytes[i];
-        if b < b'0' || b > b'9' {
-            return 8;
-        }
-        v = v * 10 + (b - b'0') as usize;
-        if v > 64 {
-            return 64;
-        }
-        i += 1;
-    }
-    if v == 0 {
-        1
-    } else {
-        v
-    }
-}
+/// EXPERIMENTS.md for the 8/16/32 sweep that settled it. At most 64, so
+/// `len: u8` stays honest and the inline-occupancy histogram's buckets
+/// cover every occupancy.
+pub const INLINE_CAP: usize = 8;
 
 /// Which representation a map currently uses.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -617,19 +587,17 @@ mod tests {
     }
 
     /// The signature lives in padding: the map stays 104 B for both
-    /// handle types under the default capacity.
+    /// handle types.
     #[test]
     fn map_size_is_unchanged_by_the_signature() {
-        if INLINE_CAP == 8 {
-            assert_eq!(
-                std::mem::size_of::<IedgeMap<crate::partition::BlockId>>(),
-                104
-            );
-            assert_eq!(
-                std::mem::size_of::<IedgeMap<crate::akindex::ABlockId>>(),
-                104
-            );
-        }
+        assert_eq!(
+            std::mem::size_of::<IedgeMap<crate::partition::BlockId>>(),
+            104
+        );
+        assert_eq!(
+            std::mem::size_of::<IedgeMap<crate::akindex::ABlockId>>(),
+            104
+        );
     }
 
     #[test]
