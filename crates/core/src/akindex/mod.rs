@@ -38,6 +38,7 @@ pub use storage::StorageReport;
 use crate::obs::mem::{btree_set_heap, vec_cap_heap, HeapUse, MemReport};
 use crate::store::iedge::key_set_sig;
 use crate::store::{next_epoch, CowVec, IedgeMap, ScratchTable, SlotKey, SlotMap};
+use crate::view::IndexSnapshot;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 use std::sync::Arc;
@@ -434,6 +435,19 @@ impl AkIndex {
         out
     }
 
+    /// The A(level)-index embedded at `level` of this chain as a query
+    /// view: the block graph the level's class assignment induces (the
+    /// one derived view, shared with the simple baseline), precise for
+    /// paths of length ≤ `level`, safe otherwise. Derived in O(n + m)
+    /// per call: only level k stores its iedges, so this is how a
+    /// shorter query gets a coarser view without building a separate
+    /// A(level)-index.
+    pub fn level_view(&self, g: &Graph, level: usize) -> IndexSnapshot {
+        assert!(level <= self.k, "level out of range");
+        let classes = self.assignment(g, level);
+        IndexSnapshot::from_assignment(g, &classes, level, format!("A({level})-index"))
+    }
+
     /// All per-level assignments — the chain handed to
     /// [`crate::check::is_valid_ak_chain`].
     pub fn chain_assignments(&self, g: &Graph) -> Vec<Vec<u32>> {
@@ -810,50 +824,6 @@ impl AkIndex {
         out
     }
 
-    /// Derives the intra-level iedges of the A(level)-index from the
-    /// cross-level maps, in O(|E_level|): an iedge `I@level → J@level`
-    /// exists iff some `E_level` entry points from `I` into a tree child
-    /// of `J`. This is the paper's optional "intra-iedges inside the
-    /// A(i)-indexes for i < k", materialized on demand instead of stored.
-    ///
-    /// For `level == k` the stored intra maps are returned directly.
-    pub fn intra_iedges_at(&self, level: usize) -> Vec<(ABlockId, ABlockId)> {
-        assert!(level <= self.k, "level out of range");
-        let mut out: BTreeSet<(ABlockId, ABlockId)> = BTreeSet::new();
-        if level == self.k {
-            for b in self.blocks_at(self.k) {
-                for c in self.blocks[b].succ_intra.keys() {
-                    out.insert((b, c));
-                }
-            }
-        } else {
-            for b in self.blocks_at(level) {
-                for t in self.blocks[b].succ_cross.keys() {
-                    out.insert((b, self.blocks[t].tree_parent));
-                }
-            }
-        }
-        out.into_iter().collect()
-    }
-
-    /// The extent of a block at any level (materialized by walking the
-    /// refinement tree to the leaves; prefer [`AkIndex::extent`] at level
-    /// k, which is free).
-    pub fn extent_at(&self, b: ABlockId) -> Vec<NodeId> {
-        let mut out = Vec::with_capacity(self.weight(b));
-        let mut stack = vec![b];
-        while let Some(x) = stack.pop() {
-            if self.blocks[x].level as usize == self.k {
-                out.extend_from_slice(&self.blocks[x].extent);
-            } else {
-                // Sorted child order keeps the materialized extent
-                // reproducible across runs (it escapes to callers).
-                stack.extend(self.blocks[x].tree_children.iter().copied());
-            }
-        }
-        out
-    }
-
     /// Grows per-node side tables after graph node additions.
     pub fn ensure_capacity(&mut self, g: &Graph) {
         let cap = g.capacity();
@@ -1176,70 +1146,6 @@ mod tests {
         for (scanned, succ) in [(g.root(), ids[&1]), (ids[&1], ids[&2]), (ids[&2], ids[&3])] {
             let b = idx.block_of(scanned);
             assert_eq!(idx.collect_succ(&g, b), vec![succ], "scan of {scanned:?}");
-        }
-    }
-}
-
-#[cfg(test)]
-mod intra_level_tests {
-    use super::*;
-    use xsi_graph::GraphBuilder;
-
-    /// The derived A(i) intra-iedges must equal the stored intra-iedges
-    /// of an A(k)-index built directly with k = i.
-    #[test]
-    fn derived_intra_iedges_match_direct_build() {
-        let (g, _) = GraphBuilder::new()
-            .nodes(&[(1, "a"), (2, "b"), (3, "b"), (4, "c"), (5, "c"), (6, "d")])
-            .edges(&[(1, 2), (1, 3), (2, 4), (3, 5), (4, 6)])
-            .idref_edges(&[(6, 3)])
-            .root_to(1)
-            .build_with_ids();
-        let deep = AkIndex::build(&g, 4);
-        for level in 0..=4 {
-            let shallow = AkIndex::build(&g, level);
-            // Compare as (sorted extent, sorted extent) pairs since block
-            // ids differ between the two indexes.
-            let canon = |idx: &AkIndex, pairs: Vec<(ABlockId, ABlockId)>, at_k: bool| {
-                let mut out: Vec<(Vec<NodeId>, Vec<NodeId>)> = pairs
-                    .into_iter()
-                    .map(|(a, b)| {
-                        let (mut ea, mut eb) = if at_k {
-                            (idx.extent(a).to_vec(), idx.extent(b).to_vec())
-                        } else {
-                            (idx.extent_at(a), idx.extent_at(b))
-                        };
-                        ea.sort_unstable();
-                        eb.sort_unstable();
-                        (ea, eb)
-                    })
-                    .collect();
-                out.sort();
-                out
-            };
-            let derived = canon(&deep, deep.intra_iedges_at(level), false);
-            let direct = canon(&shallow, shallow.intra_iedges_at(level), true);
-            assert_eq!(derived, direct, "level {level}");
-        }
-    }
-
-    #[test]
-    fn extent_at_partitions_nodes() {
-        let (g, _) = GraphBuilder::new()
-            .nodes(&[(1, "a"), (2, "b"), (3, "b")])
-            .edges(&[(1, 2), (1, 3)])
-            .root_to(1)
-            .build_with_ids();
-        let idx = AkIndex::build(&g, 3);
-        for level in 0..=3 {
-            let mut all: Vec<NodeId> = idx
-                .blocks_at(level)
-                .flat_map(|b| idx.extent_at(b))
-                .collect();
-            all.sort_unstable();
-            let mut live: Vec<NodeId> = g.nodes().collect();
-            live.sort_unstable();
-            assert_eq!(all, live, "level {level}");
         }
     }
 }

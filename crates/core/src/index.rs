@@ -494,11 +494,15 @@ impl StructuralIndex for SimpleAkIndex {
     // `Some(k)` is sound because the baseline always refines the exact
     // k-bisimulation.
     fn query_view<'a>(&'a self, g: &'a Graph) -> Box<dyn IndexQueryView + 'a> {
-        Box::new(IndexSnapshot::from_simple_ak(g, self, self.describe()))
+        let classes = self.assignment(g);
+        let view = IndexSnapshot::from_assignment(g, &classes, self.k(), self.describe());
+        Box::new(view)
     }
 
     fn freeze(&self, g: &Graph) -> Option<IndexSnapshot> {
-        Some(IndexSnapshot::from_simple_ak(g, self, self.describe()))
+        let classes = self.assignment(g);
+        let view = IndexSnapshot::from_assignment(g, &classes, self.k(), self.describe());
+        Some(view)
     }
 }
 

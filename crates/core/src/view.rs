@@ -29,7 +29,7 @@
 //! replica index replayed to the same op prefix and asserts snapshot
 //! equality — the oracle behind the `Freeze` scenario op.
 
-use crate::akindex::{AkIndex, SimpleAkIndex};
+use crate::akindex::AkIndex;
 use crate::index::IndexQueryView;
 use crate::oneindex::OneIndex;
 use std::sync::Arc;
@@ -128,14 +128,21 @@ impl IndexSnapshot {
         }
     }
 
-    /// Freezes the simple BFS-repartition baseline by *deriving* the
-    /// block graph its class assignment induces on the data graph (the
-    /// baseline maintains extents only, no iedges). This is the one
-    /// family whose freeze is O(n + m), not O(blocks) — it materializes
-    /// extents and iedges rather than sharing live runs, so its CoW
-    /// clone count is always 0.
-    pub fn from_simple_ak(g: &Graph, idx: &SimpleAkIndex, family: String) -> IndexSnapshot {
-        let classes = idx.assignment(g);
+    /// *Derives* the block graph a class assignment induces on the data
+    /// graph (`classes` is capacity-sized, one class id per live node):
+    /// one block per class, an iedge wherever a data edge crosses
+    /// classes, precise up to paths of length `horizon`. This is the one
+    /// derived query view. It serves the simple BFS-repartition baseline
+    /// (which maintains extents only, no iedges), whose freeze is
+    /// therefore O(n + m), not O(blocks), with a CoW clone count of
+    /// always 0, and one level of an A(k) chain
+    /// ([`AkIndex::level_view`]).
+    pub(crate) fn from_assignment(
+        g: &Graph,
+        classes: &[u32],
+        horizon: usize,
+        family: String,
+    ) -> IndexSnapshot {
         // Compress the (arbitrary) class ids of live nodes to dense ids,
         // assigned in node-iteration order — deterministic.
         let mut dense: std::collections::HashMap<u32, u32> = std::collections::HashMap::new();
@@ -143,7 +150,7 @@ impl IndexSnapshot {
         let mut labels: Vec<String> = Vec::new();
         let mut of = vec![u32::MAX; g.capacity()];
         for n in g.nodes() {
-            let c = classes[n.index()]; // xsi-lint: allow(slice-index, assignment() is capacity-sized)
+            let c = classes[n.index()]; // xsi-lint: allow(slice-index, classes is capacity-sized)
             let id = *dense.entry(c).or_insert_with(|| {
                 extents.push(Vec::new());
                 labels.push(g.label_name(n).to_string());
@@ -174,7 +181,7 @@ impl IndexSnapshot {
         IndexSnapshot {
             family,
             start,
-            precise: Some(idx.k()),
+            precise: Some(horizon),
             blocks,
             block_count,
         }
@@ -274,6 +281,7 @@ impl IndexQueryView for IndexSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::akindex::SimpleAkIndex;
     use crate::index::{PropagateOneIndex, StructuralIndex};
     use xsi_graph::{EdgeKind, GraphBuilder};
 

@@ -5,9 +5,9 @@
 //! by every index family, every live view and every frozen snapshot:
 //! [`eval_index_raw`] runs it and unions the matched extents,
 //! [`eval_one_index_blocks`] returns the matched 1-index blocks, and
-//! [`eval_ak_index_at_level`] runs it over a materialized level of an
-//! A(k) chain. The walk keeps its frontier in a `Vec<u32>` and marks
-//! visited blocks in a dense bitset sized by the view's
+//! [`eval_ak_index_at_level`] runs it over the view that one level of
+//! an A(k) chain induces. The walk keeps its frontier in a `Vec<u32>`
+//! and marks visited blocks in a dense bitset sized by the view's
 //! [`IndexQueryView::slot_bound`], allocated per call: no hashing and
 //! no allocation per visited block, and no state in the view, so one
 //! snapshot is shareable by reader threads. [`eval_index`] wraps the
@@ -537,87 +537,17 @@ mod block_level_tests {
 }
 
 /// Evaluates `expr` over the A(i)-index embedded at `level` of a deeper
-/// A(k) chain, using the intra-level iedges derived from the refinement
-/// tree (the paper's §6 "optional" structure). Precise for paths of
-/// length ≤ `level`, safe otherwise — a coarser, cheaper index view for
-/// short queries without building a separate A(level) index.
+/// A(k) chain ([`AkIndex::level_view`], the block graph the level's
+/// class assignment induces). Precise for paths of length ≤ `level`,
+/// safe otherwise — a coarser, cheaper index view for short queries
+/// without building a separate A(level) index.
 pub fn eval_ak_index_at_level(
     g: &Graph,
     idx: &AkIndex,
     level: usize,
     expr: &PathExpr,
 ) -> Vec<NodeId> {
-    assert!(level <= idx.k(), "level out of range");
-    eval_index_raw(&LevelView::materialize(g, idx, level), expr)
-}
-
-/// One level of an A(k) chain as a query view. Only level k stores its
-/// iedges and extents, so this view materializes the level's derived
-/// iedges and its blocks' extents once per evaluation, keyed by raw
-/// slot id.
-struct LevelView<'a> {
-    g: &'a Graph,
-    idx: &'a AkIndex,
-    start: u32,
-    level: usize,
-    /// Intra-level successors, ascending.
-    succ: Vec<Vec<u32>>,
-    /// Empty for slots of other levels and dead slots.
-    extents: Vec<Vec<NodeId>>,
-}
-
-impl<'a> LevelView<'a> {
-    fn materialize(g: &'a Graph, idx: &'a AkIndex, level: usize) -> Self {
-        let mut succ = vec![Vec::new(); idx.slot_bound()];
-        // Sorted by (from, to), so each successor list is ascending.
-        for (a, b) in idx.intra_iedges_at(level) {
-            succ.get_mut(a.index())
-                .expect("invariant: live block ids are below the slot bound")
-                .push(b.raw());
-        }
-        let mut extents = vec![Vec::new(); idx.slot_bound()];
-        for b in idx.blocks_at(level) {
-            *extents
-                .get_mut(b.index())
-                .expect("invariant: live block ids are below the slot bound") = idx.extent_at(b);
-        }
-        LevelView {
-            g,
-            idx,
-            start: idx.block_of_at(g.root(), level).raw(),
-            level,
-            succ,
-            extents,
-        }
-    }
-}
-
-impl IndexQueryView for LevelView<'_> {
-    fn start_block(&self) -> u32 {
-        self.start
-    }
-
-    fn slot_bound(&self) -> usize {
-        self.succ.len()
-    }
-
-    fn for_each_isucc(&self, b: u32, f: &mut dyn FnMut(u32)) {
-        for &c in self.succ.get(b as usize).into_iter().flatten() {
-            f(c);
-        }
-    }
-
-    fn label_name(&self, b: u32) -> &str {
-        self.g.labels().name(self.idx.label(self.idx.handle(b)))
-    }
-
-    fn extent(&self, b: u32) -> &[NodeId] {
-        self.extents.get(b as usize).map_or(&[], Vec::as_slice)
-    }
-
-    fn precise_up_to(&self) -> Option<usize> {
-        Some(self.level)
-    }
+    eval_index_raw(&idx.level_view(g, level), expr)
 }
 
 #[cfg(test)]
