@@ -1,7 +1,7 @@
 //! Overhead of the observability layer on the engine's hot path
 //! (criterion-free, `xsi_bench::micro`).
 //!
-//! Five configurations, each timing the same insert+delete pair of a
+//! Four configurations, each timing the same insert+delete pair of a
 //! pooled IDREF edge against a 1-index:
 //!
 //! 1. `direct index` — no engine, no obs: the pre-engine baseline.
@@ -10,23 +10,20 @@
 //!    within noise of (1) plus the engine's own dispatch cost, because
 //!    every span site is one TLS read + branch, no clock read, no
 //!    allocation.
-//! 3. `engine / null recorder` — recorder installed but discarding.
-//!    The hub counts a null recorder as inactive, so the engine records
-//!    no spans: (3) must stay within noise of (2) (DESIGN.md §8).
-//! 4. `engine / flight + metrics` — the full pipeline: the engine
+//! 3. `engine / flight + metrics` — the full pipeline: the engine
 //!    records each call's pipeline spans and hands them to the ring
 //!    buffer and the registry.
-//! 5. `engine / null recorder + spans` — an explicit span collection
-//!    armed (kernel spans included), tree drained every 1024 pairs: the
+//! 4. `engine / obs off + spans` — an explicit span collection armed
+//!    (kernel spans included), tree drained every 1024 pairs: the
 //!    marginal cost of recording the whole causal span tree on top of
-//!    (3).
+//!    (2).
 //!
 //! Run with `cargo bench --features bench --bench obs_overhead`.
 //! Record the medians in EXPERIMENTS.md §observability when they move.
 
 use xsi_bench::micro::{bench, group};
 use xsi_core::obs::span;
-use xsi_core::{FlightRecorder, NullRecorder, OneIndex, UpdateEngine};
+use xsi_core::{FlightRecorder, OneIndex, UpdateEngine};
 use xsi_graph::{EdgeKind, Graph, NodeId};
 use xsi_workload::{generate_xmark, EdgePool, XmarkParams};
 
@@ -84,17 +81,7 @@ fn main() {
         engine.delete_edge(u, v).unwrap();
     });
 
-    // 3. Null recorder: the hub stays inactive, no spans recorded.
-    let (mut engine, edges) = engine_with(Some(Box::new(NullRecorder)), false);
-    let mut i = 0usize;
-    bench("pair / engine, null recorder", || {
-        let (u, v) = edges[i % edges.len()];
-        i += 1;
-        engine.insert_edge(u, v, EdgeKind::IdRef).unwrap();
-        engine.delete_edge(u, v).unwrap();
-    });
-
-    // 4. Flight recorder + metrics registry: the full pipeline.
+    // 3. Flight recorder + metrics registry: the full pipeline.
     let (mut engine, edges) = engine_with(Some(Box::new(FlightRecorder::new(256))), true);
     let mut i = 0usize;
     bench("pair / engine, flight + metrics", || {
@@ -104,13 +91,13 @@ fn main() {
         engine.delete_edge(u, v).unwrap();
     });
 
-    // 5. Null recorder with span collection armed: the live span tree.
+    // 4. Hub off with span collection armed: the live span tree.
     // Drained every 1024 pairs so the collector Vec stays warm instead
     // of measuring its growth reallocations.
-    let (mut engine, edges) = engine_with(Some(Box::new(NullRecorder)), false);
+    let (mut engine, edges) = engine_with(None, false);
     let mut i = 0usize;
     span::begin_collection();
-    bench("pair / engine, null recorder + spans", || {
+    bench("pair / engine, obs off + spans", || {
         let (u, v) = edges[i % edges.len()];
         i += 1;
         engine.insert_edge(u, v, EdgeKind::IdRef).unwrap();

@@ -306,67 +306,6 @@ impl UpdateEngine {
         })
     }
 
-    /// Writes one index-memory report per registered index with memory
-    /// accounting ([`StructuralIndex::mem_report`]) into the metrics
-    /// registry: deep byte categories, iedge inline/spilled map counts
-    /// and the quality telemetry (live blocks vs the rebuild-to-minimum
-    /// oracle) as `mem_*`/`quality_*` gauges, and the report's
-    /// extent-length and inline-occupancy histograms transplanted
-    /// bucket-for-bucket. On-demand: the report walks every slot, and
-    /// `minimum_block_count` *rebuilds* the index — this is an
-    /// export-point operation, never a per-op one. A no-op while
-    /// metrics are off.
-    pub fn publish_mem_reports(&mut self) {
-        let Some(m) = self.obs.metrics_mut() else {
-            return;
-        };
-        for e in &self.entries {
-            let Some(r) = e.index.mem_report() else {
-                continue;
-            };
-            let key = |name| MetricKey::named(name).family(e.family);
-            for (b, &c) in r.extent_len_hist.iter().enumerate() {
-                m.observe_n(key("mem_extent_len"), mem::pow2_bucket_floor(b), c);
-            }
-            for (occ, &c) in r.inline_occupancy_hist.iter().enumerate() {
-                m.observe_n(key("mem_iedge_inline_occupancy"), occ as u64, c);
-            }
-            let blocks = e.index.block_count() as f64;
-            let minimum = e.index.minimum_block_count(&self.g) as f64;
-            let extent_total = r.extent_owned_bytes + r.extent_shared_bytes;
-            for (name, v) in [
-                ("mem_total_bytes", r.total_bytes() as f64),
-                ("mem_extent_owned_bytes", r.extent_owned_bytes as f64),
-                ("mem_extent_shared_bytes", r.extent_shared_bytes as f64),
-                ("mem_iedge_spilled_bytes", r.iedge_spilled_bytes as f64),
-                ("mem_iedge_inline_maps", r.iedge_inline_maps as f64),
-                ("mem_iedge_spilled_maps", r.iedge_spilled_maps as f64),
-                ("mem_shared_extents", r.shared_extents as f64),
-                ("mem_blocks", blocks),
-                // Quality telemetry: the rebuild-to-minimum oracle's
-                // denominator and the excess over it (0 = minimum).
-                ("quality_minimum_blocks", minimum),
-                ("quality_blocks_over_minimum", (blocks - minimum).max(0.0)),
-            ] {
-                m.gauge_set(key(name), v);
-            }
-            if extent_total > 0 {
-                let ratio = r.extent_shared_bytes as f64 / extent_total as f64;
-                m.gauge_set(key("mem_sharing_ratio"), ratio);
-            }
-        }
-    }
-
-    /// One-stop metrics export: publishes the mem reports first (so the
-    /// `mem_*`/`quality_*` attribution is always current, not only when
-    /// a caller remembered the publish call), then renders the metrics
-    /// registry as JSON. Returns `None` when metrics were never enabled.
-    pub fn export_metrics_json(&mut self) -> Option<String> {
-        self.obs.metrics()?;
-        self.publish_mem_reports();
-        Some(self.obs.metrics_json())
-    }
-
     /// Freezes every registered index into an immutable
     /// [`IndexSnapshot`] (registration order; `None` for families that
     /// cannot freeze). O(blocks) per index: extent runs are
@@ -847,6 +786,45 @@ mod tests {
         assert_eq!(after.last(), Some(&(SpanKind::Freeze, IndexFamily(1))));
     }
 
+    /// A JSONL trace names an index registered after the writer was
+    /// installed: the hub passes its family table with every record.
+    #[test]
+    fn jsonl_trace_names_families_registered_after_the_writer() {
+        use crate::obs::JsonlWriter;
+        use std::cell::RefCell;
+        use std::rc::Rc;
+
+        /// A writer whose bytes the test can still read once the hub
+        /// owns it.
+        #[derive(Clone, Default)]
+        struct Shared(Rc<RefCell<Vec<u8>>>);
+        impl std::io::Write for Shared {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.0.borrow_mut().extend_from_slice(buf);
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+
+        let (g, ids) = host();
+        let mut engine = UpdateEngine::new(g);
+        let out = Shared::default();
+        engine
+            .obs_mut()
+            .set_recorder(Box::new(JsonlWriter::new(out.clone())));
+        engine.register(Box::new(OneIndex::build(engine.graph())));
+        engine.delete_edge(ids[&4], ids[&2]).unwrap();
+        engine.obs_mut().flush().unwrap();
+        let text = String::from_utf8(out.0.borrow().clone()).unwrap();
+        let dispatch = text
+            .lines()
+            .find(|l| l.contains("\"kind\":\"IndexDispatch\""))
+            .expect("the delete was dispatched to the 1-index");
+        assert!(dispatch.contains("\"family\":\"1-index\""), "{dispatch}");
+    }
+
     #[test]
     fn policy_rebuild_bounds_baseline_drift() {
         let (g, ids) = host();
@@ -868,100 +846,64 @@ mod tests {
         engine.check().unwrap();
     }
 
-    /// The dense-store telemetry rides the mem report: per family, the
-    /// iedge maps in the inline and the spilled representation.
+    /// The dense-store telemetry rides the mem report — the numbers the
+    /// `xsi-mem-v1` artifact exports: per family, the iedge maps in the
+    /// inline and the spilled representation.
     #[test]
     fn store_reports_land_in_metrics() {
-        use crate::obs::event::IndexFamily;
-        use crate::obs::MetricKey;
         let (g, ids) = host();
         let mut engine = UpdateEngine::new(g);
-        engine.obs_mut().enable_metrics();
-        let _h_one = engine.register(Box::new(OneIndex::build(engine.graph())));
-        let _h_sim = engine.register(Box::new(SimpleAkIndex::build(engine.graph(), 2)));
+        let h_one = engine.register(Box::new(OneIndex::build(engine.graph())));
+        let h_sim = engine.register(Box::new(SimpleAkIndex::build(engine.graph(), 2)));
         engine.delete_edge(ids[&4], ids[&2]).unwrap();
-        engine.publish_mem_reports();
-        let m = engine.obs().metrics().unwrap();
-        let gauge = |name, f| m.gauge_value(&MetricKey::named(name).family(IndexFamily(f)));
+        let report = |h| engine.index(h).mem_report().expect("both families report");
         // The 1-index keeps two iedge maps per live block; a tiny
         // graph's maps are all inline.
-        let inline = gauge("mem_iedge_inline_maps", 0).expect("1-index map counts");
-        assert!(inline > 0.0);
-        assert_eq!(Some(inline), gauge("mem_blocks", 0).map(|b| 2.0 * b));
-        assert_eq!(gauge("mem_iedge_spilled_maps", 0), Some(0.0));
+        let one = report(h_one);
+        assert!(one.iedge_inline_maps > 0);
+        assert_eq!(one.iedge_inline_maps, 2 * one.blocks);
+        assert_eq!(one.iedge_spilled_maps, 0);
         // The simple baseline keeps no iedge maps.
-        assert_eq!(gauge("mem_iedge_inline_maps", 1), Some(0.0));
-        assert_eq!(gauge("mem_iedge_spilled_maps", 1), Some(0.0));
-        // Publishing with metrics off is a no-op.
-        let mut silent = UpdateEngine::new(host().0);
-        silent.register(Box::new(OneIndex::build(silent.graph())));
-        silent.publish_mem_reports();
-        assert!(silent.obs().metrics().is_none());
-        assert_eq!(silent.obs().events_emitted(), 0);
+        let sim = report(h_sim);
+        assert_eq!((sim.iedge_inline_maps, sim.iedge_spilled_maps), (0, 0));
     }
 
+    /// Every registered family's mem report (the `xsi-mem-v1` artifact's
+    /// source) covers its live blocks and maps, and the engine's heap
+    /// use is the sum of the reports.
     #[test]
     fn mem_reports_land_in_metrics() {
-        use crate::obs::event::IndexFamily;
-        use crate::obs::MetricKey;
         let (g, ids) = host();
         let mut engine = UpdateEngine::new(g);
-        engine.obs_mut().enable_metrics();
-        engine.register(Box::new(OneIndex::build(engine.graph())));
-        engine.register(Box::new(SimpleAkIndex::build(engine.graph(), 2)));
+        let handles = [
+            engine.register(Box::new(OneIndex::build(engine.graph()))),
+            engine.register(Box::new(SimpleAkIndex::build(engine.graph(), 2))),
+        ];
         engine.delete_edge(ids[&4], ids[&2]).unwrap();
-        engine.publish_mem_reports();
-        let m = engine.obs().metrics().unwrap();
-        for fam in [IndexFamily(0), IndexFamily(1)] {
-            let total = m
-                .gauge_value(&MetricKey::named("mem_total_bytes").family(fam))
-                .expect("every registered family publishes a mem report");
-            assert!(total > 0.0);
-            let blocks = m
-                .gauge_value(&MetricKey::named("mem_blocks").family(fam))
-                .unwrap();
-            let minimum = m
-                .gauge_value(&MetricKey::named("quality_minimum_blocks").family(fam))
-                .unwrap();
-            let over = m
-                .gauge_value(&MetricKey::named("quality_blocks_over_minimum").family(fam))
-                .unwrap();
-            assert!(minimum > 0.0);
-            assert_eq!(over, (blocks - minimum).max(0.0));
-            let hist = m
-                .histogram(&MetricKey::named("mem_extent_len").family(fam))
-                .expect("extent-length histogram transplanted");
-            assert_eq!(hist.count, blocks as u64, "one sample per live block");
+        let mut totals = 0;
+        for h in handles {
+            let index = engine.index(h);
+            let r = index.mem_report().expect("every registered family reports");
+            assert!(r.total_bytes() > 0);
+            assert!(index.minimum_block_count(engine.graph()) > 0);
+            // One extent-length sample per live block.
+            assert_eq!(
+                r.extent_len_hist.iter().sum::<u64>(),
+                index.block_count() as u64
+            );
+            // One inline-occupancy sample per inline map (none for the
+            // simple baseline, which keeps no iedge maps).
+            assert_eq!(
+                r.inline_occupancy_hist.iter().sum::<u64>(),
+                r.iedge_inline_maps
+            );
+            totals += r.total_bytes() as usize;
         }
-        // Only the 1-index keeps iedge maps; its inline-occupancy
-        // histogram has one sample per live map (2 maps per block).
-        let one = IndexFamily(0);
-        let occ = m
-            .histogram(&MetricKey::named("mem_iedge_inline_occupancy").family(one))
-            .unwrap();
-        let inline = m
-            .gauge_value(&MetricKey::named("mem_iedge_inline_maps").family(one))
-            .unwrap();
-        assert_eq!(occ.count, inline as u64);
-        assert!(m
-            .gauge_value(&MetricKey::named("mem_iedge_inline_occupancy").family(IndexFamily(1)))
-            .is_none());
         // Engine-level accounting sums the per-index totals.
-        let t0 = m
-            .gauge_value(&MetricKey::named("mem_total_bytes").family(IndexFamily(0)))
-            .unwrap();
-        let t1 = m
-            .gauge_value(&MetricKey::named("mem_total_bytes").family(IndexFamily(1)))
-            .unwrap();
         assert_eq!(
             engine.heap_use(),
-            mem::vec_cap_heap(&engine.entries) + t0 as usize + t1 as usize
+            mem::vec_cap_heap(&engine.entries) + totals
         );
-        // Publishing with metrics off is a no-op.
-        let mut silent = UpdateEngine::new(host().0);
-        silent.register(Box::new(OneIndex::build(silent.graph())));
-        silent.publish_mem_reports();
-        assert!(silent.obs().metrics().is_none());
     }
 
     #[test]

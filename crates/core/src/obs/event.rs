@@ -31,6 +31,22 @@ pub struct IndexFamily(pub u16);
 impl IndexFamily {
     /// "No family": engine-level records.
     pub const NONE: IndexFamily = IndexFamily(u16::MAX);
+
+    /// The one family-name resolver every rendering uses: the name in
+    /// `families` (the hub's registration table), `None` for
+    /// [`IndexFamily::NONE`], and a stable `family-N` placeholder for a
+    /// handle outside the table, so a rendering never panics.
+    pub fn name_in(self, families: &[String]) -> Option<String> {
+        if self == IndexFamily::NONE {
+            return None;
+        }
+        Some(
+            families
+                .get(self.0 as usize)
+                .cloned()
+                .unwrap_or_else(|| format!("family-{}", self.0)),
+        )
+    }
 }
 
 /// The kind of update operation flowing through the pipeline.
@@ -132,13 +148,10 @@ enum Value {
 
 /// The deterministic fields of a record, in render order: family, label
 /// fields, then the non-zero counters.
-fn fields(
-    rec: &LabeledSpan,
-    family_name: impl Fn(IndexFamily) -> String,
-) -> Vec<(&'static str, Value)> {
+fn fields(rec: &LabeledSpan, families: &[String]) -> Vec<(&'static str, Value)> {
     let mut out = Vec::new();
-    if rec.span.family != IndexFamily::NONE {
-        out.push(("family", Value::Str(family_name(rec.span.family))));
+    if let Some(name) = rec.span.family.name_in(families) {
+        out.push(("family", Value::Str(name)));
     }
     let num = |v: usize| Value::Num(v as u64);
     match rec.label {
@@ -178,20 +191,16 @@ fn fields(
 }
 
 /// Renders record `seq` as one JSON object (no trailing newline),
-/// resolving family handles through `family_name`. Hand-rolled — tier-1
-/// stays dependency-free.
-pub fn jsonl_line(
-    seq: u64,
-    rec: &LabeledSpan,
-    family_name: impl Fn(IndexFamily) -> String,
-) -> String {
+/// resolving family handles through the hub's table `families`.
+/// Hand-rolled — tier-1 stays dependency-free.
+pub fn jsonl_line(seq: u64, rec: &LabeledSpan, families: &[String]) -> String {
     let mut out = format!(
         "{{\"seq\":{seq},\"kind\":\"{}\",\"ts_ns\":{},\"dur_ns\":{}",
         rec.span.kind.name(),
         rec.span.ts_nanos,
         rec.span.dur_nanos
     );
-    for (key, value) in fields(rec, family_name) {
+    for (key, value) in fields(rec, families) {
         out.push_str(",\"");
         out.push_str(key);
         out.push_str("\":");
@@ -213,13 +222,9 @@ pub fn jsonl_line(
 /// <Kind>` followed by single-space-separated `key=value` fields —
 /// timestamps and durations excluded — so two identical seeded runs
 /// produce identical lines. This is what conformance reproducers embed.
-pub fn stable_line(
-    seq: u64,
-    rec: &LabeledSpan,
-    family_name: impl Fn(IndexFamily) -> String,
-) -> String {
+pub fn stable_line(seq: u64, rec: &LabeledSpan, families: &[String]) -> String {
     let mut s = format!("{seq} {}", rec.span.kind.name());
-    for (key, value) in fields(rec, family_name) {
+    for (key, value) in fields(rec, families) {
         let value = match value {
             Value::Str(v) => v,
             Value::Num(n) => n.to_string(),
@@ -236,13 +241,9 @@ mod tests {
     use crate::obs::json::Json;
     use crate::obs::span::{SpanCounters, SpanKind};
 
-    fn fam(f: IndexFamily) -> String {
-        if f == IndexFamily::NONE {
-            String::new()
-        } else {
-            format!("family-{}", f.0)
-        }
-    }
+    /// An empty family table: every handle renders as its `family-N`
+    /// placeholder.
+    const FAM: &[String] = &[];
 
     fn record(kind: SpanKind, family: IndexFamily, label: SpanLabel) -> LabeledSpan {
         LabeledSpan {
@@ -286,7 +287,7 @@ mod tests {
                 }),
             ),
         );
-        let line = jsonl_line(7, &span, fam);
+        let line = jsonl_line(7, &span, FAM);
         let v = Json::parse(&line).unwrap();
         assert_eq!(v.get("seq").and_then(Json::as_u64), Some(7));
         assert_eq!(v.get("kind").and_then(Json::as_str), Some("IndexDispatch"));
@@ -350,7 +351,7 @@ mod tests {
     #[test]
     fn stable_lines_are_single_spaced_key_value_tokens() {
         for (seq, rec) in every_kind().iter().enumerate() {
-            let line = stable_line(seq as u64, rec, fam);
+            let line = stable_line(seq as u64, rec, FAM);
             let head = format!("{seq} {}", rec.span.kind.name());
             let rest = line
                 .strip_prefix(&head)
@@ -379,11 +380,11 @@ mod tests {
             rec
         };
         assert_eq!(
-            stable_line(0, &mk(1, 10), fam),
-            stable_line(0, &mk(999, 77), fam)
+            stable_line(0, &mk(1, 10), FAM),
+            stable_line(0, &mk(999, 77), FAM)
         );
         assert_eq!(
-            stable_line(3, &mk(1, 10), fam),
+            stable_line(3, &mk(1, 10), FAM),
             "3 Merge family=family-0 blocks=2"
         );
     }

@@ -27,24 +27,8 @@
 
 use std::collections::BTreeMap;
 
-use super::event::IndexFamily;
 use super::json::escape_into;
 use super::span::{SpanRecord, SpanTree};
-
-/// Render `family` through the hub's registration table (slot order of
-/// `ObsHub::register_family`); out-of-table handles get a stable
-/// placeholder so exports never panic.
-fn family_label(family: IndexFamily, families: &[String]) -> Option<String> {
-    if family == IndexFamily::NONE {
-        return None;
-    }
-    Some(
-        families
-            .get(family.0 as usize)
-            .cloned()
-            .unwrap_or_else(|| format!("family-{}", family.0)),
-    )
-}
 
 /// `nanos` as microseconds with 3 decimals, from integer arithmetic
 /// (deterministic, exact: 1234 → "1.234").
@@ -78,7 +62,7 @@ pub fn chrome_trace_json(tree: &SpanTree, families: &[String]) -> String {
         out.push_str(&s.ts_nanos.to_string());
         out.push_str(",\"dur_ns\":");
         out.push_str(&s.dur_nanos.to_string());
-        if let Some(fam) = family_label(tree.effective_family(s.id), families) {
+        if let Some(fam) = tree.effective_family(s.id).name_in(families) {
             out.push_str(",\"family\":\"");
             escape_into(&fam, &mut out);
             out.push('"');
@@ -109,7 +93,7 @@ pub enum FoldWeight {
 }
 
 fn frame_name(s: &SpanRecord, families: &[String]) -> String {
-    match family_label(s.family, families) {
+    match s.family.name_in(families) {
         Some(fam) => format!("{}({fam})", s.kind.name()),
         None => s.kind.name().to_string(),
     }
@@ -162,6 +146,7 @@ pub fn folded_stacks(tree: &SpanTree, families: &[String], weight: FoldWeight) -
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::obs::event::IndexFamily;
     use crate::obs::json::Json;
     use crate::obs::span::{SpanCounters, SpanKind};
 

@@ -89,12 +89,12 @@ pub fn arc_vec_heap<T>(v: &std::sync::Arc<Vec<T>>) -> usize {
 
 /// Power-of-two buckets for extent lengths: bucket 0 holds `{0}`,
 /// bucket `i` holds `[2^(i-1), 2^i)` — the same law as the metrics
-/// registry's histograms, so re-observing a bucket's lower bound lands
-/// the count back in the same bucket.
+/// registry's histograms, capped at the last bucket.
 pub const EXTENT_BUCKETS: usize = 33;
 
-/// Inline-map occupancy buckets: one per occupancy `0..=64` (the
-/// configurable `INLINE_CAP` is clamped to 64).
+/// Inline-map occupancy buckets: one per occupancy `0..=64`, wider than
+/// any inline capacity the store uses, so the `xsi-mem-v1` schema does
+/// not depend on it.
 pub const OCCUPANCY_BUCKETS: usize = 65;
 
 /// The bucket index for a value under the power-of-two law.
@@ -104,18 +104,6 @@ pub fn pow2_bucket(v: u64) -> usize {
         0
     } else {
         ((64 - v.leading_zeros()) as usize).min(EXTENT_BUCKETS - 1)
-    }
-}
-
-/// The representative (lower-bound) value of a power-of-two bucket —
-/// what the engine re-observes into the metrics registry so the
-/// distribution survives the aggregate hand-off.
-#[inline]
-pub fn pow2_bucket_floor(bucket: usize) -> u64 {
-    if bucket == 0 {
-        0
-    } else {
-        1u64 << (bucket - 1)
     }
 }
 
@@ -308,10 +296,6 @@ mod tests {
         assert_eq!(pow2_bucket(3), 2);
         assert_eq!(pow2_bucket(4), 3);
         assert_eq!(pow2_bucket(1 << 20), 21);
-        // The representative re-lands in its own bucket.
-        for b in 0..EXTENT_BUCKETS {
-            assert_eq!(pow2_bucket(pow2_bucket_floor(b)), b, "bucket {b}");
-        }
     }
 
     #[test]

@@ -2,15 +2,11 @@
 //! keyed by `(metric name, index family, op kind, phase)`.
 //!
 //! Populated from the same closed pipeline spans the flight recorder
-//! sees ([`MetricsRegistry::observe_span`]), plus the gauges and
-//! histograms the engine's mem-report publisher writes directly, and
-//! exportable two ways:
-//!
-//! * [`MetricsRegistry::to_json`] — machine-readable, the payload of
-//!   the bench driver's `--metrics-out` / `BENCH_*.json` summaries;
-//! * [`MetricsRegistry::to_prometheus`] — Prometheus text exposition
-//!   format (counters/gauges as-is, histograms as summaries with
-//!   `quantile` labels), for scraping a long-running process.
+//! sees ([`MetricsRegistry::observe_span`]), plus the snapshot
+//! retention gauge the engine sets at freeze time, and exported as JSON
+//! only ([`MetricsRegistry::to_json`], the payload of the bench
+//! driver's `--metrics-out`). Memory attribution is not copied in here:
+//! its one rendering is the `xsi-mem-v1` artifact (DESIGN.md §13).
 //!
 //! Histograms use fixed power-of-two buckets (`0`, `[2ⁱ⁻¹, 2ⁱ)`), so a
 //! single scheme covers both nanosecond latencies and block-count
@@ -79,19 +75,6 @@ impl Histogram {
         self.counts[bucket_index(v)] += 1;
         self.count += 1;
         self.sum = self.sum.saturating_add(v);
-        self.max = self.max.max(v);
-    }
-
-    /// Records `count` identical samples at `v`. Buckets, count, sum
-    /// and max update exactly as `count` calls of [`Histogram::observe`]
-    /// would.
-    pub fn observe_n(&mut self, v: u64, count: u64) {
-        if count == 0 {
-            return;
-        }
-        self.counts[bucket_index(v)] += count;
-        self.count += count;
-        self.sum = self.sum.saturating_add(v.saturating_mul(count));
         self.max = self.max.max(v);
     }
 
@@ -278,22 +261,10 @@ impl MetricsRegistry {
         }
     }
 
-    /// Records `count` identical histogram samples at `v` in one call —
-    /// how `publish_mem_reports` transplants a whole pre-bucketed
-    /// distribution (extent lengths, inline occupancies) into the
-    /// registry without replaying every individual sample.
-    pub fn observe_n(&mut self, key: MetricKey, v: u64, count: u64) {
-        self.histograms.entry(key).or_default().observe_n(v, count);
-    }
-
     fn labels_json(key: &MetricKey, families: &[String]) -> String {
         let mut parts: Vec<String> = Vec::new();
-        if key.family != IndexFamily::NONE {
-            let name = families
-                .get(key.family.0 as usize)
-                .map(String::as_str)
-                .unwrap_or("?");
-            parts.push(format!("\"family\":{}", quote(name)));
+        if let Some(name) = key.family.name_in(families) {
+            parts.push(format!("\"family\":{}", quote(&name)));
         }
         if !key.op.is_empty() {
             parts.push(format!("\"op\":{}", quote(key.op)));
@@ -373,82 +344,6 @@ impl MetricsRegistry {
             );
         }
         out.push_str("]}");
-        out
-    }
-
-    fn labels_prom(key: &MetricKey, families: &[String], extra: Option<(&str, &str)>) -> String {
-        let escape = |s: &str| s.replace('\\', "\\\\").replace('"', "\\\"");
-        let mut parts: Vec<String> = Vec::new();
-        if key.family != IndexFamily::NONE {
-            let name = families
-                .get(key.family.0 as usize)
-                .map(String::as_str)
-                .unwrap_or("?");
-            parts.push(format!("family=\"{}\"", escape(name)));
-        }
-        if !key.op.is_empty() {
-            parts.push(format!("op=\"{}\"", escape(key.op)));
-        }
-        if !key.phase.is_empty() {
-            parts.push(format!("phase=\"{}\"", escape(key.phase)));
-        }
-        if let Some((k, v)) = extra {
-            parts.push(format!("{k}=\"{}\"", escape(v)));
-        }
-        if parts.is_empty() {
-            String::new()
-        } else {
-            format!("{{{}}}", parts.join(","))
-        }
-    }
-
-    /// Exports every series in the Prometheus text exposition format.
-    /// Counters and gauges map directly; histograms are exposed as
-    /// summaries (`quantile` labels plus `_sum`/`_count`/`_max`). All
-    /// metric names carry the `xsi_` prefix.
-    pub fn to_prometheus(&self, families: &[String]) -> String {
-        let mut out = String::new();
-        let mut last_type: Option<(&'static str, &'static str)> = None;
-        let mut type_line = |out: &mut String, name: &'static str, ty: &'static str| {
-            if last_type != Some((name, ty)) {
-                let _ = writeln!(out, "# TYPE xsi_{name} {ty}");
-                last_type = Some((name, ty));
-            }
-        };
-        for (key, v) in &self.counters {
-            type_line(&mut out, key.name, "counter");
-            let _ = writeln!(
-                out,
-                "xsi_{}{} {v}",
-                key.name,
-                Self::labels_prom(key, families, None)
-            );
-        }
-        for (key, v) in &self.gauges {
-            type_line(&mut out, key.name, "gauge");
-            let _ = writeln!(
-                out,
-                "xsi_{}{} {v}",
-                key.name,
-                Self::labels_prom(key, families, None)
-            );
-        }
-        for (key, h) in &self.histograms {
-            type_line(&mut out, key.name, "summary");
-            for (q, label) in [(0.50, "0.5"), (0.90, "0.9"), (0.99, "0.99")] {
-                let _ = writeln!(
-                    out,
-                    "xsi_{}{} {}",
-                    key.name,
-                    Self::labels_prom(key, families, Some(("quantile", label))),
-                    h.quantile(q)
-                );
-            }
-            let plain = Self::labels_prom(key, families, None);
-            let _ = writeln!(out, "xsi_{}_sum{plain} {}", key.name, h.sum);
-            let _ = writeln!(out, "xsi_{}_count{plain} {}", key.name, h.count);
-            let _ = writeln!(out, "xsi_{}_max{plain} {}", key.name, h.max);
-        }
         out
     }
 }
@@ -564,43 +459,5 @@ mod tests {
             Some("queue_peak")
         );
         assert_eq!(det.get("counters").unwrap().as_arr().unwrap().len(), 1);
-    }
-
-    /// Golden test for the Prometheus text exposition format.
-    #[test]
-    fn prometheus_golden() {
-        let mut r = MetricsRegistry::new();
-        let fam = IndexFamily(0);
-        r.counter_add(MetricKey::named("ops_total").op("insert-edge"), 2);
-        r.counter_add(
-            MetricKey::named("splits_total")
-                .family(fam)
-                .op("insert-edge"),
-            5,
-        );
-        r.gauge_set(MetricKey::named("final_blocks").family(fam), 17.0);
-        let mut key = MetricKey::named("phase_nanos").family(fam).phase("split");
-        key.op = "";
-        for v in [100u64, 100, 100, 900] {
-            r.observe(key, v);
-        }
-        let families = vec![r#"A(2)-"quoted""#.to_string()];
-        let got = r.to_prometheus(&families);
-        let want = concat!(
-            "# TYPE xsi_ops_total counter\n",
-            "xsi_ops_total{op=\"insert-edge\"} 2\n",
-            "# TYPE xsi_splits_total counter\n",
-            "xsi_splits_total{family=\"A(2)-\\\"quoted\\\"\",op=\"insert-edge\"} 5\n",
-            "# TYPE xsi_final_blocks gauge\n",
-            "xsi_final_blocks{family=\"A(2)-\\\"quoted\\\"\"} 17\n",
-            "# TYPE xsi_phase_nanos summary\n",
-            "xsi_phase_nanos{family=\"A(2)-\\\"quoted\\\"\",phase=\"split\",quantile=\"0.5\"} 127\n",
-            "xsi_phase_nanos{family=\"A(2)-\\\"quoted\\\"\",phase=\"split\",quantile=\"0.9\"} 900\n",
-            "xsi_phase_nanos{family=\"A(2)-\\\"quoted\\\"\",phase=\"split\",quantile=\"0.99\"} 900\n",
-            "xsi_phase_nanos_sum{family=\"A(2)-\\\"quoted\\\"\",phase=\"split\"} 1200\n",
-            "xsi_phase_nanos_count{family=\"A(2)-\\\"quoted\\\"\",phase=\"split\"} 4\n",
-            "xsi_phase_nanos_max{family=\"A(2)-\\\"quoted\\\"\",phase=\"split\"} 900\n",
-        );
-        assert_eq!(got, want);
     }
 }

@@ -1,13 +1,9 @@
 //! Record sinks for the observability layer.
 //!
 //! A [`Recorder`] is where the [`ObsHub`](super::ObsHub) hands off
-//! closed pipeline spans, each with the hub's sequence number. Three
-//! implementations live here:
+//! closed pipeline spans, each with the hub's sequence number and its
+//! family table. Two implementations live here:
 //!
-//! * [`NullRecorder`] — discards everything; the hub additionally
-//!   treats itself as inactive when this is installed, so the
-//!   instrumented fast path stays within noise of the uninstrumented
-//!   engine (verified by `benches/obs_overhead.rs` in `xsi-bench`).
 //! * [`FlightRecorder`] — a fixed-capacity single-writer ring buffer
 //!   that overwrites the oldest entries. The conformance lab snapshots
 //!   it into every reproducer so a shrunken repro carries the engine's
@@ -18,17 +14,22 @@
 
 use std::io;
 
-use super::event::{jsonl_line, IndexFamily, LabeledSpan};
+use super::event::{jsonl_line, LabeledSpan};
 
 /// A record sink. Single-writer by design: the [`ObsHub`](super::ObsHub)
 /// owns exactly one recorder and all engine mutations flow through one
 /// `&mut` engine, so no interior mutability or locking is needed.
 pub trait Recorder {
-    /// Consumes record `seq` (the hub's sequence number).
-    fn record(&mut self, seq: u64, rec: &LabeledSpan);
+    /// Consumes record `seq` (the hub's sequence number). `families` is
+    /// the hub's family table at the time of the record, so a family
+    /// registered after the recorder was installed still resolves.
+    fn record(&mut self, seq: u64, rec: &LabeledSpan, families: &[String]);
 
-    /// Flushes buffered output (no-op for in-memory recorders).
-    fn flush(&mut self) {}
+    /// Flushes buffered output, reporting the first I/O error the sink
+    /// met since it was installed (in-memory recorders return `Ok`).
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
 
     /// A chronological snapshot of retained `(seq, record)` pairs.
     /// Recorders that do not retain records return an empty vec.
@@ -38,21 +39,6 @@ pub trait Recorder {
 
     /// Short human-readable name for diagnostics.
     fn describe(&self) -> &'static str;
-}
-
-/// Discards every record. The hub special-cases this via
-/// [`ObsHub::is_active`](super::ObsHub::is_active) so the engine
-/// records no spans at all.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NullRecorder;
-
-impl Recorder for NullRecorder {
-    #[inline]
-    fn record(&mut self, _seq: u64, _rec: &LabeledSpan) {}
-
-    fn describe(&self) -> &'static str {
-        "null"
-    }
 }
 
 /// Fixed-capacity ring buffer that keeps the most recent records,
@@ -104,7 +90,7 @@ impl FlightRecorder {
 
 impl Recorder for FlightRecorder {
     #[inline]
-    fn record(&mut self, seq: u64, rec: &LabeledSpan) {
+    fn record(&mut self, seq: u64, rec: &LabeledSpan, _families: &[String]) {
         let entry = (seq, rec.clone());
         if self.buf.len() < self.cap {
             self.buf.push(entry);
@@ -125,55 +111,34 @@ impl Recorder for FlightRecorder {
 }
 
 /// Streams records as JSON Lines to an arbitrary writer. Family handles
-/// are resolved to names at write time via the table captured in
-/// [`JsonlWriter::new`] — the hub refreshes it on registration.
+/// are resolved to names at write time through the table the hub passes
+/// with each record.
 pub struct JsonlWriter<W: io::Write> {
     out: W,
-    families: Vec<String>,
-    /// First I/O error encountered, if any (subsequent writes are
-    /// skipped; tracing must never panic the engine).
+    /// First I/O error encountered, if any: later writes are skipped
+    /// (tracing must never panic the engine) and [`Recorder::flush`]
+    /// reports it.
     error: Option<io::Error>,
 }
 
 impl<W: io::Write> JsonlWriter<W> {
-    /// Wraps `out`; `families` maps [`IndexFamily`] handles to names.
-    pub fn new(out: W, families: Vec<String>) -> Self {
-        JsonlWriter {
-            out,
-            families,
-            error: None,
-        }
-    }
-
-    /// The first write error, if any occurred.
-    pub fn error(&self) -> Option<&io::Error> {
-        self.error.as_ref()
+    /// Wraps `out`.
+    pub fn new(out: W) -> Self {
+        JsonlWriter { out, error: None }
     }
 
     /// Consumes the writer, returning the inner sink.
     pub fn into_inner(self) -> W {
         self.out
     }
-
-    fn family_name(families: &[String], f: IndexFamily) -> String {
-        if f == IndexFamily::NONE {
-            String::new()
-        } else {
-            families
-                .get(f.0 as usize)
-                .cloned()
-                .unwrap_or_else(|| format!("family-{}", f.0))
-        }
-    }
 }
 
 impl<W: io::Write> Recorder for JsonlWriter<W> {
-    fn record(&mut self, seq: u64, rec: &LabeledSpan) {
+    fn record(&mut self, seq: u64, rec: &LabeledSpan, families: &[String]) {
         if self.error.is_some() {
             return;
         }
-        let families = &self.families;
-        let line = jsonl_line(seq, rec, |f| Self::family_name(families, f));
+        let line = jsonl_line(seq, rec, families);
         if let Err(e) = self
             .out
             .write_all(line.as_bytes())
@@ -183,11 +148,15 @@ impl<W: io::Write> Recorder for JsonlWriter<W> {
         }
     }
 
-    fn flush(&mut self) {
+    fn flush(&mut self) -> io::Result<()> {
         if self.error.is_none() {
             if let Err(e) = self.out.flush() {
                 self.error = Some(e);
             }
+        }
+        match &self.error {
+            None => Ok(()),
+            Some(e) => Err(io::Error::new(e.kind(), e.to_string())),
         }
     }
 
@@ -215,17 +184,10 @@ mod tests {
     }
 
     #[test]
-    fn null_recorder_retains_nothing() {
-        let mut r = NullRecorder;
-        r.record(1, &rec());
-        assert!(r.records().is_empty());
-    }
-
-    #[test]
     fn flight_recorder_before_wrap_is_in_order() {
         let mut r = FlightRecorder::new(8);
         for i in 0..5 {
-            r.record(i, &rec());
+            r.record(i, &rec(), &[]);
         }
         assert_eq!(seqs(&r), vec![0, 1, 2, 3, 4]);
         assert_eq!(r.total_recorded(), 5);
@@ -235,7 +197,7 @@ mod tests {
     fn flight_recorder_wraparound_keeps_newest_in_order() {
         let mut r = FlightRecorder::new(4);
         for i in 0..11 {
-            r.record(i, &rec());
+            r.record(i, &rec(), &[]);
         }
         // 11 records through a 4-slot ring: the last 4 survive, oldest
         // first.
@@ -248,29 +210,28 @@ mod tests {
     fn flight_recorder_exact_fill_boundary() {
         let mut r = FlightRecorder::new(3);
         for i in 0..3 {
-            r.record(i, &rec());
+            r.record(i, &rec(), &[]);
         }
         assert_eq!(seqs(&r), vec![0, 1, 2]);
         // One more overwrites the oldest.
-        r.record(3, &rec());
+        r.record(3, &rec(), &[]);
         assert_eq!(seqs(&r), vec![1, 2, 3]);
     }
 
     #[test]
     fn flight_recorder_zero_cap_clamps_to_one() {
         let mut r = FlightRecorder::new(0);
-        r.record(1, &rec());
-        r.record(2, &rec());
+        r.record(1, &rec(), &[]);
+        r.record(2, &rec(), &[]);
         assert_eq!(seqs(&r), vec![2]);
     }
 
     #[test]
     fn jsonl_writer_emits_one_parseable_object_per_line() {
-        let mut w = JsonlWriter::new(Vec::new(), vec!["1-index".into()]);
-        w.record(0, &rec());
-        w.record(1, &rec());
-        w.flush();
-        assert!(w.error().is_none());
+        let mut w = JsonlWriter::new(Vec::new());
+        w.record(0, &rec(), &[]);
+        w.record(1, &rec(), &[]);
+        w.flush().expect("writing to a Vec cannot fail");
         let text = String::from_utf8(w.into_inner()).unwrap();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 2);
@@ -279,5 +240,29 @@ mod tests {
             assert_eq!(v.get("seq").and_then(Json::as_u64), Some(i as u64));
             assert_eq!(v.get("kind").and_then(Json::as_str), Some("Op"));
         }
+    }
+
+    /// A sink that accepts nothing.
+    struct Full;
+
+    impl io::Write for Full {
+        fn write(&mut self, _: &[u8]) -> io::Result<usize> {
+            Err(io::Error::new(io::ErrorKind::StorageFull, "no space"))
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// A failed write is not lost: the writer stops writing, and every
+    /// later flush reports the error.
+    #[test]
+    fn jsonl_writer_flush_reports_a_failed_write() {
+        let mut w = JsonlWriter::new(Full);
+        w.record(0, &rec(), &[]);
+        w.record(1, &rec(), &[]);
+        let err = w.flush().expect_err("the write failed");
+        assert_eq!(err.kind(), io::ErrorKind::StorageFull);
+        assert!(w.flush().is_err(), "the error stays latched");
     }
 }

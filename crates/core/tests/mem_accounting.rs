@@ -12,11 +12,12 @@
 //!    the snapshot side as retention); as the writer mutates blocks the
 //!    sharing ratio falls monotonically toward zero while the total
 //!    stays exact.
-//! 3. **Determinism** — two identically seeded runs publish
-//!    bit-identical mem reports (stable trace lines and deterministic
-//!    metrics JSON), so golden mem artifacts are diffable.
+//! 3. **Determinism** — two identically seeded runs produce identical
+//!    mem reports, block and minimum counts (the `xsi-mem-v1`
+//!    artifact's numbers) and deterministic metrics JSON, so golden mem
+//!    artifacts are diffable.
 
-use xsi_core::obs::mem::HeapUse;
+use xsi_core::obs::mem::{HeapUse, MemReport};
 use xsi_core::{
     AkIndex, OneIndex, PropagateOneIndex, SimpleAkIndex, StructuralIndex, UpdateEngine,
 };
@@ -172,7 +173,10 @@ fn cow_sharing_counted_once_and_ratio_falls_as_writer_clones() {
     );
 }
 
-fn run_once(seed: u64) -> (Vec<String>, String) {
+/// One seeded run: per registered index, its mem report with its block
+/// count and the rebuild-to-minimum count (the `xsi-mem-v1` artifact's
+/// numbers), plus the deterministic metrics JSON.
+fn run_once(seed: u64) -> (Vec<(MemReport, usize, usize)>, String) {
     let mut g = xmark(0.02, seed);
     let mut pool = EdgePool::extract(&mut g, 0.2, seed ^ 0x9e37);
     let mut engine = UpdateEngine::new(g);
@@ -180,28 +184,34 @@ fn run_once(seed: u64) -> (Vec<String>, String) {
         .obs_mut()
         .set_recorder(Box::new(xsi_core::FlightRecorder::new(4096)));
     engine.obs_mut().enable_metrics();
-    engine.register(Box::new(OneIndex::build(engine.graph())));
-    engine.register(Box::new(SimpleAkIndex::build(engine.graph(), 2)));
+    let handles = [
+        engine.register(Box::new(OneIndex::build(engine.graph()))),
+        engine.register(Box::new(SimpleAkIndex::build(engine.graph(), 2))),
+    ];
     while let Some((u, v)) = pool.next_insert() {
         engine
             .insert_edge(u, v, xsi_graph::EdgeKind::IdRef)
             .unwrap();
     }
-    engine.publish_mem_reports();
-    let json = engine.obs().metrics_deterministic_json();
-    let mem_series: Vec<String> = json
-        .split("},{")
-        .filter(|s| s.contains("\"name\":\"mem_") || s.contains("\"name\":\"quality_"))
-        .map(str::to_string)
+    let reports = handles
+        .iter()
+        .map(|&h| {
+            let index = engine.index(h);
+            (
+                index.mem_report().expect("both families report"),
+                index.block_count(),
+                index.minimum_block_count(engine.graph()),
+            )
+        })
         .collect();
-    (mem_series, json)
+    (reports, engine.obs().metrics_deterministic_json())
 }
 
 #[test]
 fn mem_reports_are_deterministic_across_identical_runs() {
     let (mem_a, json_a) = run_once(1234);
     let (mem_b, json_b) = run_once(1234);
-    assert!(!mem_a.is_empty(), "mem-report series were published");
-    assert_eq!(mem_a, mem_b, "mem-report series are golden");
+    assert!(mem_a.iter().all(|(r, _, _)| r.total_bytes() > 0));
+    assert_eq!(mem_a, mem_b, "mem reports are golden");
     assert_eq!(json_a, json_b, "deterministic metrics JSON is golden");
 }
