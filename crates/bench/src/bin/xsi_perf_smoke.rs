@@ -14,9 +14,12 @@
 //! * `1index_build` / `ak3_build`: Paige–Tarjan refinement from scratch
 //!   (pure splitter-scan throughput).
 //!
-//! Tier 2 adds the freeze, the block walk of one query over a frozen
-//! snapshot (`frozen_query`) and over the live 1-index's query view
-//! (`live_query`), and four readers sharing one snapshot
+//! Tier 2 adds the freeze without a base (`snapshot_freeze`: the
+//! snapshots are dropped every iteration) and with one (`freeze_held`:
+//! one pooled insert + delete, then a freeze while the previous
+//! iteration's snapshots are still held), the block walk of one query
+//! over a frozen snapshot (`frozen_query`) and over the live 1-index's
+//! query view (`live_query`), and four readers sharing one snapshot
 //! (`frozen_reader_throughput`).
 //!
 //! Usage: `xsi_perf_smoke [--scale 0.05] [--seed 42]
@@ -67,15 +70,19 @@ struct SpanSummary {
     elems: u64,
 }
 
+/// `blocks` and `elems` sum the work-item, kernel-scan and freeze spans;
+/// a `Freeze` span counts the blocks it froze and, as `elems`, the ones
+/// it rebuilt rather than carried over from its base snapshot.
 fn summarize(tree: &SpanTree) -> SpanSummary {
     let compound = tree.kind_counters(SpanKind::CompoundProcess);
     let scans = tree.kind_counters(SpanKind::KernelScan);
+    let freezes = tree.kind_counters(SpanKind::Freeze);
     SpanSummary {
         spans: tree.len() as u64,
         compound_process: tree.kind_count(SpanKind::CompoundProcess) as u64,
         kernel_scans: tree.kind_count(SpanKind::KernelScan) as u64,
-        blocks: compound.blocks + scans.blocks,
-        elems: compound.elems + scans.elems,
+        blocks: compound.blocks + scans.blocks + freezes.blocks,
+        elems: compound.elems + scans.elems + freezes.elems,
     }
 }
 
@@ -207,9 +214,11 @@ fn run(args: &Args) {
         }));
     }
     {
-        // Freeze cost: O(blocks) Arc bumps per family, no extent copies
-        // (the dropped snapshots decref the same Arcs — both sides of
-        // the copy-on-write contract are in the loop).
+        // Freeze cost without a base: the snapshots are dropped every
+        // iteration, so each freeze builds every block — O(blocks) Arc
+        // bumps per family, no extent copies (the dropped snapshots
+        // decref the same Arcs — both sides of the copy-on-write
+        // contract are in the loop).
         let (g, _) = setup(scale, seed);
         let mut engine = UpdateEngine::new(g);
         engine.register(Box::new(OneIndex::build(engine.graph())));
@@ -219,13 +228,33 @@ fn run(args: &Args) {
         }));
     }
     {
+        // Freeze cost with a base: a pooled insert + delete, then a
+        // freeze while the previous iteration's snapshots are held, so
+        // it rebuilds only the blocks the pair changed. The returned
+        // previous snapshots are dropped inside the loop.
+        let (g, edges) = setup(scale, seed);
+        let mut engine = UpdateEngine::new(g);
+        engine.register(Box::new(OneIndex::build(engine.graph())));
+        engine.register(Box::new(AkIndex::build(engine.graph(), 3)));
+        let mut held = engine.freeze();
+        let mut i = 0usize;
+        let work = || {
+            let (u, v) = edges[i % edges.len()]; // xsi-lint: allow(slice-index, i mod len is in range)
+            i += 1;
+            engine.insert_edge(u, v, EdgeKind::IdRef).unwrap(); // xsi-lint: allow(panic-unwrap, bench harness aborts loudly on a broken workload)
+            engine.delete_edge(u, v).unwrap(); // xsi-lint: allow(panic-unwrap, bench harness aborts loudly on a broken workload)
+            std::mem::replace(&mut held, engine.freeze())
+        };
+        results.push(measure("freeze_held", want_counters, edges.len(), work));
+    }
+    {
         // Query evaluation over a frozen view: the raw block walk on
         // owned data, no live graph or index in sight. `live_query`
         // runs the same walk over the live index's query view.
         let (g, _) = setup(scale, seed);
         let idx = OneIndex::build(&g);
         let snap = idx
-            .freeze(&g)
+            .freeze(&g, None)
             .expect("invariant: the 1-index supports freeze");
         let expr = PathExpr::parse(FROZEN_QUERY).unwrap(); // xsi-lint: allow(panic-unwrap, bench harness aborts loudly on a broken workload)
         results.push((
@@ -244,7 +273,7 @@ fn run(args: &Args) {
         let (g, _) = setup(scale, seed);
         let idx = OneIndex::build(&g);
         let snap = Arc::new(
-            idx.freeze(&g)
+            idx.freeze(&g, None)
                 .expect("invariant: the 1-index supports freeze"),
         );
         results.push((

@@ -163,8 +163,12 @@ impl StructuralIndex for FaultyOneIndex {
     // Freezes delegate to the (corrupted) inner index: the harness's
     // prefix-replay freeze oracle must hold even for a faulty index,
     // since the replica replays the identical faulty behaviour.
-    fn freeze(&self, g: &Graph) -> Option<xsi_core::IndexSnapshot> {
-        self.as_dyn().freeze(g)
+    fn freeze(
+        &self,
+        g: &Graph,
+        base: Option<&xsi_core::IndexSnapshot>,
+    ) -> Option<xsi_core::IndexSnapshot> {
+        self.as_dyn().freeze(g, base)
     }
 
     fn cow_clones(&self) -> u64 {

@@ -19,12 +19,16 @@
 //! | `simple-refinement` | simple A(k)       | refines exact k-bisim classes       |
 //! | `query-*`           | every view        | naive data-graph evaluation         |
 //! | `freeze-live-*`     | every frozen view | live view at the freeze point       |
+//! | `freeze-full-*`     | every frozen view | base-less freeze at the freeze point|
 //! | `freeze-replay-*`   | every frozen view | replica replayed to the freeze point|
 //! | `final-*`           | every index       | rebuild restores the minimum        |
 //!
 //! The `Freeze` scenario op freezes every registered index into an
-//! in-memory [`xsi_core::IndexSnapshot`]. Frozen views are validated
-//! twice: immediately (their raw query answers must match the live
+//! in-memory [`xsi_core::IndexSnapshot`]. The harness holds every frozen
+//! view, so each freeze after the first builds on the previous one and
+//! rebuilds only the blocks that changed since. Frozen views are
+//! validated twice: immediately (each must equal a base-less freeze of
+//! the same index, and its raw query answers must match the live
 //! views'), and again at the *end* of the run — after arbitrary write
 //! churn — against a replica engine replayed to the same op prefix
 //! (`freeze-replay`: snapshot content equality plus query-answer
@@ -553,9 +557,11 @@ fn check_all(
 /// Registration-order slot names for freeze-check conviction messages.
 const SLOT_NAMES: [&str; 4] = ["one", "prop", "ak", "simple"];
 
-/// At-freeze validation: every frozen view's *raw* (graph-free) query
-/// answers must match the corresponding live view's raw answers at the
-/// freeze point. Returns the number of checks that passed.
+/// At-freeze validation: every frozen view must equal a base-less
+/// freeze of the same index (the engine's freeze built on the previous
+/// view), and its *raw* (graph-free) query answers must match the
+/// corresponding live view's raw answers at the freeze point. Returns
+/// the number of checks that passed.
 fn check_freeze_live(
     engine: &UpdateEngine,
     hs: &Handles,
@@ -573,6 +579,18 @@ fn check_freeze_live(
             return Err((
                 format!("freeze-live-{name}"),
                 "frozen view has no blocks".into(),
+            ));
+        }
+        passed += 1;
+        let full = engine.index(handle).freeze(g, None);
+        if full.as_ref() != Some(snap) {
+            return Err((
+                format!("freeze-full-{name}"),
+                format!(
+                    "the engine's freeze ({} blocks, {} rebuilt) differs from a full freeze",
+                    snap.block_count(),
+                    snap.rebuilt_blocks()
+                ),
             ));
         }
         passed += 1;

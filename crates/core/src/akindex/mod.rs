@@ -22,6 +22,11 @@
 //! in both representations, and tree children are a `BTreeSet` — so no
 //! iteration order anywhere in this module depends on hash state.
 //!
+//! The primitives stamp a slot ([`ChangeStamps`]) whenever a frozen view
+//! of it would change: a level-k block's extent, intra-level successor
+//! key set, label or liveness (DESIGN.md §11.2). Interior blocks are
+//! never frozen, so their changes are not stamped.
+//!
 //! Module layout: this file defines the tree and its primitive mutations
 //! (count registration, chain moves, block merges); [`maintain`]
 //! implements the Figure 7 split/merge update algorithm; [`simple`]
@@ -37,7 +42,7 @@ pub use storage::StorageReport;
 
 use crate::obs::mem::{btree_set_heap, vec_cap_heap, HeapUse, MemReport};
 use crate::store::iedge::key_set_sig;
-use crate::store::{next_epoch, CowVec, IedgeMap, ScratchTable, SlotKey, SlotMap};
+use crate::store::{next_epoch, ChangeStamps, CowVec, IedgeMap, ScratchTable, SlotKey, SlotMap};
 use crate::view::IndexSnapshot;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
@@ -183,6 +188,8 @@ pub struct AkIndex {
     /// Cumulative count of extent runs cloned because a frozen snapshot
     /// still shared them (exported as `snapshot_cow_clones`).
     cow_clones: u64,
+    /// Per-slot change stamps for the incremental freeze.
+    stamps: ChangeStamps,
 }
 
 impl AkIndex {
@@ -236,6 +243,7 @@ impl AkIndex {
             split_full: ScratchTable::new(),
             split_partner: ScratchTable::new(),
             cow_clones: 0,
+            stamps: ChangeStamps::default(),
         };
         // Create blocks per (level, class) and link the tree.
         let mut block_of_class: Vec<HashMap<u32, ABlockId>> = vec![HashMap::new(); k + 1];
@@ -319,6 +327,7 @@ impl AkIndex {
     /// snapshot is cloned before the `&mut` is handed out.
     fn extent_mut(&mut self, b: ABlockId) -> &mut Vec<NodeId> {
         debug_assert_eq!(self.blocks[b].level as usize, self.k);
+        self.stamps.stamp(b.idx);
         self.blocks[b].extent.make_mut(&mut self.cow_clones)
     }
 
@@ -334,6 +343,19 @@ impl AkIndex {
     /// still shared them.
     pub fn cow_clone_count(&self) -> u64 {
         self.cow_clones
+    }
+
+    /// The per-slot change stamps a freeze reads.
+    pub(crate) fn stamps(&self) -> &ChangeStamps {
+        &self.stamps
+    }
+
+    /// The live level-k handle at raw slot index `idx`, if that slot
+    /// holds a live level-k block.
+    pub(crate) fn leaf_at(&self, idx: u32) -> Option<ABlockId> {
+        self.blocks
+            .handle_at(idx)
+            .filter(|&b| self.blocks[b].level as usize == self.k) // xsi-lint: allow(slice-index, handle_at returned a live handle)
     }
 
     /// Label of a block.
@@ -479,6 +501,7 @@ impl AkIndex {
             + self.split_counts.heap_use()
             + self.split_full.heap_use()
             + self.split_partner.heap_use()
+            + self.stamps.heap_use()
     }
 
     /// A point-in-time deep-memory attribution of the whole tree, per
@@ -520,7 +543,8 @@ impl AkIndex {
         r.side_table_bytes += (vec_cap_heap(&self.level_counts)
             + vec_cap_heap(&self.node_block)
             + vec_cap_heap(&self.node_pos)
-            + vec_cap_heap(&self.mark)) as u64;
+            + vec_cap_heap(&self.mark)
+            + self.stamps.heap_use()) as u64;
         r.scratch_bytes = (self.split_counts.heap_use()
             + self.split_full.heap_use()
             + self.split_partner.heap_use()) as u64;
@@ -545,6 +569,11 @@ impl AkIndex {
         blk.succ_cross.clear();
         blk.pred_intra.clear();
         blk.succ_intra.clear();
+        // Only level-k blocks are frozen: an interior block coming or
+        // going leaves every frozen image as it was.
+        if level as usize == self.k {
+            self.stamps.stamp(id.idx);
+        }
         id
     }
 
@@ -560,6 +589,9 @@ impl AkIndex {
         let level = blk.level as usize;
         self.level_counts[level] -= 1;
         self.blocks.release(b);
+        if level == self.k {
+            self.stamps.stamp(b.idx);
+        }
     }
 
     /// Makes `child` a refinement-tree child of `parent` (detaching it
@@ -624,12 +656,16 @@ impl AkIndex {
     }
 
     fn inc_intra(&mut self, from: ABlockId, to: ABlockId) {
-        self.blocks[from].succ_intra.add(to, 1);
+        if self.blocks[from].succ_intra.add(to, 1) == 1 {
+            self.stamps.stamp(from.idx);
+        }
         self.blocks[to].pred_intra.add(from, 1);
     }
 
     fn dec_intra(&mut self, from: ABlockId, to: ABlockId) {
-        self.blocks[from].succ_intra.sub(to, 1);
+        if self.blocks[from].succ_intra.sub(to, 1) == 0 {
+            self.stamps.stamp(from.idx);
+        }
         self.blocks[to].pred_intra.sub(from, 1);
     }
 
@@ -652,20 +688,21 @@ impl AkIndex {
             }
         }
         // Extent at level k.
-        if old_chain[self.k] != new_chain[self.k] {
+        let (from, to) = (old_chain[self.k], new_chain[self.k]);
+        if from != to {
             let pos = self.node_pos[n.index()] as usize;
-            let extent = self.blocks[old_chain[self.k]]
-                .extent
-                .make_mut(&mut self.cow_clones);
+            let extent = self.blocks[from].extent.make_mut(&mut self.cow_clones);
             debug_assert_eq!(extent[pos], n);
             extent.swap_remove(pos);
             if let Some(&moved) = extent.get(pos) {
                 self.node_pos[moved.index()] = pos as u32;
             }
-            let blk = &mut self.blocks[new_chain[self.k]];
-            self.node_block[n.index()] = new_chain[self.k];
+            let blk = &mut self.blocks[to];
+            self.node_block[n.index()] = to;
             self.node_pos[n.index()] = blk.extent.len() as u32;
             blk.extent.make_mut(&mut self.cow_clones).push(n);
+            self.stamps.stamp(from.idx);
+            self.stamps.stamp(to.idx);
         }
         // Edge counts: n as target (its parents' cross edges), n as source.
         for p in g.pred(n) {
@@ -715,6 +752,7 @@ impl AkIndex {
                 self.node_pos[n.index()] = blk.extent.len() as u32;
                 blk.extent.make_mut(&mut self.cow_clones).push(n);
             }
+            self.stamps.stamp(dst.idx);
             // Hand the drained allocation back to the recycled slot so
             // the next block minted there starts with capacity — unless
             // a frozen snapshot still shares the run, in which case the
@@ -769,6 +807,7 @@ impl AkIndex {
             debug_assert_eq!(self_cnt, self_cnt2);
             for &(p, _) in &src_pred_i {
                 self.blocks[p].succ_intra.remove(src);
+                self.stamps.stamp(p.idx);
             }
             for &(c, _) in &src_succ_i {
                 self.blocks[c].pred_intra.remove(src);

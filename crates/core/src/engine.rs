@@ -41,10 +41,11 @@
 //!
 //! With the `paranoid` cargo feature the engine additionally re-runs the
 //! trait-level consistency checker ([`UpdateEngine::check`]) and the
-//! graph's own invariant check after every mutation, panicking on the
-//! first violation — the conformance lab's and test suite's safety net
-//! (see `crates/conformance`). The checks are compiled out entirely in
-//! default builds.
+//! graph's own invariant check after every mutation, and compares every
+//! freeze that built on a base snapshot with a full freeze of the same
+//! index, panicking on the first violation — the conformance lab's and
+//! test suite's safety net (see `crates/conformance`). The checks are
+//! compiled out entirely in default builds.
 
 use crate::batch::{self, BatchError, BatchResult, UpdateOp};
 use crate::index::StructuralIndex;
@@ -55,7 +56,7 @@ use crate::obs::span::{Recording, SpanGuard, SpanKind};
 use crate::obs::ObsHub;
 use crate::rebuild::RebuildPolicy;
 use crate::stats::UpdateStats;
-use crate::view::IndexSnapshot;
+use crate::view::{IndexSnapshot, WeakSnapshot};
 use std::panic::{self, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 use xsi_graph::{EdgeKind, Graph, GraphError, NodeId};
@@ -108,6 +109,9 @@ struct Entry {
     policy: Option<RebuildPolicy>,
     /// The index's [`IndexFamily`] handle in the engine's [`ObsHub`].
     family: IndexFamily,
+    /// The index's last snapshot, found only while a reader still holds
+    /// it: the base its next freeze builds on.
+    last_freeze: WeakSnapshot,
 }
 
 /// Owns a [`Graph`] and fans every mutation out to its registered
@@ -178,6 +182,7 @@ impl UpdateEngine {
             stats: UpdateStats::identity(),
             policy,
             family,
+            last_freeze: WeakSnapshot::default(),
         });
         IndexHandle(self.entries.len() - 1)
     }
@@ -308,24 +313,37 @@ impl UpdateEngine {
 
     /// Freezes every registered index into an immutable
     /// [`IndexSnapshot`] (registration order; `None` for families that
-    /// cannot freeze). O(blocks) per index: extent runs are
-    /// `Arc`-shared, not copied — the writer's next mutation of a
-    /// frozen block clones only that block's run. Each index's freeze
-    /// runs under one family-tagged `Freeze` span carrying the frozen
-    /// blocks and the index's cumulative CoW clone count (→
-    /// `snapshots_total`, `snapshot_freeze_nanos`, `snapshot_blocks`,
+    /// cannot freeze). Extent runs are `Arc`-shared, not copied — the
+    /// writer's next mutation of a frozen block clones only that
+    /// block's run. While a reader still holds an index's previous
+    /// snapshot, the freeze builds on it and rebuilds only the blocks
+    /// that changed since (O(changed chunks)); otherwise it builds
+    /// every block (O(blocks)). The engine keeps only a weak handle to
+    /// that snapshot, so dropped views are not retained. Each index's
+    /// freeze runs under one family-tagged `Freeze` span carrying the
+    /// frozen blocks, the rebuilt blocks (`elems`) and the index's
+    /// cumulative CoW clone count (→ `snapshots_total`,
+    /// `snapshot_freeze_nanos`, `snapshot_blocks`,
     /// `snapshot_cow_clones`); snapshots are returned either way.
     pub fn freeze(&mut self) -> Vec<Option<IndexSnapshot>> {
         self.traced(|e| {
             let mut out = Vec::with_capacity(e.entries.len());
-            for entry in &e.entries {
+            for entry in &mut e.entries {
                 let sp = SpanGuard::enter_family(SpanKind::Freeze, entry.family);
-                let snap = entry.index.freeze(&e.g);
+                let base = entry.last_freeze.upgrade();
+                let snap = entry.index.freeze(&e.g, base.as_ref());
                 sp.add_cow_clones(entry.index.cow_clones());
                 if let Some(s) = snap.as_ref() {
                     sp.add_blocks(s.block_count() as u64);
+                    sp.add_elems(s.rebuilt_blocks() as u64);
+                    entry.last_freeze = s.downgrade();
                 }
                 drop(sp);
+                #[cfg(feature = "paranoid")]
+                if let (Some(_), Some(s)) = (base.as_ref(), snap.as_ref()) {
+                    paranoid_freeze_check(entry.index.as_ref(), &e.g, s);
+                }
+                drop(base);
                 // Snapshot retention is attributed to the snapshot side
                 // (the live index's MemReport reports the same runs as
                 // "shared"); the gauge tracks the latest freeze.
@@ -532,6 +550,23 @@ impl UpdateEngine {
                 }
             }
         }
+    }
+}
+
+/// `paranoid` feature: a freeze that built on a base snapshot must equal
+/// a full freeze of the same index, slot for slot.
+#[cfg(feature = "paranoid")]
+fn paranoid_freeze_check(index: &dyn StructuralIndex, g: &Graph, snap: &IndexSnapshot) {
+    use crate::index::IndexQueryView;
+    let full = index.freeze(g, None);
+    let same = full
+        .as_ref()
+        .is_some_and(|f| f == snap && f.slot_bound() == snap.slot_bound());
+    if !same {
+        panic!(
+            "paranoid (freeze): {} differs from a full freeze",
+            index.describe()
+        );
     }
 }
 

@@ -94,11 +94,15 @@ pub trait StructuralIndex {
         None
     }
 
-    /// Freezes an immutable in-memory [`IndexSnapshot`] of the index in
-    /// O(blocks) — extent runs are `Arc`-shared, not copied (see
-    /// [`crate::view`]). `None` for families that cannot produce a
+    /// Freezes an immutable in-memory [`IndexSnapshot`] of the index;
+    /// extent runs are `Arc`-shared, not copied (see [`crate::view`]).
+    /// Given `base`, an earlier snapshot of this same index instance,
+    /// the freeze rebuilds only the blocks that changed since and shares
+    /// the rest: O(changed chunks). Without a base, or with one of any
+    /// other instance (which is ignored), it builds every block:
+    /// O(blocks). `None` for families that cannot produce a
     /// self-contained queryable view.
-    fn freeze(&self, _g: &Graph) -> Option<IndexSnapshot> {
+    fn freeze(&self, _g: &Graph, _base: Option<&IndexSnapshot>) -> Option<IndexSnapshot> {
         None
     }
 
@@ -203,8 +207,13 @@ impl StructuralIndex for OneIndex {
         Some(self.partition().mem_report())
     }
 
-    fn freeze(&self, g: &Graph) -> Option<IndexSnapshot> {
-        Some(IndexSnapshot::from_one_index(g, self, self.describe()))
+    fn freeze(&self, g: &Graph, base: Option<&IndexSnapshot>) -> Option<IndexSnapshot> {
+        Some(IndexSnapshot::from_one_index(
+            g,
+            self,
+            self.describe(),
+            base,
+        ))
     }
 
     fn cow_clones(&self) -> u64 {
@@ -328,8 +337,13 @@ impl StructuralIndex for PropagateOneIndex {
         Some(self.0.partition().mem_report())
     }
 
-    fn freeze(&self, g: &Graph) -> Option<IndexSnapshot> {
-        Some(IndexSnapshot::from_one_index(g, &self.0, self.describe()))
+    fn freeze(&self, g: &Graph, base: Option<&IndexSnapshot>) -> Option<IndexSnapshot> {
+        Some(IndexSnapshot::from_one_index(
+            g,
+            &self.0,
+            self.describe(),
+            base,
+        ))
     }
 
     fn cow_clones(&self) -> u64 {
@@ -395,8 +409,8 @@ impl StructuralIndex for AkIndex {
         Some(AkIndex::mem_report(self))
     }
 
-    fn freeze(&self, g: &Graph) -> Option<IndexSnapshot> {
-        Some(IndexSnapshot::from_ak_index(g, self, self.describe()))
+    fn freeze(&self, g: &Graph, base: Option<&IndexSnapshot>) -> Option<IndexSnapshot> {
+        Some(IndexSnapshot::from_ak_index(g, self, self.describe(), base))
     }
 
     fn cow_clones(&self) -> u64 {
@@ -489,8 +503,9 @@ impl StructuralIndex for SimpleAkIndex {
 
     // The simple baseline maintains extents only, no iedges: its query
     // view is the block graph its class assignment induces, derived in
-    // O(n + m) — the same image a freeze takes (a documented deviation
-    // from the O(blocks) views of the iedge-bearing families). Horizon
+    // O(n + m) — the same image a freeze takes, with no base to build on
+    // (a documented deviation from the incremental freeze of the
+    // iedge-bearing families). Horizon
     // `Some(k)` is sound because the baseline always refines the exact
     // k-bisimulation.
     fn query_view<'a>(&'a self, g: &'a Graph) -> Box<dyn IndexQueryView + 'a> {
@@ -499,7 +514,7 @@ impl StructuralIndex for SimpleAkIndex {
         Box::new(view)
     }
 
-    fn freeze(&self, g: &Graph) -> Option<IndexSnapshot> {
+    fn freeze(&self, g: &Graph, _base: Option<&IndexSnapshot>) -> Option<IndexSnapshot> {
         let classes = self.assignment(g);
         let view = IndexSnapshot::from_assignment(g, &classes, self.k(), self.describe());
         Some(view)

@@ -75,6 +75,9 @@ pub fn hash_map_heap<K, V>(capacity: usize) -> usize {
     capacity * (size_of::<(K, V)>() + 1)
 }
 
+/// Header bytes of any `Arc` allocation: the strong and weak counts.
+pub const ARC_HEADER: usize = 2 * size_of::<usize>();
+
 /// Header bytes of an `Arc<Vec<T>>` allocation: two reference counts
 /// plus the inline `Vec` triple. The element buffer is accounted
 /// separately from the vector's capacity.

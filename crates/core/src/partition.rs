@@ -26,10 +26,16 @@
 //! fresh generation, so a handle held across [`Partition::release_block`]
 //! is caught by the debug-build generation checks instead of silently
 //! aliasing the block that reused the slot.
+//!
+//! Every primitive that changes what a frozen view shows of a block —
+//! its extent, its successor key set, its label or its liveness —
+//! stamps the block's slot in [`ChangeStamps`], so a freeze can rebuild
+//! only the slots that changed since an earlier snapshot (DESIGN.md
+//! §11.2). Count changes that keep the key set are not stamped.
 
 use crate::obs::mem::{btree_set_heap, vec_cap_heap, HeapUse, MemReport};
 use crate::store::iedge::key_set_sig;
-use crate::store::{next_epoch, CowVec, IedgeMap, ScratchTable, SlotKey, SlotMap};
+use crate::store::{next_epoch, ChangeStamps, CowVec, IedgeMap, ScratchTable, SlotKey, SlotMap};
 use std::cmp::Ordering;
 use std::collections::BTreeSet;
 use std::fmt;
@@ -152,6 +158,8 @@ pub struct Partition {
     /// Cumulative count of extent runs cloned because a frozen snapshot
     /// still shared them (exported as `snapshot_cow_clones`).
     cow_clones: u64,
+    /// Per-slot change stamps for the incremental freeze.
+    stamps: ChangeStamps,
 }
 
 impl Partition {
@@ -169,6 +177,7 @@ impl Partition {
             split_flag: ScratchTable::new(),
             split_partner: ScratchTable::new(),
             cow_clones: 0,
+            stamps: ChangeStamps::default(),
         }
     }
 
@@ -254,6 +263,24 @@ impl Partition {
     #[inline]
     pub fn cow_clone_count(&self) -> u64 {
         self.cow_clones
+    }
+
+    /// The per-slot change stamps a freeze reads.
+    #[inline]
+    pub(crate) fn stamps(&self) -> &ChangeStamps {
+        &self.stamps
+    }
+
+    /// Test hook: the stamps, to move their sequence.
+    #[cfg(test)]
+    pub(crate) fn stamps_mut(&mut self) -> &mut ChangeStamps {
+        &mut self.stamps
+    }
+
+    /// The live handle at raw slot index `idx`, if the slot is live.
+    #[inline]
+    pub(crate) fn live_at(&self, idx: u32) -> Option<BlockId> {
+        self.blocks.handle_at(idx)
     }
 
     /// `|b|`: the number of dnodes in block `b`.
@@ -347,6 +374,7 @@ impl Partition {
         blk.parents.clear();
         blk.children.clear();
         self.orphans.insert(id); // no parents yet
+        self.stamps.stamp(id.idx);
         id
     }
 
@@ -370,6 +398,7 @@ impl Partition {
         );
         self.orphans.remove(&b);
         self.blocks.release(b);
+        self.stamps.stamp(b.idx);
     }
 
     /// Places an unindexed node into a block **without** touching iedge
@@ -382,6 +411,7 @@ impl Partition {
         self.node_block[n.index()] = b;
         self.node_pos[n.index()] = blk.extent.len() as u32;
         blk.extent.make_mut(&mut self.cow_clones).push(n);
+        self.stamps.stamp(b.idx);
     }
 
     /// Removes a node from its block **without** touching iedge counts —
@@ -402,6 +432,7 @@ impl Partition {
         if let Some(&moved) = extent.get(pos) {
             self.node_pos[moved.index()] = pos as u32;
         }
+        self.stamps.stamp(b.idx);
     }
 
     /// Moves node `n` from its current block to `to`, keeping all iedge
@@ -416,6 +447,7 @@ impl Partition {
         self.node_block[n.index()] = to;
         self.node_pos[n.index()] = blk.extent.len() as u32;
         blk.extent.make_mut(&mut self.cow_clones).push(n);
+        self.stamps.stamp(to.idx);
         // Re-home the counts of every dedge incident to n. Other endpoints
         // are stationary, and self-loops are impossible, so their blocks
         // are well-defined throughout.
@@ -445,7 +477,9 @@ impl Partition {
     }
 
     fn inc_edge(&mut self, from: BlockId, to: BlockId) {
-        self.blocks[from].children.add(to, 1);
+        if self.blocks[from].children.add(to, 1) == 1 {
+            self.stamps.stamp(from.idx);
+        }
         let parents = &mut self.blocks[to].parents;
         if parents.is_empty() {
             self.orphans.remove(&to);
@@ -456,7 +490,9 @@ impl Partition {
     fn dec_edge(&mut self, from: BlockId, to: BlockId) {
         // `IedgeMap::sub` debug-asserts the entry exists (dec_edge only
         // removes iedges inc_edge recorded) and drops it at zero.
-        self.blocks[from].children.sub(to, 1);
+        if self.blocks[from].children.sub(to, 1) == 0 {
+            self.stamps.stamp(from.idx);
+        }
         let parents = &mut self.blocks[to].parents;
         parents.sub(from, 1);
         if parents.is_empty() && self.blocks.is_current(to) {
@@ -600,6 +636,7 @@ impl Partition {
             self.node_pos[n.index()] = blk.extent.len() as u32;
             blk.extent.make_mut(&mut self.cow_clones).push(n);
         }
+        self.stamps.stamp(dst.idx);
         // Reuse the drained run's allocation for src's next life — unless
         // a frozen snapshot still shares it, in which case the snapshot
         // keeps the nodes and src starts from the fresh empty run that
@@ -630,6 +667,7 @@ impl Partition {
         // Drop src from every neighbor's map (re-added under dst below).
         for &(p, _) in &src_parents {
             self.blocks[p].children.remove(src);
+            self.stamps.stamp(p.idx);
         }
         for &(c, _) in &src_children {
             self.blocks[c].parents.remove(src);
@@ -659,7 +697,9 @@ impl Partition {
         if cnt == 0 {
             return;
         }
-        self.blocks[from].children.add(to, cnt);
+        if self.blocks[from].children.add(to, cnt) == cnt {
+            self.stamps.stamp(from.idx);
+        }
         let parents = &mut self.blocks[to].parents;
         if parents.is_empty() {
             self.orphans.remove(&to);
@@ -732,6 +772,7 @@ impl Partition {
         for &b in &live {
             self.blocks[b].parents.clear();
             self.blocks[b].children.clear();
+            self.stamps.stamp(b.idx);
         }
         self.orphans.clear();
         self.orphans.extend(live);
@@ -758,6 +799,7 @@ impl Partition {
             + self.split_counts.heap_use()
             + self.split_flag.heap_use()
             + self.split_partner.heap_use()
+            + self.stamps.heap_use()
     }
 
     /// A point-in-time deep-memory attribution of the partition, per the
@@ -788,7 +830,8 @@ impl Partition {
         r.side_table_bytes = (vec_cap_heap(&self.node_block)
             + vec_cap_heap(&self.node_pos)
             + vec_cap_heap(&self.mark)
-            + btree_set_heap::<BlockId>(self.orphans.len())) as u64;
+            + btree_set_heap::<BlockId>(self.orphans.len())
+            + self.stamps.heap_use()) as u64;
         r.scratch_bytes = (self.split_counts.heap_use()
             + self.split_flag.heap_use()
             + self.split_partner.heap_use()) as u64;

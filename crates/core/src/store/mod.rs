@@ -27,6 +27,10 @@
 //!   the storage contract behind [`crate::view::IndexSnapshot`]: a
 //!   freeze shares every run in O(1) each, and the writer's next
 //!   mutation of a frozen block clones only that block's run.
+//! * [`ChangeStamps`] — per-slot change stamps, the other half of that
+//!   contract: a freeze given an earlier snapshot of the same index
+//!   rebuilds only the slots stamped since, in [`FREEZE_CHUNK`]-slot
+//!   chunks.
 //!
 //! The obs layer reads the iedge maps' representation state (inline vs
 //! spilled population, inline occupancy) through the indexes'
@@ -36,9 +40,11 @@ pub mod cow;
 pub mod iedge;
 pub mod scratch;
 pub mod slot;
+pub mod stamp;
 
 pub use cow::CowVec;
 pub use iedge::{IedgeMap, IedgeRepr};
 pub(crate) use scratch::next_epoch;
 pub use scratch::ScratchTable;
 pub use slot::{SlotKey, SlotMap};
+pub use stamp::{ChangeStamps, FreezePoint, FREEZE_CHUNK};

@@ -8,6 +8,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// The distinguished label of the single root node (Section 3 of the paper).
 pub const ROOT_LABEL: &str = "ROOT";
@@ -43,11 +44,13 @@ impl fmt::Debug for Label {
 ///
 /// Interning is append-only: labels are never removed, even if the last
 /// node carrying one is deleted. The alphabet of an XML database is tiny
-/// (tens of element names), so this never matters in practice.
+/// (tens of element names), so this never matters in practice. Each name
+/// is stored once behind an `Arc`, so frozen index views share it
+/// ([`LabelInterner::shared_name`]) instead of copying it per block.
 #[derive(Default, Clone)]
 pub struct LabelInterner {
     by_name: HashMap<Box<str>, Label>,
-    names: Vec<Box<str>>,
+    names: Vec<Arc<str>>,
 }
 
 impl LabelInterner {
@@ -78,6 +81,15 @@ impl LabelInterner {
     /// Panics if `label` did not come from this interner.
     pub fn name(&self, label: Label) -> &str {
         &self.names[label.index()]
+    }
+
+    /// The string for a symbol as a shared handle: an `Arc` clone, no
+    /// copy of the name.
+    ///
+    /// # Panics
+    /// Panics if `label` did not come from this interner.
+    pub fn shared_name(&self, label: Label) -> Arc<str> {
+        Arc::clone(&self.names[label.index()]) // xsi-lint: allow(slice-index, labels come from this interner, as for `name`)
     }
 
     /// Number of distinct labels interned so far.
@@ -127,6 +139,7 @@ mod tests {
         let mut i = LabelInterner::new();
         let a = i.intern("item");
         assert_eq!(i.name(a), "item");
+        assert_eq!(&*i.shared_name(a), "item");
         assert_eq!(i.get("item"), Some(a));
         assert_eq!(i.get("missing"), None);
     }

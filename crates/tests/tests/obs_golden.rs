@@ -232,10 +232,10 @@ const GOLDEN: &str = r#"{"format":"xsi-metrics-v1","counters":[
 {"name":"snapshot_cow_clones","labels":{"family":"A(2)-index"},"value":87},
 {"name":"snapshot_cow_clones","labels":{"family":"A(2)-index(simple)"},"value":0},
 {"name":"snapshot_cow_clones","labels":{"family":"1-index(propagate)"},"value":0},
-{"name":"snapshot_retained_bytes","labels":{"family":"1-index"},"value":137799},
-{"name":"snapshot_retained_bytes","labels":{"family":"A(2)-index"},"value":52497},
-{"name":"snapshot_retained_bytes","labels":{"family":"A(2)-index(simple)"},"value":35606},
-{"name":"snapshot_retained_bytes","labels":{"family":"1-index(propagate)"},"value":129970}],"histograms":[
+{"name":"snapshot_retained_bytes","labels":{"family":"1-index"},"value":121347},
+{"name":"snapshot_retained_bytes","labels":{"family":"A(2)-index"},"value":41062},
+{"name":"snapshot_retained_bytes","labels":{"family":"A(2)-index(simple)"},"value":33558},
+{"name":"snapshot_retained_bytes","labels":{"family":"1-index(propagate)"},"value":113354}],"histograms":[
 {"name":"intermediate_blocks","labels":{"family":"1-index","phase":"split"},"count":92,"sum":89240,"max":987,"p50":987,"p90":987,"p99":987},
 {"name":"intermediate_blocks","labels":{"family":"A(2)-index","phase":"split"},"count":38,"sum":8757,"max":241,"p50":241,"p90":241,"p99":241},
 {"name":"intermediate_blocks","labels":{"family":"A(2)-index(simple)","phase":"split"},"count":30,"sum":7043,"max":250,"p50":250,"p90":250,"p99":250},
