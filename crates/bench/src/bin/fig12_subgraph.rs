@@ -11,6 +11,10 @@
 //! 3. full index reconstruction after every subgraph — quality 0 but
 //!    "more than 100 times slower".
 //!
+//! Every row removes its subtrees as `RemoveNode` batches through an
+//! engine holding the split/merge 1-index, then re-adds them through an
+//! engine holding the row's family (none for reconstruction).
+//!
 //! Usage: `fig12_subgraph [--scale 1.0] [--subgraphs 500]
 //!         [--sample-every 25] [--seed 42] [--out fig12.csv]`
 
@@ -18,7 +22,7 @@
 
 use std::time::{Duration, Instant};
 use xsi_bench::{Args, Table};
-use xsi_core::{check, OneIndex};
+use xsi_core::{check, OneIndex, PropagateOneIndex, StructuralIndex, UpdateEngine, UpdateOp};
 use xsi_graph::{extract_subtree, DetachedSubgraph, Graph};
 use xsi_workload::{collect_subtree_roots, generate_xmark, XmarkParams};
 
@@ -55,43 +59,35 @@ fn main() {
         ("reconstruction", Mode::Reconstruct),
     ] {
         // Build the dataset, extract the subgraphs, remove them all.
-        let mut g = generate_xmark(&XmarkParams::new(scale, 1.0, seed));
-        let roots = collect_subtree_roots(&g, "open_auction", count, seed);
-        let mut idx = OneIndex::build(&g);
-        let mut subs: Vec<DetachedSubgraph> = Vec::with_capacity(roots.len());
-        for &r in &roots {
-            let (sub, members) = extract_subtree(&g, r);
-            idx.remove_subgraph(&mut g, &members).expect("removal");
-            subs.push(sub);
-        }
+        let (g, one, subs) = carve(scale, count, seed);
+        let mut engine = UpdateEngine::new(g);
+        let index: Option<Box<dyn StructuralIndex>> = match mode {
+            Mode::SplitMerge => Some(Box::new(one)),
+            Mode::Propagate => Some(Box::new(PropagateOneIndex(one))),
+            Mode::Reconstruct => None,
+        };
+        let h = index.map(|idx| engine.register(idx));
         // Re-add one by one with the chosen algorithm.
+        let mut rebuilt_blocks = 0;
         let mut spent = Duration::ZERO;
         for (i, sub) in subs.iter().enumerate() {
             let start = Instant::now();
-            match mode {
-                Mode::SplitMerge => {
-                    idx.add_subgraph(&mut g, sub).expect("addition");
-                }
-                Mode::Propagate => {
-                    idx.propagate_add_subgraph(&mut g, sub).expect("addition");
-                }
-                Mode::Reconstruct => {
-                    // Materialize the subgraph + boundary edges directly,
-                    // then rebuild the index from scratch ([8]'s approach).
-                    add_subgraph_plain(&mut g, sub);
-                    idx = OneIndex::build(&g);
-                }
+            engine.add_subgraph(sub).expect("addition");
+            if h.is_none() {
+                // [8]'s approach: rebuild the index from scratch.
+                rebuilt_blocks = OneIndex::build(engine.graph()).block_count();
             }
             spent += start.elapsed();
             let added = i + 1;
             if added % sample_every == 0 || added == subs.len() {
-                let minimum = OneIndex::build(&g).block_count();
+                let blocks = h.map_or(rebuilt_blocks, |h| engine.index(h).block_count());
+                let minimum = OneIndex::build(engine.graph()).block_count();
                 t.row(&[
                     name.to_string(),
                     added.to_string(),
-                    idx.block_count().to_string(),
+                    blocks.to_string(),
                     minimum.to_string(),
-                    format!("{:.4}", check::quality(idx.block_count(), minimum)),
+                    format!("{:.4}", check::quality(blocks, minimum)),
                 ]);
             }
         }
@@ -111,16 +107,25 @@ fn main() {
     }
 }
 
-/// Inserts a detached subgraph and its boundary edges into the graph
-/// without any index maintenance (used by the reconstruction baseline).
-fn add_subgraph_plain(g: &mut Graph, sub: &DetachedSubgraph) {
-    let map = sub.instantiate(g).expect("instantiate");
-    for &(host, local, kind) in &sub.incoming {
-        g.insert_edge(host, map[local as usize], kind)
-            .expect("incoming boundary edge");
+/// Generates the dataset and removes its subtrees through an engine
+/// holding the split/merge 1-index, one `RemoveNode` batch each.
+/// Returns the graph, that index and the removed subtrees.
+fn carve(scale: f64, count: usize, seed: u64) -> (Graph, OneIndex, Vec<DetachedSubgraph>) {
+    let g = generate_xmark(&XmarkParams::new(scale, 1.0, seed));
+    let roots = collect_subtree_roots(&g, "open_auction", count, seed);
+    let mut engine = UpdateEngine::new(g);
+    let h = engine.register(Box::new(OneIndex::build(engine.graph())));
+    let mut subs = Vec::with_capacity(roots.len());
+    for &r in &roots {
+        let (sub, members) = extract_subtree(engine.graph(), r);
+        let removal: Vec<UpdateOp> = members
+            .into_iter()
+            .map(|node| UpdateOp::RemoveNode { node })
+            .collect();
+        engine.apply_batch(&removal).expect("removal");
+        subs.push(sub);
     }
-    for &(local, host, kind) in &sub.outgoing {
-        g.insert_edge(map[local as usize], host, kind)
-            .expect("outgoing boundary edge");
-    }
+    let one = engine.index(h).as_any().downcast_ref::<OneIndex>().cloned();
+    let (g, _) = engine.into_parts();
+    (g, one.expect("the registered 1-index"), subs)
 }

@@ -125,6 +125,14 @@ impl StructuralIndex for FaultyOneIndex {
         self.as_dyn_mut().on_edge_inserted(g, u, v)
     }
 
+    fn takes_subgraph_whole(&self) -> bool {
+        self.as_dyn().takes_subgraph_whole()
+    }
+
+    fn on_subgraph_added(&mut self, g: &Graph, nodes: &[NodeId]) -> UpdateStats {
+        self.as_dyn_mut().on_subgraph_added(g, nodes)
+    }
+
     fn on_edge_deleted(&mut self, g: &Graph, u: NodeId, v: NodeId) -> UpdateStats {
         if let FaultSpec::DropEdgeDelete { period } = self.fault {
             self.deletes_seen += 1;

@@ -48,7 +48,7 @@ use xsi_core::{
     check, reference, AkIndex, FlightRecorder, IndexHandle, IndexSnapshot, NodeRef, OneIndex,
     PropagateOneIndex, SimpleAkIndex, StructuralIndex, UpdateEngine, UpdateOp,
 };
-use xsi_graph::{is_acyclic, EdgeKind, Graph, NodeId};
+use xsi_graph::{is_acyclic, DetachedSubgraph, EdgeKind, Graph, NodeId};
 use xsi_query::{eval_graph, eval_index, eval_index_raw, PathExpr};
 
 /// A convicted divergence: which step (by op index; `None` for the
@@ -153,27 +153,49 @@ fn build_lab_engine(scenario: &Scenario, traced: bool) -> (UpdateEngine, Vec<Nod
     (engine, handles, hs)
 }
 
-/// Applies one scenario op to the engine (translate → batch), keeping
-/// the handle list in sync. Returns whether the graph was mutated;
-/// `Freeze` and deterministically inapplicable ops return `false`.
+/// Applies one scenario op to the engine (translate → batch, or one
+/// subgraph addition for `AddSubtree`), keeping the handle list in sync.
+/// Returns whether the graph was mutated; `Freeze` and
+/// deterministically inapplicable ops return `false`.
 fn apply_scenario_op(
     engine: &mut UpdateEngine,
     handles: &mut Vec<NodeId>,
     op: &ScenarioOp,
 ) -> bool {
-    let Some(batch) = translate(op, handles, engine.graph()) else {
-        return false;
+    let applied = match op {
+        ScenarioOp::AddSubtree { parent, nodes } => match handles.get(parent % handles.len()) {
+            Some(&parent) => engine.add_subgraph(&detached_subtree(parent, nodes)),
+            None => return false,
+        },
+        _ => match translate(op, handles, engine.graph()) {
+            Some(batch) => engine.apply_batch(&batch),
+            None => return false,
+        },
     };
-    match engine.apply_batch(&batch) {
+    match applied {
         Ok(result) => {
             handles.retain(|&h| engine.graph().is_alive(h));
             handles.extend(result.created);
             true
         }
-        // Structurally rejected batches leave all state untouched; count
-        // them as (deterministic) skips.
+        // Structurally rejected batches and additions leave all state
+        // untouched; count them as (deterministic) skips.
         Err(_) => false,
     }
+}
+
+/// An `AddSubtree`'s nodes as a subgraph hung under `parent`: node 0
+/// is its root, node `i > 0` a child of node `local_parent`.
+fn detached_subtree(parent: NodeId, nodes: &[(String, usize)]) -> DetachedSubgraph {
+    let mut sub = DetachedSubgraph::new();
+    for (label, _) in nodes {
+        sub.add_node(label, None);
+    }
+    for (i, &(_, local_parent)) in nodes.iter().enumerate().skip(1) {
+        sub.add_edge(local_parent as u32, i as u32, EdgeKind::Child);
+    }
+    sub.incoming.push((parent, 0, EdgeKind::Child));
+    sub
 }
 
 fn run_scenario_impl(
@@ -355,28 +377,6 @@ fn translate(op: &ScenarioOp, handles: &[NodeId], g: &Graph) -> Option<Vec<Updat
             }
             Some(vec![UpdateOp::RemoveNode { node: n }])
         }
-        ScenarioOp::AddSubtree { parent, nodes } => {
-            let p = resolve(*parent);
-            let mut batch: Vec<UpdateOp> = nodes
-                .iter()
-                .map(|(label, _)| UpdateOp::AddNode {
-                    label: label.clone(),
-                })
-                .collect();
-            for (i, (_, local_parent)) in nodes.iter().enumerate() {
-                let from = if i == 0 {
-                    NodeRef::Existing(p)
-                } else {
-                    NodeRef::New(*local_parent)
-                };
-                batch.push(UpdateOp::InsertEdge {
-                    from,
-                    to: NodeRef::New(i),
-                    kind: EdgeKind::Child,
-                });
-            }
-            Some(batch)
-        }
         ScenarioOp::RemoveSubtree { root } => {
             let r = resolve(*root);
             if r == g.root() {
@@ -405,8 +405,9 @@ fn translate(op: &ScenarioOp, handles: &[NodeId], g: &Graph) -> Option<Vec<Updat
             )
         }
         // Freeze never mutates the graph; the op loop handles it before
-        // translation (and prefix replicas simply skip it).
-        ScenarioOp::Freeze => None,
+        // translation (and prefix replicas simply skip it). AddSubtree is
+        // a subgraph addition, not a batch.
+        ScenarioOp::Freeze | ScenarioOp::AddSubtree { .. } => None,
     }
 }
 

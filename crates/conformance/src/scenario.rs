@@ -52,8 +52,8 @@ pub enum ScenarioOp {
     /// Remove a resolved node (and its remaining edges); skipped if it
     /// resolves to the root.
     RemoveNode { node: usize },
-    /// Add a small tree under a resolved parent as ONE engine batch
-    /// (exercises the batch path and Figure 6 semantics). `nodes[i]` is
+    /// Add a small tree under a resolved parent as ONE engine subgraph
+    /// addition (Figure 6's batched step). `nodes[i]` is
     /// `(label, local_parent)`: node 0 attaches to the resolved external
     /// parent, node `i > 0` to subtree node `local_parent < i`.
     AddSubtree {

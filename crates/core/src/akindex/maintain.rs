@@ -178,30 +178,6 @@ impl AkIndex {
         Ok((self.update_levels(g, v, j0), kind))
     }
 
-    /// Deletes a node and all of its incident edges, maintaining the
-    /// chain throughout. The node must not be the root.
-    // xsi-lint: allow(obs-coverage, delegates per incident edge to update_levels, which opens the spans)
-    pub fn delete_node(&mut self, g: &mut Graph, n: NodeId) -> Result<UpdateStats, GraphError> {
-        let mut stats = UpdateStats {
-            no_op: false,
-            ..UpdateStats::default()
-        };
-        let parents: Vec<NodeId> = g.pred(n).collect();
-        for p in parents {
-            g.delete_edge(p, n)?;
-            stats.absorb(&self.notify_edge_deleted(g, p, n));
-        }
-        let children: Vec<NodeId> = g.succ(n).collect();
-        for c in children {
-            g.delete_edge(n, c)?;
-            stats.absorb(&self.notify_edge_deleted(g, n, c));
-        }
-        self.on_node_removing(g, n);
-        g.remove_node(n)?;
-        stats.final_blocks = self.block_count();
-        Ok(stats)
-    }
-
     /// Maintenance hook for an edge insertion already applied to `g` by
     /// the caller — for running several indexes over one graph. Equivalent
     /// to [`AkIndex::insert_edge`] minus the graph mutation.
@@ -680,42 +656,57 @@ mod tests {
 
 #[cfg(test)]
 mod node_op_tests {
-    use crate::AkIndex;
-    use xsi_graph::{EdgeKind, GraphBuilder};
+    use crate::{AkIndex, IndexHandle, UpdateEngine, UpdateOp};
+    use xsi_graph::{EdgeKind, Graph, GraphBuilder, NodeId};
+
+    /// An engine over `g` with the A(k) chain registered.
+    fn engine_over(g: Graph, k: usize) -> (UpdateEngine, IndexHandle) {
+        let mut engine = UpdateEngine::new(g);
+        let h = engine.register(Box::new(AkIndex::build(engine.graph(), k)));
+        (engine, h)
+    }
+
+    fn ak(engine: &UpdateEngine, h: IndexHandle) -> &AkIndex {
+        engine.index(h).as_any().downcast_ref().unwrap()
+    }
+
+    /// Node deletion is a `RemoveNode` op: the engine deletes the node's
+    /// edges through edge-deletion maintenance, then the node (§1).
+    fn remove_node(engine: &mut UpdateEngine, node: NodeId) {
+        engine.apply(&UpdateOp::RemoveNode { node }).unwrap();
+    }
 
     #[test]
     fn delete_node_keeps_minimum_chain() {
-        let (mut g, ids) = GraphBuilder::new()
+        let (g, ids) = GraphBuilder::new()
             .nodes(&[(1, "a"), (2, "b"), (3, "b"), (4, "c")])
             .edges(&[(1, 2), (1, 3), (2, 4)])
             .idref_edges(&[(4, 3)])
             .root_to(1)
             .build_with_ids();
         for k in 1..=3 {
-            let mut g = g.clone();
-            let mut idx = AkIndex::build(&g, k);
-            idx.delete_node(&mut g, ids[&2]).unwrap();
-            idx.check_consistency(&g).unwrap();
-            assert_eq!(idx.canonical(), AkIndex::build(&g, k).canonical());
+            let (mut engine, h) = engine_over(g.clone(), k);
+            remove_node(&mut engine, ids[&2]);
+            let (g, idx) = (engine.graph(), ak(&engine, h));
+            idx.check_consistency(g).unwrap();
+            assert_eq!(idx.canonical(), AkIndex::build(g, k).canonical());
         }
-        let _ = &mut g;
     }
 
     #[test]
     fn add_then_delete_node_round_trips() {
-        let (mut g, ids) = GraphBuilder::new()
+        let (g, ids) = GraphBuilder::new()
             .nodes(&[(1, "a"), (2, "b")])
             .edges(&[(1, 2)])
             .root_to(1)
             .build_with_ids();
-        let mut idx = AkIndex::build(&g, 2);
-        let before = idx.canonical();
-        let n = g.add_node("b", None);
-        idx.on_node_added(&g, n);
-        idx.insert_edge(&mut g, ids[&1], n, EdgeKind::Child)
-            .unwrap();
-        idx.delete_node(&mut g, n).unwrap();
+        let (mut engine, h) = engine_over(g, 2);
+        let before = ak(&engine, h).canonical();
+        let n = engine.add_node("b", None);
+        engine.insert_edge(ids[&1], n, EdgeKind::Child).unwrap();
+        remove_node(&mut engine, n);
+        let idx = ak(&engine, h);
         assert_eq!(idx.canonical(), before);
-        idx.check_consistency(&g).unwrap();
+        idx.check_consistency(engine.graph()).unwrap();
     }
 }

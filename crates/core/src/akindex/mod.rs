@@ -35,7 +35,6 @@
 pub mod maintain;
 pub mod simple;
 pub mod storage;
-pub mod subgraph;
 
 pub use simple::SimpleAkIndex;
 pub use storage::StorageReport;
@@ -164,7 +163,9 @@ impl HeapUse for ABlock {
 ///
 /// Built by [`AkIndex::build`] this is the minimum chain; maintained via
 /// [`AkIndex::insert_edge`] / [`AkIndex::delete_edge`] it stays the
-/// **minimum** chain on any data graph (Theorem 2).
+/// **minimum** chain on any data graph (Theorem 2). Node removal and
+/// subgraph addition (§6) run through [`crate::UpdateEngine`], which
+/// hands them to the chain as node and edge ops.
 #[derive(Clone)]
 pub struct AkIndex {
     k: usize,
@@ -1185,6 +1186,114 @@ mod tests {
         for (scanned, succ) in [(g.root(), ids[&1]), (ids[&1], ids[&2]), (ids[&2], ids[&3])] {
             let b = idx.block_of(scanned);
             assert_eq!(idx.collect_succ(&g, b), vec![succ], "scan of {scanned:?}");
+        }
+    }
+}
+
+#[cfg(test)]
+mod subgraph {
+    //! Subgraph addition and removal on the chain, both through the
+    //! engine: it hands the chain an addition as node and edge ops, and a
+    //! removal is a `RemoveNode` batch, so Theorem 2 holds at every step.
+    mod tests {
+        use crate::{AkIndex, IndexHandle, UpdateEngine, UpdateOp};
+        use xsi_graph::{extract_subtree, DetachedSubgraph, EdgeKind, Graph, GraphBuilder, NodeId};
+
+        fn engine_over(g: Graph, k: usize) -> (UpdateEngine, IndexHandle) {
+            let mut engine = UpdateEngine::new(g);
+            let h = engine.register(Box::new(AkIndex::build(engine.graph(), k)));
+            (engine, h)
+        }
+
+        fn ak(engine: &UpdateEngine, h: IndexHandle) -> &AkIndex {
+            engine.index(h).as_any().downcast_ref().unwrap()
+        }
+
+        fn remove(engine: &mut UpdateEngine, members: &[NodeId]) {
+            let batch: Vec<UpdateOp> = members
+                .iter()
+                .map(|&node| UpdateOp::RemoveNode { node })
+                .collect();
+            engine.apply_batch(&batch).unwrap();
+        }
+
+        fn assert_minimum(engine: &UpdateEngine, h: IndexHandle) {
+            let (g, idx) = (engine.graph(), ak(engine, h));
+            idx.check_consistency(g).unwrap();
+            assert_eq!(idx.canonical(), AkIndex::build(g, idx.k()).canonical());
+        }
+
+        fn host() -> (Graph, std::collections::BTreeMap<u64, NodeId>) {
+            GraphBuilder::new()
+                .nodes(&[
+                    (1, "site"),
+                    (2, "auction"),
+                    (3, "item"),
+                    (4, "auction"),
+                    (5, "item"),
+                ])
+                .edges(&[(1, 2), (2, 3), (1, 4), (4, 5)])
+                .idref_edges(&[(3, 4)])
+                .root_to(1)
+                .build_with_ids()
+        }
+
+        #[test]
+        fn add_twin_auction_merges_into_existing_blocks() {
+            let (g, ids) = host();
+            for k in 1..=3 {
+                let (mut engine, h) = engine_over(g.clone(), k);
+                let mut sub = DetachedSubgraph::new();
+                let a = sub.add_node("auction", None);
+                let i = sub.add_node("item", None);
+                sub.add_edge(a, i, EdgeKind::Child);
+                sub.incoming.push((ids[&1], a, EdgeKind::Child));
+                let result = engine.add_subgraph(&sub).unwrap();
+                assert!(!result.stats.no_op);
+                assert_minimum(&engine, h);
+                // The new auction has the same k-context as auction 2
+                // (child of site, no IDREF in-edges — auction 4 has one
+                // from item 3).
+                let idx = ak(&engine, h);
+                assert_eq!(idx.block_of(result.created[0]), idx.block_of(ids[&2]));
+            }
+        }
+
+        #[test]
+        fn extract_remove_re_add_round_trip() {
+            let (g, ids) = host();
+            let (mut engine, h) = engine_over(g, 2);
+            let sizes_before: usize = ak(&engine, h).block_count();
+            let (sub, members) = extract_subtree(engine.graph(), ids[&2]);
+            remove(&mut engine, &members);
+            assert_minimum(&engine, h);
+            engine.add_subgraph(&sub).unwrap();
+            assert_minimum(&engine, h);
+            assert_eq!(ak(&engine, h).block_count(), sizes_before);
+        }
+
+        #[test]
+        fn remove_everything_leaves_root() {
+            let (g, ids) = host();
+            let (mut engine, h) = engine_over(g, 3);
+            let (_, members) = extract_subtree(engine.graph(), ids[&1]);
+            remove(&mut engine, &members);
+            assert_eq!(engine.graph().node_count(), 1);
+            assert_eq!(ak(&engine, h).block_count(), 1);
+            assert_minimum(&engine, h);
+        }
+
+        #[test]
+        fn subgraph_with_outgoing_refs() {
+            let (g, ids) = host();
+            let (mut engine, h) = engine_over(g, 2);
+            let mut sub = DetachedSubgraph::new();
+            let w = sub.add_node("watcher", None);
+            sub.incoming.push((ids[&1], w, EdgeKind::Child));
+            sub.outgoing.push((w, ids[&2], EdgeKind::IdRef));
+            sub.outgoing.push((w, ids[&4], EdgeKind::IdRef));
+            engine.add_subgraph(&sub).unwrap();
+            assert_minimum(&engine, h);
         }
     }
 }

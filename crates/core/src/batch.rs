@@ -13,7 +13,8 @@
 //! batch layer adds ordering, atomic pre-validation, and aggregate
 //! statistics. (True batching that defers the merge phase across a group
 //! is what Figure 6 does for subgraphs — use
-//! [`crate::OneIndex::add_subgraph`] for that case.)
+//! [`crate::UpdateEngine::add_subgraph`] for that case; its validation,
+//! [`plan_subgraph`], lives here too.)
 //!
 //! There is no batch application code here: the engine runs the phases
 //! through the same fan-out core as its single-op entry points, so a
@@ -23,7 +24,7 @@
 use crate::obs::BatchSegment;
 use crate::stats::UpdateStats;
 use std::collections::HashSet;
-use xsi_graph::{EdgeKind, Graph, GraphError, NodeId};
+use xsi_graph::{DetachedSubgraph, EdgeKind, Graph, GraphError, NodeId};
 
 /// One update in a batch. Node handles for `AddNode` results are
 /// positional: the i-th `AddNode` of the batch is referred to by
@@ -118,8 +119,63 @@ pub struct BatchResult {
     /// Number of primitive graph mutations applied: one per node added,
     /// edge inserted, edge explicitly deleted, plus — for each node
     /// removal — one per incident edge implicitly deleted and one for the
-    /// removal itself.
+    /// removal itself. A subgraph addition counts one per node and edge
+    /// it writes.
     pub ops_applied: usize,
+}
+
+/// A subgraph addition that passed validation, in host ids and in the
+/// order [`crate::UpdateEngine::add_subgraph`] writes it: the ids its
+/// nodes get (local order), its internal edges then the edges into its
+/// root, and every other boundary edge.
+pub(crate) struct SubgraphPlan {
+    pub(crate) nodes: Vec<NodeId>,
+    pub(crate) first: Vec<(NodeId, NodeId, EdgeKind)>,
+    pub(crate) rest: Vec<(NodeId, NodeId, EdgeKind)>,
+}
+
+/// Checks every edge a subgraph addition would insert against `g`
+/// before anything is written: every local id names a subgraph node
+/// ([`BatchError::BadNewRef`]), every host is alive
+/// ([`BatchError::DeadNode`]), and no edge is a self-loop, an edge into
+/// the graph root or a duplicate ([`BatchError::Graph`], with the
+/// error the graph would have returned).
+pub(crate) fn plan_subgraph(g: &Graph, sub: &DetachedSubgraph) -> Result<SubgraphPlan, BatchError> {
+    let nodes = g.next_node_ids(sub.node_count());
+    let new = |l: u32| match nodes.get(l as usize) {
+        Some(&n) => Ok(n),
+        None => Err(BatchError::BadNewRef(l as usize)),
+    };
+    let host = |n: NodeId| g.is_alive(n).then_some(n).ok_or(BatchError::DeadNode(n));
+    let root = new(sub.root_local())?;
+    let (mut first, mut rest) = (Vec::new(), Vec::new());
+    for &(u, v, kind) in sub.internal_edges() {
+        first.push((new(u)?, new(v)?, kind));
+    }
+    for &(u, v, kind) in &sub.incoming {
+        let edge = (host(u)?, new(v)?, kind);
+        if edge.1 == root {
+            first.push(edge);
+        } else {
+            rest.push(edge);
+        }
+    }
+    for &(u, v, kind) in &sub.outgoing {
+        rest.push((new(u)?, host(v)?, kind));
+    }
+    let mut seen = HashSet::new();
+    for &(u, v, _) in first.iter().chain(&rest) {
+        if u == v {
+            return Err(GraphError::SelfLoop(u).into());
+        }
+        if v == g.root() {
+            return Err(GraphError::RootViolation.into());
+        }
+        if !seen.insert((u, v)) {
+            return Err(GraphError::DuplicateEdge(u, v).into());
+        }
+    }
+    Ok(SubgraphPlan { nodes, first, rest })
 }
 
 /// Checks that a batch is internally consistent against `g` before

@@ -20,9 +20,9 @@
 //!   `IndexDispatch` span per index labelled with its [`UpdateStats`],
 //!   and the booking of per-index cumulative [`UpdateStats`] and
 //!   engine-wide [`EngineStats`] (ops, splits, merges, touched blocks,
-//!   latency). `add_node`, `insert_edge`, `delete_edge` and the four
-//!   batch phases all call it, each passing a closure that runs its own
-//!   hook;
+//!   latency). `add_node`, `insert_edge`, `delete_edge`, the four
+//!   batch phases and the three parts of a subgraph addition all call
+//!   it, each passing a closure that runs its own hook;
 //! * while the obs hub is active, every public mutation and `freeze`
 //!   runs under a span `Recording` that hands the call's closed pipeline
 //!   spans to [`ObsHub::record`] — the engine's only way of feeding the
@@ -37,7 +37,10 @@
 //! decomposed the way Section 1 prescribes ("based on" edge deletion):
 //! the engine deletes each incident edge through the normal fan-out,
 //! then runs `on_node_removing` on every index, then removes the node
-//! from the graph.
+//! from the graph. A subgraph removal is a batch of `RemoveNode`s.
+//!
+//! Subgraph addition exists once too, as [`UpdateEngine::add_subgraph`]:
+//! Figure 6 in three fan-out parts.
 //!
 //! With the `paranoid` cargo feature the engine additionally re-runs the
 //! trait-level consistency checker ([`UpdateEngine::check`]) and the
@@ -47,7 +50,7 @@
 //! test suite's safety net (see `crates/conformance`). The checks are
 //! compiled out entirely in default builds.
 
-use crate::batch::{self, BatchError, BatchResult, UpdateOp};
+use crate::batch::{self, BatchError, BatchResult, SubgraphPlan, UpdateOp};
 use crate::index::StructuralIndex;
 use crate::obs::event::{BatchSegment, IndexFamily, OpKind, SpanLabel};
 use crate::obs::mem::{self, HeapUse};
@@ -59,7 +62,7 @@ use crate::stats::UpdateStats;
 use crate::view::{IndexSnapshot, WeakSnapshot};
 use std::panic::{self, AssertUnwindSafe};
 use std::time::{Duration, Instant};
-use xsi_graph::{EdgeKind, Graph, GraphError, NodeId};
+use xsi_graph::{DetachedSubgraph, EdgeKind, Graph, GraphError, NodeId};
 
 /// Handle to an index registered with an [`UpdateEngine`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -68,8 +71,10 @@ pub struct IndexHandle(usize);
 /// Engine-wide aggregate counters across all operations and indexes.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct EngineStats {
-    /// Graph mutations applied (an edge op counts 1; a node removal
-    /// counts 1 plus one per incident edge deleted).
+    /// Ops fanned out: each graph mutation applied (an edge op counts 1;
+    /// a node removal 1 plus one per incident edge deleted; a subgraph
+    /// addition one per node and edge), plus a subgraph addition's
+    /// `AddSubgraph` hand-over when a registered family takes it whole.
     pub ops: usize,
     /// Total block splits across all indexes.
     pub splits: usize,
@@ -227,7 +232,7 @@ impl UpdateEngine {
     pub fn add_node(&mut self, label: &str, value: Option<String>) -> NodeId {
         self.traced(|e| {
             let n = e.g.add_node(label, value);
-            e.fan_out(OpKind::AddNode, |idx, g| {
+            e.fan_out(OpKind::AddNode, all, |idx, g| {
                 idx.on_node_added(g, n);
                 None
             });
@@ -246,7 +251,7 @@ impl UpdateEngine {
     ) -> Result<UpdateStats, GraphError> {
         self.traced(|e| {
             e.g.insert_edge(u, v, kind)?;
-            let stats = e.fan_out(OpKind::InsertEdge, |idx, g| {
+            let stats = e.fan_out(OpKind::InsertEdge, all, |idx, g| {
                 Some(idx.on_edge_inserted(g, u, v))
             });
             e.run_policies();
@@ -264,7 +269,7 @@ impl UpdateEngine {
     ) -> Result<(UpdateStats, EdgeKind), GraphError> {
         self.traced(|e| {
             let kind = e.g.delete_edge(u, v)?;
-            let stats = e.fan_out(OpKind::DeleteEdge, |idx, g| {
+            let stats = e.fan_out(OpKind::DeleteEdge, all, |idx, g| {
                 Some(idx.on_edge_deleted(g, u, v))
             });
             e.run_policies();
@@ -307,6 +312,33 @@ impl UpdateEngine {
             let applied = e.apply_phases(ops, &mut result);
             e.run_policies();
             e.paranoid_check("apply_batch");
+            applied.map(|()| result)
+        })
+    }
+
+    /// Adds a detached subgraph in Figure 6's order, in three parts. Its
+    /// nodes (with values), internal edges and edges into its root go op
+    /// by op to the families that take a subgraph op by op. That part
+    /// then goes whole, as one `AddSubgraph` op, to the families whose
+    /// [`StructuralIndex::takes_subgraph_whole`] answers `true`. Every
+    /// other boundary edge (`sub.incoming`, then `sub.outgoing`) goes op
+    /// by op to all. `created` holds the new nodes' ids in local order.
+    ///
+    /// Every edge is checked before the first write, so a rejected
+    /// addition leaves graph and indexes untouched: a local id past the
+    /// subgraph is [`BatchError::BadNewRef`], a dead host
+    /// [`BatchError::DeadNode`], and an edge into the graph root, a
+    /// self-loop or a duplicate [`BatchError::Graph`].
+    pub fn add_subgraph(&mut self, sub: &DetachedSubgraph) -> Result<BatchResult, BatchError> {
+        let plan = batch::plan_subgraph(&self.g, sub)?;
+        self.traced(|e| {
+            let mut result = BatchResult {
+                stats: UpdateStats::identity(),
+                ..BatchResult::default()
+            };
+            let applied = e.apply_subgraph(sub, &plan, &mut result);
+            e.run_policies();
+            e.paranoid_check("add_subgraph");
             applied.map(|()| result)
         })
     }
@@ -386,16 +418,17 @@ impl UpdateEngine {
     }
 
     /// The fan-out core, and the only copy of the per-op instrumentation:
-    /// one `Op` span per graph mutation (already applied), an
-    /// `IndexDispatch` span per registered index (registration order)
-    /// around `hook`, and the op's count and time booked into
-    /// [`EngineStats`]. Edge hooks return `Some(stats)`: each index's
-    /// stats label its dispatch span and are absorbed into the
-    /// per-index and engine stats. Node hooks return `None`. Returns the
-    /// op's stats folded over all indexes.
+    /// one `Op` span per graph mutation (already applied) or subgraph
+    /// hand-over, an `IndexDispatch` span per registered index that `to`
+    /// picks (registration order) around `hook`, and the op's count and
+    /// time booked into [`EngineStats`]. Edge and subgraph hooks return
+    /// `Some(stats)`: each index's stats label its dispatch span and are
+    /// absorbed into the per-index and engine stats. Node hooks return
+    /// `None`. Returns the op's stats folded over the picked indexes.
     fn fan_out(
         &mut self,
         op: OpKind,
+        to: impl Fn(&dyn StructuralIndex) -> bool,
         mut hook: impl FnMut(&mut dyn StructuralIndex, &Graph) -> Option<UpdateStats>,
     ) -> UpdateStats {
         let op_span = SpanGuard::enter(SpanKind::Op);
@@ -404,7 +437,7 @@ impl UpdateEngine {
         // Fold from the absorb identity: the aggregate's `no_op` is true
         // iff every index took its no-op fast path.
         let mut total = UpdateStats::identity();
-        for e in &mut self.entries {
+        for e in self.entries.iter_mut().filter(|e| to(e.index.as_ref())) {
             let dispatch = SpanGuard::enter_family(SpanKind::IndexDispatch, e.family);
             let stats = hook(e.index.as_mut(), &self.g);
             dispatch.set_label(SpanLabel::Dispatch(op, stats));
@@ -455,7 +488,7 @@ impl UpdateEngine {
             match op {
                 UpdateOp::AddNode { label } => {
                     let n = self.g.add_node(label, None);
-                    self.fan_out(OpKind::AddNode, |idx, g| {
+                    self.fan_out(OpKind::AddNode, all, |idx, g| {
                         idx.on_node_added(g, n);
                         None
                     });
@@ -464,12 +497,7 @@ impl UpdateEngine {
                 }
                 UpdateOp::InsertEdge { from, to, kind } => {
                     let (u, v) = (from.resolve(&r.created)?, to.resolve(&r.created)?);
-                    self.g.insert_edge(u, v, *kind)?;
-                    let s = self.fan_out(OpKind::InsertEdge, |idx, g| {
-                        Some(idx.on_edge_inserted(g, u, v))
-                    });
-                    r.stats.absorb(&s);
-                    r.ops_applied += 1;
+                    self.batch_insert_edge(u, v, *kind, all, r)?;
                 }
                 UpdateOp::DeleteEdge { from, to } => {
                     self.batch_delete_edge(*from, *to, r)?;
@@ -484,7 +512,7 @@ impl UpdateEngine {
                     for c in children {
                         self.batch_delete_edge(n, c, r)?;
                     }
-                    self.fan_out(OpKind::RemoveNode, |idx, g| {
+                    self.fan_out(OpKind::RemoveNode, all, |idx, g| {
                         idx.on_node_removing(g, n);
                         None
                     });
@@ -493,6 +521,58 @@ impl UpdateEngine {
                 }
             }
         }
+        Ok(())
+    }
+
+    /// The three parts of [`UpdateEngine::add_subgraph`].
+    fn apply_subgraph(
+        &mut self,
+        sub: &DetachedSubgraph,
+        plan: &SubgraphPlan,
+        r: &mut BatchResult,
+    ) -> Result<(), BatchError> {
+        let per_op = |idx: &dyn StructuralIndex| !idx.takes_subgraph_whole();
+        for (label, value) in sub.nodes() {
+            let n = self.g.add_node(label, value.map(String::from));
+            self.fan_out(OpKind::AddNode, per_op, |idx, g| {
+                idx.on_node_added(g, n);
+                None
+            });
+            r.created.push(n);
+            r.ops_applied += 1;
+        }
+        debug_assert_eq!(r.created, plan.nodes, "validation predicted the ids");
+        for &(u, v, kind) in &plan.first {
+            self.batch_insert_edge(u, v, kind, per_op, r)?;
+        }
+        if self.entries.iter().any(|e| e.index.takes_subgraph_whole()) {
+            let whole = |idx: &dyn StructuralIndex| idx.takes_subgraph_whole();
+            let s = self.fan_out(OpKind::AddSubgraph, whole, |idx, g| {
+                Some(idx.on_subgraph_added(g, &plan.nodes))
+            });
+            r.stats.absorb(&s);
+        }
+        for &(u, v, kind) in &plan.rest {
+            self.batch_insert_edge(u, v, kind, all, r)?;
+        }
+        Ok(())
+    }
+
+    /// One edge insertion of a batch or a subgraph addition.
+    fn batch_insert_edge(
+        &mut self,
+        u: NodeId,
+        v: NodeId,
+        kind: EdgeKind,
+        to: impl Fn(&dyn StructuralIndex) -> bool,
+        r: &mut BatchResult,
+    ) -> Result<(), BatchError> {
+        self.g.insert_edge(u, v, kind)?;
+        let s = self.fan_out(OpKind::InsertEdge, to, |idx, g| {
+            Some(idx.on_edge_inserted(g, u, v))
+        });
+        r.stats.absorb(&s);
+        r.ops_applied += 1;
         Ok(())
     }
 
@@ -505,7 +585,7 @@ impl UpdateEngine {
         r: &mut BatchResult,
     ) -> Result<(), BatchError> {
         self.g.delete_edge(u, v)?;
-        let s = self.fan_out(OpKind::DeleteEdge, |idx, g| {
+        let s = self.fan_out(OpKind::DeleteEdge, all, |idx, g| {
             Some(idx.on_edge_deleted(g, u, v))
         });
         r.stats.absorb(&s);
@@ -551,6 +631,11 @@ impl UpdateEngine {
             }
         }
     }
+}
+
+/// The fan-out filter that picks every registered index.
+fn all(_: &dyn StructuralIndex) -> bool {
+    true
 }
 
 /// `paranoid` feature: a freeze that built on a base snapshot must equal
@@ -858,6 +943,202 @@ mod tests {
             .find(|l| l.contains("\"kind\":\"IndexDispatch\""))
             .expect("the delete was dispatched to the 1-index");
         assert!(dispatch.contains("\"family\":\"1-index\""), "{dispatch}");
+    }
+
+    /// An engine over `host()` holding all four families.
+    fn four_families() -> (UpdateEngine, std::collections::BTreeMap<u64, NodeId>) {
+        let (g, ids) = host();
+        let mut engine = UpdateEngine::new(g);
+        engine.register(Box::new(OneIndex::build(engine.graph())));
+        engine.register(Box::new(PropagateOneIndex::build(engine.graph())));
+        engine.register(Box::new(AkIndex::build(engine.graph(), 2)));
+        engine.register(Box::new(SimpleAkIndex::build(engine.graph(), 2)));
+        (engine, ids)
+    }
+
+    /// What a rejected call must leave as it was: the graph's node and
+    /// edge counts, the engine's op count, and every index's block count
+    /// and check.
+    fn untouched_state(engine: &UpdateEngine) -> (usize, usize, usize, Vec<(usize, bool)>) {
+        let indexes = engine
+            .entries
+            .iter()
+            .map(|e| (e.index.block_count(), e.index.check(&engine.g).is_ok()))
+            .collect();
+        let g = engine.graph();
+        (g.node_count(), g.edge_count(), engine.stats().ops, indexes)
+    }
+
+    fn assert_rejected(engine: &mut UpdateEngine, sub: &DetachedSubgraph, expected: BatchError) {
+        let before = untouched_state(engine);
+        assert_eq!(engine.add_subgraph(sub).unwrap_err(), expected);
+        assert_eq!(untouched_state(engine), before);
+    }
+
+    /// A one-node subgraph under the site element.
+    fn watcher(ids: &std::collections::BTreeMap<u64, NodeId>) -> DetachedSubgraph {
+        let mut sub = DetachedSubgraph::new();
+        let w = sub.add_node("watcher", None);
+        sub.incoming.push((ids[&1], w, EdgeKind::Child));
+        sub
+    }
+
+    #[test]
+    fn subgraph_with_a_local_id_past_its_nodes_is_rejected() {
+        let (mut engine, ids) = four_families();
+        let mut sub = watcher(&ids);
+        sub.outgoing.push((5, ids[&2], EdgeKind::IdRef));
+        assert_rejected(&mut engine, &sub, BatchError::BadNewRef(5));
+        let mut sub = watcher(&ids);
+        sub.incoming.push((ids[&3], 1, EdgeKind::IdRef));
+        assert_rejected(&mut engine, &sub, BatchError::BadNewRef(1));
+    }
+
+    #[test]
+    fn subgraph_with_a_dead_host_is_rejected() {
+        let (mut engine, ids) = four_families();
+        // Person 3's freed id is the one the watcher would get.
+        engine
+            .apply(&UpdateOp::RemoveNode { node: ids[&3] })
+            .unwrap();
+        let mut sub = watcher(&ids);
+        sub.outgoing.push((0, ids[&3], EdgeKind::IdRef));
+        assert_rejected(&mut engine, &sub, BatchError::DeadNode(ids[&3]));
+    }
+
+    #[test]
+    fn subgraph_edge_into_the_graph_root_is_rejected() {
+        let (mut engine, ids) = four_families();
+        let mut sub = watcher(&ids);
+        sub.outgoing
+            .push((0, engine.graph().root(), EdgeKind::IdRef));
+        let expected = BatchError::Graph(GraphError::RootViolation);
+        assert_rejected(&mut engine, &sub, expected);
+    }
+
+    #[test]
+    fn subgraph_self_loop_is_rejected() {
+        let (mut engine, ids) = four_families();
+        let mut sub = watcher(&ids);
+        sub.add_edge(0, 0, EdgeKind::IdRef);
+        let w = engine.graph().next_node_ids(1)[0];
+        let expected = BatchError::Graph(GraphError::SelfLoop(w));
+        assert_rejected(&mut engine, &sub, expected);
+    }
+
+    #[test]
+    fn subgraph_duplicate_edge_is_rejected() {
+        let (mut engine, ids) = four_families();
+        let next = engine.graph().next_node_ids(2);
+        let mut sub = watcher(&ids);
+        sub.incoming.push((ids[&1], 0, EdgeKind::IdRef));
+        let expected = BatchError::Graph(GraphError::DuplicateEdge(ids[&1], next[0]));
+        assert_rejected(&mut engine, &sub, expected);
+        let mut sub = watcher(&ids);
+        let item = sub.add_node("item", None);
+        sub.add_edge(0, item, EdgeKind::Child);
+        sub.add_edge(0, item, EdgeKind::IdRef);
+        let expected = BatchError::Graph(GraphError::DuplicateEdge(next[0], next[1]));
+        assert_rejected(&mut engine, &sub, expected);
+    }
+
+    /// Deleting an edge at an id past the node table is an error, not a
+    /// panic, and books nothing.
+    #[test]
+    fn delete_edge_past_the_node_table_is_rejected() {
+        let (mut engine, ids) = four_families();
+        let before = untouched_state(&engine);
+        let far = NodeId(1_000_000);
+        let dead = Err(GraphError::DeadNode(far));
+        assert_eq!(engine.delete_edge(far, ids[&2]), dead);
+        assert_eq!(engine.delete_edge(ids[&1], far), dead);
+        assert_eq!(untouched_state(&engine), before);
+        assert_eq!(engine.stats().update_time, Duration::ZERO);
+    }
+
+    /// An addition writes the subgraph's nodes, values and internal
+    /// edges as they were extracted.
+    #[test]
+    fn subgraph_addition_round_trips_structure() {
+        // auction -> {item, price}, item -> name; a person outside.
+        let (g, ids) = GraphBuilder::new()
+            .nodes(&[(1, "auction"), (2, "item"), (3, "price"), (4, "name")])
+            .nodes(&[(5, "person")])
+            .edges(&[(1, 2), (1, 3), (2, 4)])
+            .idref_edges(&[(5, 1), (2, 5)])
+            .root_to(1)
+            .root_to(5)
+            .build_with_ids();
+        let (mut sub, _) = xsi_graph::extract_subtree(&g, ids[&1]);
+        sub.incoming.clear();
+        sub.outgoing.clear();
+        let title = sub.add_node("title", Some("Moby-Dick".into()));
+        sub.add_edge(sub.root_local(), title, EdgeKind::Child);
+        let mut engine = UpdateEngine::new(Graph::new());
+        let created = engine.add_subgraph(&sub).unwrap().created;
+        let g2 = engine.graph();
+        assert_eq!(g2.node_count(), 1 + sub.node_count()); // + ROOT
+        assert_eq!(g2.edge_count(), sub.edge_count());
+        // The auction->item->name chain survives, and so does the value.
+        let root_host = created[sub.root_local() as usize];
+        assert_eq!(g2.label_name(root_host), "auction");
+        let item = g2
+            .succ(root_host)
+            .find(|&n| g2.label_name(n) == "item")
+            .unwrap();
+        assert!(g2.succ(item).any(|n| g2.label_name(n) == "name"));
+        assert_eq!(g2.value(created[title as usize]), Some("Moby-Dick"));
+        g2.check_consistency().unwrap();
+    }
+
+    /// An addition goes op by op to A(k) and the simple baseline and
+    /// whole to the 1-index families, keeps all four in step, and books
+    /// one op per node and edge plus one `AddSubgraph` hand-over.
+    #[test]
+    fn subgraph_addition_keeps_four_families_in_step() {
+        use crate::obs::{FlightRecorder, MetricKey};
+        let (mut engine, ids) = four_families();
+        engine.obs_mut().enable_metrics();
+        engine
+            .obs_mut()
+            .set_recorder(Box::new(FlightRecorder::new(256)));
+        let mut sub = DetachedSubgraph::new();
+        let auction = sub.add_node("auction", None);
+        let bidder = sub.add_node("bidder", None);
+        sub.add_edge(auction, bidder, EdgeKind::Child);
+        sub.incoming.push((ids[&1], auction, EdgeKind::Child));
+        sub.incoming.push((ids[&3], auction, EdgeKind::IdRef));
+        sub.incoming.push((ids[&3], bidder, EdgeKind::IdRef));
+        sub.outgoing.push((bidder, ids[&2], EdgeKind::IdRef));
+        let result = engine.add_subgraph(&sub).unwrap();
+        assert_eq!(result.ops_applied, 2 + 5);
+        assert_eq!(engine.stats().ops, result.ops_applied + 1);
+        assert!(!result.stats.no_op);
+        let m = engine.obs().metrics().unwrap();
+        let hand_overs = m.counter_value(&MetricKey::named("ops_total").op("add-subgraph"));
+        assert_eq!(hand_overs, 1);
+        // Who saw what: the hand-over went to the 1-index families
+        // (0, 1) only, the new nodes to the A(k) families (2, 3) only.
+        let dispatched = |op: OpKind| -> Vec<u16> {
+            let records = engine.obs().flight_records();
+            records
+                .iter()
+                .filter(|(_, r)| matches!(r.label, SpanLabel::Dispatch(o, _) if o == op))
+                .map(|(_, r)| r.span.family.0)
+                .collect()
+        };
+        assert_eq!(dispatched(OpKind::AddSubgraph), vec![0, 1]);
+        assert_eq!(dispatched(OpKind::AddNode), vec![2, 3, 2, 3]);
+        assert_eq!(dispatched(OpKind::InsertEdge).len(), 2 * 3 + 4 * 2);
+        // Every family keeps its guarantee on this acyclic graph.
+        engine.check().unwrap();
+        let g = engine.graph();
+        let any = |h: usize| engine.index(IndexHandle(h)).as_any();
+        let one = any(0).downcast_ref::<OneIndex>().unwrap();
+        assert_eq!(one.canonical(), OneIndex::build(g).canonical());
+        let ak = any(2).downcast_ref::<AkIndex>().unwrap();
+        assert_eq!(ak.canonical(), AkIndex::build(g, 2).canonical());
+        assert!(!engine.index_stats(IndexHandle(0)).no_op);
     }
 
     #[test]

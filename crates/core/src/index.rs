@@ -29,6 +29,10 @@
 //! This is the only ordering that lets several indexes observe one
 //! mutation. Convenience mutators like [`OneIndex::insert_edge`] remain
 //! for the single-index case and are equivalent to mutate-then-notify.
+//!
+//! A subgraph addition ([`crate::UpdateEngine::add_subgraph`]) is the
+//! one mutation a family may observe in one step instead: see
+//! [`StructuralIndex::on_subgraph_added`].
 
 use crate::akindex::{AkIndex, SimpleAkIndex};
 use crate::check;
@@ -63,6 +67,20 @@ pub trait StructuralIndex {
 
     /// Observer for an edge deletion already applied to `g`.
     fn on_edge_deleted(&mut self, g: &Graph, u: NodeId, v: NodeId) -> UpdateStats;
+
+    /// Whether the family takes a subgraph addition's first part whole,
+    /// through [`StructuralIndex::on_subgraph_added`] (Figure 6).
+    fn takes_subgraph_whole(&self) -> bool {
+        false
+    }
+
+    /// Observer for a subgraph addition's first part, already in `g` and
+    /// unseen by the index: the new `nodes` (root first), their internal
+    /// edges and the edges into the root. Called instead of the per-op
+    /// hooks, on families whose `takes_subgraph_whole` answers `true`.
+    fn on_subgraph_added(&mut self, _g: &Graph, _nodes: &[NodeId]) -> UpdateStats {
+        UpdateStats::identity()
+    }
 
     /// Reconstructs the index from scratch (or via the index graph where
     /// the family supports it) so that it is the minimum index of `g`.
@@ -177,6 +195,14 @@ impl StructuralIndex for OneIndex {
         self.notify_edge_deleted(g, u, v)
     }
 
+    fn takes_subgraph_whole(&self) -> bool {
+        true
+    }
+
+    fn on_subgraph_added(&mut self, g: &Graph, nodes: &[NodeId]) -> UpdateStats {
+        self.apply_subgraph(g, nodes, true)
+    }
+
     fn rebuild(&mut self, g: &Graph) {
         // The maintained index is always a refinement of the minimum
         // (Lemma 1), so the cheap index-graph reconstruction applies.
@@ -263,8 +289,10 @@ impl IndexQueryView for OneIndexView<'_> {
 
 /// The *propagate* baseline viewed as a [`StructuralIndex`]: the same
 /// [`OneIndex`] state, but edge observers run the split phase only (no
-/// merges), so the index drifts away from minimality — the behaviour the
-/// 5 %-growth [`crate::rebuild::RebuildPolicy`] exists to bound.
+/// merges), and a subgraph addition runs Figure 6 without its merge
+/// phase (the Figure 12 baseline), so the index drifts away from
+/// minimality — the behaviour the 5 %-growth
+/// [`crate::rebuild::RebuildPolicy`] exists to bound.
 #[derive(Clone, Debug)]
 pub struct PropagateOneIndex(pub OneIndex);
 
@@ -305,6 +333,14 @@ impl StructuralIndex for PropagateOneIndex {
     fn on_edge_deleted(&mut self, g: &Graph, u: NodeId, v: NodeId) -> UpdateStats {
         debug_assert!(!g.has_edge(u, v), "notify after mutating the graph");
         self.0.apply_delete(g, u, v, false)
+    }
+
+    fn takes_subgraph_whole(&self) -> bool {
+        true
+    }
+
+    fn on_subgraph_added(&mut self, g: &Graph, nodes: &[NodeId]) -> UpdateStats {
+        self.0.apply_subgraph(g, nodes, false)
     }
 
     fn rebuild(&mut self, g: &Graph) {

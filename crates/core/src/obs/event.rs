@@ -60,6 +60,9 @@ pub enum OpKind {
     DeleteEdge,
     /// A node removal (decomposes into edge deletions).
     RemoveNode,
+    /// A subgraph addition's hand-over to the families that take it
+    /// whole (Figure 6).
+    AddSubgraph,
 }
 
 impl OpKind {
@@ -70,6 +73,7 @@ impl OpKind {
             OpKind::InsertEdge => "insert-edge",
             OpKind::DeleteEdge => "delete-edge",
             OpKind::RemoveNode => "remove-node",
+            OpKind::AddSubgraph => "add-subgraph",
         }
     }
 }

@@ -137,31 +137,6 @@ impl OneIndex {
         Ok((self.apply_delete(g, u, v, true), kind))
     }
 
-    /// Deletes a node and all of its incident edges, maintaining the
-    /// index throughout — node deletion "based on" edge deletion, as
-    /// Section 1 prescribes. The node must not be the root.
-    // xsi-lint: allow(obs-coverage, delegates per incident edge to apply_delete, which opens the spans)
-    pub fn delete_node(&mut self, g: &mut Graph, n: NodeId) -> Result<UpdateStats, GraphError> {
-        let mut stats = UpdateStats {
-            no_op: false,
-            ..UpdateStats::default()
-        };
-        let parents: Vec<NodeId> = g.pred(n).collect();
-        for p in parents {
-            g.delete_edge(p, n)?;
-            stats.absorb(&self.apply_delete(g, p, n, true));
-        }
-        let children: Vec<NodeId> = g.succ(n).collect();
-        for c in children {
-            g.delete_edge(n, c)?;
-            stats.absorb(&self.apply_delete(g, n, c, true));
-        }
-        self.on_node_removing(g, n);
-        g.remove_node(n)?;
-        stats.final_blocks = self.p.block_count();
-        Ok(stats)
-    }
-
     /// Maintenance hook for an edge insertion already applied to `g` by
     /// the caller — for running several indexes over one graph (mutate
     /// the graph once, notify each index). Equivalent to
@@ -501,38 +476,46 @@ mod node_op_tests {
     use super::super::tests::figure2_graph;
     use crate::check::is_minimal_1index;
     use crate::reference;
-    use crate::OneIndex;
-    use xsi_graph::EdgeKind;
+    use crate::{IndexHandle, OneIndex, UpdateEngine, UpdateOp};
+    use xsi_graph::{EdgeKind, NodeId};
+
+    /// Node deletion is a `RemoveNode` op: the engine deletes the node's
+    /// edges through edge-deletion maintenance, then the node (§1).
+    fn remove_node(engine: &mut UpdateEngine, node: NodeId) {
+        engine.apply(&UpdateOp::RemoveNode { node }).unwrap();
+    }
+
+    fn one(engine: &UpdateEngine, h: IndexHandle) -> &OneIndex {
+        engine.index(h).as_any().downcast_ref().unwrap()
+    }
 
     #[test]
     fn delete_node_keeps_minimum_on_dag() {
-        let (mut g, ids) = figure2_graph();
-        let mut idx = OneIndex::build(&g);
-        idx.delete_node(&mut g, ids[&4]).unwrap();
-        idx.partition().check_consistency(&g).unwrap();
-        assert!(is_minimal_1index(&g, idx.partition()));
-        let classes = reference::bisim_classes(&g);
-        assert_eq!(
-            idx.canonical(),
-            reference::canonical_partition(&g, &classes)
-        );
+        let (g, ids) = figure2_graph();
+        let mut engine = UpdateEngine::new(g);
+        let h = engine.register(Box::new(OneIndex::build(engine.graph())));
+        remove_node(&mut engine, ids[&4]);
+        let (g, idx) = (engine.graph(), one(&engine, h));
+        idx.partition().check_consistency(g).unwrap();
+        assert!(is_minimal_1index(g, idx.partition()));
+        let classes = reference::bisim_classes(g);
+        assert_eq!(idx.canonical(), reference::canonical_partition(g, &classes));
         assert!(!g.is_alive(ids[&4]));
     }
 
     #[test]
     fn add_then_delete_node_round_trips() {
-        let (mut g, ids) = figure2_graph();
-        let mut idx = OneIndex::build(&g);
-        let before = idx.canonical();
-        let n = g.add_node("C", None);
-        idx.on_node_added(&g, n);
-        idx.insert_edge(&mut g, ids[&2], n, EdgeKind::Child)
-            .unwrap();
-        idx.insert_edge(&mut g, n, ids[&8], EdgeKind::IdRef)
-            .unwrap();
-        idx.delete_node(&mut g, n).unwrap();
+        let (g, ids) = figure2_graph();
+        let mut engine = UpdateEngine::new(g);
+        let h = engine.register(Box::new(OneIndex::build(engine.graph())));
+        let before = one(&engine, h).canonical();
+        let n = engine.add_node("C", None);
+        engine.insert_edge(ids[&2], n, EdgeKind::Child).unwrap();
+        engine.insert_edge(n, ids[&8], EdgeKind::IdRef).unwrap();
+        remove_node(&mut engine, n);
+        let idx = one(&engine, h);
         assert_eq!(idx.canonical(), before);
-        idx.partition().check_consistency(&g).unwrap();
+        idx.partition().check_consistency(engine.graph()).unwrap();
     }
 }
 

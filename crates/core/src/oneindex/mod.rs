@@ -8,7 +8,8 @@
 //! * [`maintain`] — edge insertion/deletion with split **and** merge
 //!   phases (Figure 3; Lemma 3/Theorem 1 guarantees);
 //! * [`propagate`] — the split-only *propagate* baseline of Kaushik et al.;
-//! * [`subgraph`] — batched subgraph addition (Figure 6) and removal.
+//! * [`subgraph`] — Figure 6's batched subgraph addition, the hook
+//!   [`crate::UpdateEngine::add_subgraph`] hands a subgraph to whole.
 
 pub mod maintain;
 pub mod propagate;
@@ -22,15 +23,16 @@ use xsi_graph::{Graph, Label, NodeId};
 
 /// A 1-index over a [`Graph`].
 ///
-/// The index does not own the graph; every mutating operation takes the
-/// graph too and keeps the two in lock-step (the mutators below apply the
-/// graph change themselves). Read queries (`extent`, `block_of`,
-/// `isucc`, …) go through the embedded [`Partition`].
+/// The index does not own the graph. The edge mutators take the graph
+/// too and apply the change themselves; node removal, subgraph addition
+/// and several indexes over one graph go through [`crate::UpdateEngine`].
+/// Read queries (`extent`, `block_of`, `isucc`, …) go through the
+/// embedded [`Partition`].
 ///
 /// Constructed by [`OneIndex::build`] the index is the **minimum** 1-index;
 /// maintained through [`OneIndex::insert_edge`] / [`OneIndex::delete_edge`]
-/// / [`OneIndex::add_subgraph`] it stays **minimal** (minimum on acyclic
-/// graphs — Theorem 1).
+/// or the engine it stays **minimal** (minimum on acyclic graphs —
+/// Theorem 1; Corollary 1 for subgraph additions).
 #[derive(Clone, Debug)]
 pub struct OneIndex {
     pub(crate) p: Partition,

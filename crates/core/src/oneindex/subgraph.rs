@@ -1,163 +1,92 @@
-//! Subgraph addition (Figure 6) and removal for the 1-index.
+//! Subgraph addition for the 1-index: the batched step of Figure 6.
 //!
-//! Addition follows the paper's batched algorithm: build the 1-index of
-//! the detached subgraph in isolation (its blocks are simply unioned into
-//! the host index — no cross edges exist yet), insert *all* incoming
-//! dedges to the subgraph root and run the merge phase just once, then
-//! feed every remaining boundary edge through the ordinary edge-insertion
-//! algorithm. Corollary 1: the result is minimal (minimum on DAGs).
+//! [`crate::UpdateEngine::add_subgraph`] writes the subgraph's nodes,
+//! its internal edges and the edges into its root, then hands them to
+//! the 1-index whole. The index builds the subgraph's own 1-index in
+//! place: its blocks are simply unioned into the host index, since no
+//! other boundary edge exists yet. It singles the root out, as the
+//! edges into it require, and runs the merge phase just once. The
+//! engine then feeds every remaining boundary edge through the
+//! ordinary edge insertion. Corollary 1: the result is minimal (minimum
+//! on DAGs).
 //!
-//! Removal is the inverse workload of Section 7.1's subgraph experiment:
-//! boundary and internal edges are deleted through the maintained
-//! edge-deletion algorithm and the isolated nodes are then detached, so
-//! the index stays minimal throughout.
+//! Removal needs no code of its own: a `RemoveNode` batch deletes each
+//! member's edges through the maintained edge deletion, then the
+//! isolated node, so the index stays minimal throughout.
 
+use crate::obs::span::{SpanGuard, SpanKind};
 use crate::partition::BlockId;
 use crate::stats::UpdateStats;
 use std::collections::HashMap;
-use xsi_graph::{DetachedSubgraph, Graph, GraphError, Label, NodeId};
+use xsi_graph::{Graph, Label, NodeId};
 
 use super::OneIndex;
 
 impl OneIndex {
-    /// Adds a detached subgraph: materializes its nodes and internal edges
-    /// in `g`, extends the index minimally, and connects all boundary
-    /// edges recorded in `sub.incoming` / `sub.outgoing` (host node ids
-    /// must be alive in `g`). Returns the local→host node mapping and the
-    /// accumulated statistics.
-    pub fn add_subgraph(
+    /// Figure 6's batched step over a subgraph already in `g`: `nodes`
+    /// (its root first), their internal edges and the edges into the
+    /// root, none of which the index has seen. `do_merge` is off for the
+    /// *propagate* baseline, which keeps the index correct but lets it
+    /// drift from minimal.
+    pub(crate) fn apply_subgraph(
         &mut self,
-        g: &mut Graph,
-        sub: &DetachedSubgraph,
-    ) -> Result<(Vec<NodeId>, UpdateStats), GraphError> {
-        self.add_subgraph_impl(g, sub, true)
-    }
-
-    /// The Figure 12 baseline variant: same batched subgraph addition but
-    /// boundary edges are inserted with the *propagate* algorithm (no
-    /// merge phases), so the index stays correct but drifts from minimal.
-    pub fn propagate_add_subgraph(
-        &mut self,
-        g: &mut Graph,
-        sub: &DetachedSubgraph,
-    ) -> Result<(Vec<NodeId>, UpdateStats), GraphError> {
-        self.add_subgraph_impl(g, sub, false)
-    }
-
-    fn add_subgraph_impl(
-        &mut self,
-        g: &mut Graph,
-        sub: &DetachedSubgraph,
+        g: &Graph,
+        nodes: &[NodeId],
         do_merge: bool,
-    ) -> Result<(Vec<NodeId>, UpdateStats), GraphError> {
-        // Materialize nodes + internal edges in the host graph.
-        let map = sub.instantiate(g)?;
+    ) -> UpdateStats {
         self.p.ensure_capacity(g);
-
-        // Build the 1-index of the new subgraph in place: label-partition
-        // its nodes into fresh blocks, register internal-edge counts, then
-        // refine those blocks to a self-stable fixpoint. With no boundary
-        // edges yet, splitter scans never leave the subgraph, so this is
-        // exactly "build Φ'(G') and union it with Φ(G)".
+        let mut stats = UpdateStats {
+            no_op: false,
+            ..UpdateStats::default()
+        };
+        let Some(&root) = nodes.first() else {
+            return stats;
+        };
+        // Label-partition the new nodes into fresh blocks. Sort the
+        // fresh blocks before refining: worklist order decides the
+        // order splits allocate new blocks, so it must not depend on
+        // hash state for block ids to be reproducible.
         let mut by_label: HashMap<Label, BlockId> = HashMap::new();
-        for &n in &map {
+        for &n in nodes {
             let b = *by_label
                 .entry(g.label(n))
                 .or_insert_with(|| self.p.new_block(g.label(n)));
             self.p.attach_node(n, b);
         }
-        for &(lu, lv, _) in sub.internal_edges() {
-            self.p.on_edge_inserted(map[lu as usize], map[lv as usize]);
-        }
-        // Sort the fresh blocks before refining: worklist order decides
-        // the order splits allocate new blocks, so it must not depend on
-        // hash state for block IDs to be reproducible.
-        let mut seeds: Vec<BlockId> = by_label.values().copied().collect();
-        seeds.sort_unstable();
-        self.refine_blocks(g, &seeds);
-
-        let mut stats = UpdateStats {
-            no_op: false,
-            ..UpdateStats::default()
-        };
-
-        // Insert all incoming edges to the subgraph root, then merge once
-        // (the optimization of Section 5.2: each of these insertions can
-        // only require singling the root out, which happens on the first).
-        let root = map[sub.root_local() as usize];
-        for &(host, local, kind) in &sub.incoming {
-            if map[local as usize] != root {
-                continue; // handled below with full maintenance
+        let mut fresh: Vec<BlockId> = by_label.values().copied().collect();
+        fresh.sort_unstable();
+        // Register every edge into the new nodes before any of them
+        // moves: refinement re-homes the counts of the edges the graph
+        // holds. Only the root has parents outside the fresh blocks.
+        let mut root_has_host_parent = false;
+        for &n in nodes {
+            for p in g.pred(n) {
+                self.p.on_edge_inserted(p, n);
+                root_has_host_parent |= !fresh.contains(&self.p.block_of(p));
             }
-            g.insert_edge(host, root, kind)?;
-            self.p.on_edge_inserted(host, root);
-            if self.p.size(self.p.block_of(root)) > 1 {
+        }
+        {
+            let sp = SpanGuard::enter(SpanKind::Split);
+            // Refine the fresh blocks to a self-stable fixpoint. Their
+            // successors all lie inside the subgraph, so this is exactly
+            // "build Φ'(G') and union it with Φ(G)".
+            self.refine_blocks(g, &fresh);
+            // The edges into the root can only require singling the root
+            // out (Section 5.2).
+            if root_has_host_parent {
                 self.split_phase(g, root, &mut stats);
             }
+            sp.add_blocks(stats.splits as u64);
+            sp.set_queue_depth(stats.queue_peak as u64);
         }
+        stats.intermediate_blocks = self.p.block_count();
         if do_merge {
+            let sp = SpanGuard::enter(SpanKind::Merge);
             self.merge_phase(g, self.p.block_of(root), &mut stats);
-        }
-
-        // Every other boundary edge goes through insert_1_index_edge.
-        for &(host, local, kind) in &sub.incoming {
-            if map[local as usize] == root {
-                continue;
-            }
-            g.insert_edge(host, map[local as usize], kind)?;
-            stats.absorb(&self.apply_insert(g, host, map[local as usize], do_merge));
-        }
-        for &(local, host, kind) in &sub.outgoing {
-            g.insert_edge(map[local as usize], host, kind)?;
-            stats.absorb(&self.apply_insert(g, map[local as usize], host, do_merge));
+            sp.add_blocks(stats.merges as u64);
         }
         stats.final_blocks = self.p.block_count();
-        Ok((map, stats))
-    }
-
-    /// Removes the given member nodes (e.g. a previously extracted
-    /// subtree) from graph and index: all boundary and internal edges are
-    /// deleted through maintained edge deletion, then the isolated nodes
-    /// are detached and removed from `g`. `members` must be closed under
-    /// ... nothing — any node set works, but removal severs every edge
-    /// touching it.
-    pub fn remove_subgraph(
-        &mut self,
-        g: &mut Graph,
-        members: &[NodeId],
-    ) -> Result<UpdateStats, GraphError> {
-        let mut stats = UpdateStats {
-            no_op: false,
-            ..UpdateStats::default()
-        };
-        let member_set: std::collections::HashSet<NodeId> = members.iter().copied().collect();
-        // Boundary edges first (they tie the members to the host index),
-        // then internal edges, then the bare nodes.
-        for &m in members {
-            let in_edges: Vec<NodeId> = g.pred(m).filter(|p| !member_set.contains(p)).collect();
-            for p in in_edges {
-                g.delete_edge(p, m)?;
-                stats.absorb(&self.apply_delete(g, p, m, true));
-            }
-            let out_edges: Vec<NodeId> = g.succ(m).filter(|c| !member_set.contains(c)).collect();
-            for c in out_edges {
-                g.delete_edge(m, c)?;
-                stats.absorb(&self.apply_delete(g, m, c, true));
-            }
-        }
-        for &m in members {
-            let internal: Vec<NodeId> = g.succ(m).collect();
-            for c in internal {
-                g.delete_edge(m, c)?;
-                stats.absorb(&self.apply_delete(g, m, c, true));
-            }
-        }
-        for &m in members {
-            self.on_node_removing(g, m);
-            g.remove_node(m)?;
-        }
-        stats.final_blocks = self.p.block_count();
-        Ok(stats)
+        stats
     }
 }
 
@@ -166,10 +95,31 @@ mod tests {
     use super::super::tests::figure2_graph;
     use super::*;
     use crate::check::{is_minimal_1index, minimality_violation};
-    use crate::reference;
-    use xsi_graph::{extract_subtree, EdgeKind};
+    use crate::{reference, IndexHandle, UpdateEngine, UpdateOp};
+    use xsi_graph::{extract_subtree, DetachedSubgraph, EdgeKind};
 
-    fn assert_minimum(g: &Graph, idx: &OneIndex) {
+    /// An engine over `g` with the split/merge 1-index registered.
+    fn engine_over(g: Graph) -> (UpdateEngine, IndexHandle) {
+        let mut engine = UpdateEngine::new(g);
+        let h = engine.register(Box::new(OneIndex::build(engine.graph())));
+        (engine, h)
+    }
+
+    fn one(engine: &UpdateEngine, h: IndexHandle) -> &OneIndex {
+        engine.index(h).as_any().downcast_ref().unwrap()
+    }
+
+    /// A subgraph removal: one `RemoveNode` batch over its members.
+    fn remove(engine: &mut UpdateEngine, members: &[NodeId]) {
+        let batch: Vec<UpdateOp> = members
+            .iter()
+            .map(|&node| UpdateOp::RemoveNode { node })
+            .collect();
+        engine.apply_batch(&batch).unwrap();
+    }
+
+    fn assert_minimum(engine: &UpdateEngine, h: IndexHandle) {
+        let (g, idx) = (engine.graph(), one(engine, h));
         idx.partition().check_consistency(g).unwrap();
         assert!(
             is_minimal_1index(g, idx.partition()),
@@ -182,8 +132,8 @@ mod tests {
 
     #[test]
     fn add_detached_tree() {
-        let (mut g, ids) = figure2_graph();
-        let mut idx = OneIndex::build(&g);
+        let (g, ids) = figure2_graph();
+        let (mut engine, h) = engine_over(g);
         // New subgraph: C -> D (mirrors the existing 5→8 shape) hung
         // under node 2 — after addition it should merge with {5} and {8}.
         let mut sub = DetachedSubgraph::new();
@@ -192,64 +142,65 @@ mod tests {
         sub.add_edge(c, d, EdgeKind::Child);
         sub.incoming.push((ids[&1], c, EdgeKind::Child));
         sub.incoming.push((ids[&2], c, EdgeKind::Child));
-        let (map, stats) = idx.add_subgraph(&mut g, &sub).unwrap();
-        assert!(!stats.no_op);
+        let result = engine.add_subgraph(&sub).unwrap();
+        assert!(!result.stats.no_op);
         // New C has parents {1, 2} just like 5.
+        let (map, idx) = (&result.created, one(&engine, h));
         assert_eq!(idx.block_of(map[0]), idx.block_of(ids[&5]));
         assert_eq!(idx.block_of(map[1]), idx.block_of(ids[&8]));
-        assert_minimum(&g, &idx);
+        assert_minimum(&engine, h);
     }
 
     #[test]
     fn extract_remove_re_add_round_trip() {
-        let (mut g, ids) = figure2_graph();
-        let mut idx = OneIndex::build(&g);
-        let nodes_before = g.node_count();
-        let canon_before = idx.canonical();
+        let (g, ids) = figure2_graph();
+        let (mut engine, h) = engine_over(g);
+        let nodes_before = engine.graph().node_count();
+        let canon_before = one(&engine, h).canonical();
 
-        let (sub, members) = extract_subtree(&g, ids[&2]);
+        let (sub, members) = extract_subtree(engine.graph(), ids[&2]);
         assert_eq!(sub.node_count(), 7); // 2,3,4,5 and leaves 6,7,8
-        idx.remove_subgraph(&mut g, &members).unwrap();
-        assert_minimum(&g, &idx);
-        assert_eq!(g.node_count(), nodes_before - sub.node_count());
+        remove(&mut engine, &members);
+        assert_minimum(&engine, h);
+        assert_eq!(engine.graph().node_count(), nodes_before - sub.node_count());
 
-        let (map, _) = idx.add_subgraph(&mut g, &sub).unwrap();
-        assert_eq!(g.node_count(), nodes_before);
-        assert_minimum(&g, &idx);
+        engine.add_subgraph(&sub).unwrap();
+        assert_eq!(engine.graph().node_count(), nodes_before);
+        assert_minimum(&engine, h);
         // The re-added index must have the same shape (sizes) as before.
         let mut sizes_before: Vec<usize> = canon_before.iter().map(|e| e.len()).collect();
         sizes_before.sort_unstable();
-        let canon_after = idx.canonical();
+        let canon_after = one(&engine, h).canonical();
         let mut sizes_after: Vec<usize> = canon_after.iter().map(|e| e.len()).collect();
         sizes_after.sort_unstable();
         assert_eq!(sizes_before, sizes_after);
-        let _ = map;
     }
 
     #[test]
     fn add_subgraph_with_outgoing_idrefs() {
-        let (mut g, ids) = figure2_graph();
-        let mut idx = OneIndex::build(&g);
+        let (g, ids) = figure2_graph();
+        let (mut engine, h) = engine_over(g);
         let mut sub = DetachedSubgraph::new();
         let a = sub.add_node("auction", None);
         let i = sub.add_node("itemref", None);
         sub.add_edge(a, i, EdgeKind::Child);
-        sub.incoming.push((g.root(), a, EdgeKind::Child));
+        sub.incoming
+            .push((engine.graph().root(), a, EdgeKind::Child));
         sub.outgoing.push((i, ids[&6], EdgeKind::IdRef));
-        let (map, _) = idx.add_subgraph(&mut g, &sub).unwrap();
-        assert!(g.has_edge(map[1], ids[&6]));
-        assert_minimum(&g, &idx);
+        let map = engine.add_subgraph(&sub).unwrap().created;
+        assert!(engine.graph().has_edge(map[1], ids[&6]));
+        assert_minimum(&engine, h);
     }
 
     #[test]
     fn removing_everything_leaves_root_index() {
-        let (mut g, ids) = figure2_graph();
-        let mut idx = OneIndex::build(&g);
-        let (_, members) = extract_subtree(&g, ids[&1]);
+        let (g, ids) = figure2_graph();
+        let (mut engine, h) = engine_over(g);
+        let (_, members) = extract_subtree(engine.graph(), ids[&1]);
         assert_eq!(members.len(), 8);
-        idx.remove_subgraph(&mut g, &members).unwrap();
-        assert_eq!(g.node_count(), 1);
-        assert_eq!(idx.block_count(), 1);
-        assert_minimum(&g, &idx);
+        remove(&mut engine, &members);
+        assert_eq!(engine.graph().node_count(), 1);
+        assert_eq!(one(&engine, h).block_count(), 1);
+        assert_minimum(&engine, h);
     }
 }

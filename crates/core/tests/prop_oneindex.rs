@@ -11,9 +11,14 @@
 
 use xsi_core::check::{is_valid_1index, minimality_violation};
 use xsi_core::reference;
-use xsi_core::OneIndex;
+use xsi_core::{
+    AkIndex, IndexHandle, OneIndex, PropagateOneIndex, SimpleAkIndex, UpdateEngine, UpdateOp,
+};
 use xsi_graph::{is_acyclic, EdgeKind, Graph, NodeId};
 use xsi_workload::SplitMix64;
+
+/// The A(k) horizon of the subgraph churn.
+const K: usize = 2;
 
 /// A small random graph description: node labels from a tiny alphabet and
 /// candidate edges as (from, to) index pairs.
@@ -47,7 +52,8 @@ fn random_spec(
 }
 
 /// Materializes the spec: nodes (each connected from the root so the graph
-/// is rooted), then the initial edge set (dedup, no self-loops).
+/// is rooted), then the initial edge set (dedup, no self-loops), every
+/// second one an IDREF, so an extracted subtree has IDREF boundary edges.
 fn build_graph(spec: &RandomGraphSpec) -> (Graph, Vec<NodeId>) {
     let mut g = Graph::new();
     let labels = ["a", "b", "c", "d"];
@@ -60,9 +66,10 @@ fn build_graph(spec: &RandomGraphSpec) -> (Graph, Vec<NodeId>) {
     for &n in &nodes {
         g.insert_edge(root, n, EdgeKind::Child).unwrap();
     }
-    for &(u, v) in &spec.edges {
+    for (i, &(u, v)) in spec.edges.iter().enumerate() {
+        let kind = [EdgeKind::Child, EdgeKind::IdRef][i % 2];
         if u != v {
-            let _ = g.insert_edge(nodes[u], nodes[v], EdgeKind::Child);
+            let _ = g.insert_edge(nodes[u], nodes[v], kind);
         }
     }
     (g, nodes)
@@ -163,21 +170,63 @@ fn propagate_preserves_validity() {
     }
 }
 
-/// Subgraph round-trip: extracting, removing and re-adding a random
-/// subtree preserves index minimality (Corollary 1).
+/// Asserts what each family guarantees after a subgraph step: the
+/// 1-index is minimal (minimum on DAGs), the propagate family valid, the
+/// A(k) chain the minimum chain (Theorem 2), and the simple baseline a
+/// refinement of it.
+fn assert_families(engine: &UpdateEngine, hs: &[IndexHandle; 4], case: u64) {
+    let g = engine.graph();
+    let any = |h: IndexHandle| engine.index(h).as_any();
+    let one = any(hs[0]).downcast_ref::<OneIndex>().unwrap();
+    assert_minimal_and_tracking(g, one);
+    let prop = any(hs[1]).downcast_ref::<PropagateOneIndex>().unwrap();
+    prop.inner().partition().check_consistency(g).unwrap();
+    assert!(is_valid_1index(g, prop.inner().partition()), "case {case}");
+    let ak = any(hs[2]).downcast_ref::<AkIndex>().unwrap();
+    ak.check_consistency(g).unwrap();
+    assert_eq!(
+        ak.canonical(),
+        AkIndex::build(g, K).canonical(),
+        "case {case}"
+    );
+    let simple = any(hs[3]).downcast_ref::<SimpleAkIndex>().unwrap();
+    let classes = simple.assignment(g);
+    let mut block_of_class = std::collections::BTreeMap::new();
+    for n in g.nodes() {
+        let b = ak.block_of(n);
+        let prev = *block_of_class.entry(classes[n.index()]).or_insert(b);
+        assert_eq!(prev, b, "case {case}: a simple class straddles A(k) blocks");
+    }
+}
+
+/// Subgraph round-trip through one engine holding all four families:
+/// removing a random subtree as a `RemoveNode` batch and adding it back
+/// keeps every family's guarantee (Corollary 1 for the 1-index). The
+/// subtree's boundary edges other than into its root reach the last
+/// part of Figure 6.
 #[test]
 fn subgraph_removal_and_addition() {
     for case in 0..192u64 {
         let mut rng = SplitMix64::seed_from_u64(0x4C0D + case);
         let spec = random_spec(&mut rng, 8, 16, 1);
         let pick = rng.random_range(0..8usize);
-        let (mut g, nodes) = build_graph(&spec);
-        let mut idx = OneIndex::build(&g);
+        let (g, nodes) = build_graph(&spec);
+        let mut engine = UpdateEngine::new(g);
+        let hs = [
+            engine.register(Box::new(OneIndex::build(engine.graph()))),
+            engine.register(Box::new(PropagateOneIndex::build(engine.graph()))),
+            engine.register(Box::new(AkIndex::build(engine.graph(), K))),
+            engine.register(Box::new(SimpleAkIndex::build(engine.graph(), K))),
+        ];
         let root_pick = nodes[pick % nodes.len()];
-        let (sub, members) = xsi_graph::extract_subtree(&g, root_pick);
-        idx.remove_subgraph(&mut g, &members).unwrap();
-        assert_minimal_and_tracking(&g, &idx);
-        let (_, _stats) = idx.add_subgraph(&mut g, &sub).unwrap();
-        assert_minimal_and_tracking(&g, &idx);
+        let (sub, members) = xsi_graph::extract_subtree(engine.graph(), root_pick);
+        let removal: Vec<UpdateOp> = members
+            .into_iter()
+            .map(|node| UpdateOp::RemoveNode { node })
+            .collect();
+        engine.apply_batch(&removal).unwrap();
+        assert_families(&engine, &hs, case);
+        engine.add_subgraph(&sub).unwrap();
+        assert_families(&engine, &hs, case);
     }
 }

@@ -197,6 +197,19 @@ impl Graph {
         }
     }
 
+    /// The ids the next `count` [`Graph::add_node`] calls will return, in
+    /// call order: freed ids, last freed first, then fresh ones.
+    pub fn next_node_ids(&self, count: usize) -> Vec<NodeId> {
+        let fresh = (self.nodes.len()..).map(|i| NodeId(i as u32));
+        self.free
+            .iter()
+            .rev()
+            .copied()
+            .chain(fresh)
+            .take(count)
+            .collect()
+    }
+
     /// Removes an isolated node (all incident edges must have been deleted
     /// first). Its id is recycled by later [`Graph::add_node`] calls.
     pub fn remove_node(&mut self, n: NodeId) -> Result<(), GraphError> {
@@ -316,8 +329,13 @@ impl Graph {
         Ok(())
     }
 
-    /// Deletes the dedge `(u, v)`, returning its kind.
+    /// Deletes the dedge `(u, v)`, returning its kind. An id past the
+    /// node table is a [`GraphError::DeadNode`]; an edge that is not
+    /// there, at a dead node too, is a [`GraphError::MissingEdge`].
     pub fn delete_edge(&mut self, u: NodeId, v: NodeId) -> Result<EdgeKind, GraphError> {
+        if let Some(n) = [u, v].into_iter().find(|n| n.index() >= self.nodes.len()) {
+            return Err(GraphError::DeadNode(n));
+        }
         let succ = &mut self.nodes[u.index()].succ;
         let pos = succ
             .iter()
@@ -487,6 +505,28 @@ mod tests {
     fn missing_edge_delete_rejected() {
         let (mut g, a, b) = two_nodes();
         assert_eq!(g.delete_edge(a, b), Err(GraphError::MissingEdge(a, b)));
+    }
+
+    #[test]
+    fn delete_past_the_node_table_is_a_dead_node() {
+        let (mut g, a, _) = two_nodes();
+        let far = NodeId(1_000_000);
+        assert_eq!(g.delete_edge(far, a), Err(GraphError::DeadNode(far)));
+        assert_eq!(g.delete_edge(a, far), Err(GraphError::DeadNode(far)));
+        assert_eq!(g.edge_count(), 0);
+        g.check_consistency().unwrap();
+    }
+
+    #[test]
+    fn next_node_ids_predicts_add_node() {
+        let mut g = Graph::new();
+        let ids: Vec<NodeId> = (0..4).map(|_| g.add_node("a", None)).collect();
+        g.remove_node(ids[1]).unwrap();
+        g.remove_node(ids[3]).unwrap();
+        let predicted = g.next_node_ids(3);
+        let added: Vec<NodeId> = (0..3).map(|_| g.add_node("b", None)).collect();
+        assert_eq!(predicted, added);
+        assert_eq!(predicted[..2], [ids[3], ids[1]]);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! only `Child` edges ("we do not traverse IDREF edges"), then record every
 //! edge crossing the boundary.
 
-use crate::graph::{EdgeKind, Graph, GraphError, NodeId};
+use crate::graph::{EdgeKind, Graph, NodeId};
 use std::collections::HashMap;
 
 /// A rooted labeled graph detached from any host [`Graph`].
@@ -67,29 +67,17 @@ impl DetachedSubgraph {
         self.root
     }
 
-    /// Label of a local node.
-    pub fn label(&self, local: u32) -> &str {
-        &self.labels[local as usize]
-    }
-
     /// Internal edges as `(u, v, kind)` local triples.
     pub fn internal_edges(&self) -> &[(u32, u32, EdgeKind)] {
         &self.edges
     }
 
-    /// Materializes the subgraph's nodes and *internal* edges inside `g`,
-    /// returning the local→host id mapping. Boundary edges are **not**
-    /// inserted — the index-maintenance layer inserts those itself so it
-    /// can observe them one at a time (Figure 6 of the paper).
-    pub fn instantiate(&self, g: &mut Graph) -> Result<Vec<NodeId>, GraphError> {
-        let mut map = Vec::with_capacity(self.labels.len());
-        for (label, value) in self.labels.iter().zip(&self.values) {
-            map.push(g.add_node(label, value.as_deref().map(String::from)));
-        }
-        for &(u, v, kind) in &self.edges {
-            g.insert_edge(map[u as usize], map[v as usize], kind)?;
-        }
-        Ok(map)
+    /// The local nodes' labels and values, in local id order.
+    pub fn nodes(&self) -> impl Iterator<Item = (&str, Option<&str>)> + '_ {
+        self.labels
+            .iter()
+            .zip(&self.values)
+            .map(|(label, value)| (&**label, value.as_deref()))
     }
 }
 
@@ -171,7 +159,7 @@ mod tests {
         assert_eq!(sub.node_count(), 4); // auction, item, price, name
         assert_eq!(members.len(), 4);
         assert!(!members.contains(&ids[&5]), "IDREF target not a member");
-        assert_eq!(sub.label(sub.root_local()), "auction");
+        assert_eq!(sub.nodes().next(), Some(("auction", None)));
     }
 
     #[test]
@@ -186,24 +174,6 @@ mod tests {
         // outgoing: 2->5 (IdRef)
         assert_eq!(sub.outgoing.len(), 1);
         assert_eq!(sub.outgoing[0].1, ids[&5]);
-    }
-
-    #[test]
-    fn instantiate_round_trips_structure() {
-        let (g, ids) = host();
-        let (sub, _) = extract_subtree(&g, ids[&1]);
-        let mut g2 = Graph::new();
-        let map = sub.instantiate(&mut g2).unwrap();
-        assert_eq!(g2.node_count(), 1 + sub.node_count()); // + ROOT
-        assert_eq!(g2.edge_count(), sub.edge_count());
-        // The auction->item->name chain survives.
-        let root_host = map[sub.root_local() as usize];
-        assert_eq!(g2.label_name(root_host), "auction");
-        let item = g2
-            .succ(root_host)
-            .find(|&n| g2.label_name(n) == "item")
-            .unwrap();
-        assert!(g2.succ(item).any(|n| g2.label_name(n) == "name"));
     }
 
     #[test]

@@ -2,7 +2,9 @@
 //! serialization, index construction, long mixed-update sequences, and
 //! subgraph churn, with the theorems' guarantees checked along the way.
 
-use xsi_core::{check, reference, AkIndex, OneIndex, SimpleAkIndex};
+use xsi_core::{
+    check, reference, AkIndex, IndexHandle, OneIndex, SimpleAkIndex, UpdateEngine, UpdateOp,
+};
 use xsi_graph::{extract_subtree, is_acyclic, EdgeKind};
 use xsi_workload::{
     collect_subtree_roots, generate_imdb, generate_xmark, EdgePool, ImdbParams, XmarkParams,
@@ -69,27 +71,39 @@ fn imdb_mixed_updates_keep_ak_minimum() {
     assert!(check::is_valid_ak_chain(&g, &chain));
 }
 
-/// Subgraph churn on XMark: retire and re-list auctions; the 1-index
-/// tracks the fresh construction (Corollary 1 behaviour on real data).
+/// Subgraph churn on XMark: retire and re-list auctions through the
+/// engine; the 1-index tracks the fresh construction (Corollary 1
+/// behaviour on real data).
 #[test]
 fn subgraph_churn_tracks_construction() {
-    let mut g = generate_xmark(&XmarkParams::new(0.02, 1.0, 6));
+    let g = generate_xmark(&XmarkParams::new(0.02, 1.0, 6));
     let roots = collect_subtree_roots(&g, "open_auction", 10, 6);
     assert!(!roots.is_empty());
-    let mut idx = OneIndex::build(&g);
+    let mut engine = UpdateEngine::new(g);
+    let h = engine.register(Box::new(OneIndex::build(engine.graph())));
+    fn one(e: &UpdateEngine, h: IndexHandle) -> &OneIndex {
+        let idx = e.index(h).as_any().downcast_ref();
+        idx.expect("the registered 1-index")
+    }
     let mut subs = Vec::new();
     for &r in &roots {
-        let (sub, members) = extract_subtree(&g, r);
-        idx.remove_subgraph(&mut g, &members).unwrap();
+        let (sub, members) = extract_subtree(engine.graph(), r);
+        let removal: Vec<UpdateOp> = members
+            .into_iter()
+            .map(|node| UpdateOp::RemoveNode { node })
+            .collect();
+        engine.apply_batch(&removal).unwrap();
         subs.push(sub);
     }
-    idx.partition().check_consistency(&g).unwrap();
-    assert!(check::is_minimal_1index(&g, idx.partition()));
+    let idx = one(&engine, h);
+    idx.partition().check_consistency(engine.graph()).unwrap();
+    assert!(check::is_minimal_1index(engine.graph(), idx.partition()));
     for sub in &subs {
-        idx.add_subgraph(&mut g, sub).unwrap();
+        engine.add_subgraph(sub).unwrap();
     }
-    idx.partition().check_consistency(&g).unwrap();
-    assert_eq!(idx.canonical(), OneIndex::build(&g).canonical());
+    let idx = one(&engine, h);
+    idx.partition().check_consistency(engine.graph()).unwrap();
+    assert_eq!(idx.canonical(), OneIndex::build(engine.graph()).canonical());
 }
 
 /// Serialize a generated (tree + IDREF) graph to XML, parse it back, and
