@@ -1,27 +1,23 @@
 //! The shared refinement kernel (DESIGN.md §10.3): one implementation of
 //! the Paige–Tarjan compound-queue split propagation and of the iterative
-//! merge fold, driven by both index families.
+//! merge fold. The 1-index (and its propagate baseline) is its one
+//! driver; the A(k) chain places each changed node straight into its
+//! final class instead (`akindex/maintain.rs`), since A(l) is a function
+//! of A(l−1) and the graph alone.
 //!
-//! Before this module, `oneindex/maintain.rs` and `akindex/maintain.rs`
-//! each carried a private compound queue, a private copy of the
-//! "extract smallest member, re-enqueue the rest, stabilize" loop, and a
-//! private copy of the "group successors by merge key, fold each group,
-//! requeue survivors" loop. The mechanics
-//! were line-for-line parallel; only the primitive operations differed
-//! (flat partition vs refinement tree). The kernel factors the mechanics
-//! into two small traits:
+//! The kernel factors the mechanics into two small traits, so they stay
+//! apart from the flat partition's primitive operations:
 //!
 //! * [`SplitDriver`] — weights, the splitter scan `Succ(I)`, the
 //!   parent probe that carves `Succ(I) ∩ Succ(S − I)` out of it, and the
-//!   family-specific stabilization primitive (`split_by_set` for the
-//!   1-index, `split_levels_by` for the A(k) chain). [`process_compounds`]
-//!   runs the propagation loop over a [`CompoundQueue`];
+//!   stabilization primitive (`split_by_set`). [`process_compounds`]
+//!   runs the propagation loop over a level-tagged [`CompoundQueue`];
 //!   [`refine_to_fixpoint`] layers from-scratch refinement (construction,
 //!   rebuild) on the same stabilization primitive with one scan per
 //!   queued block.
 //! * [`MergeDriver`] — successor enumeration, a `Copy` bucket that
 //!   coarsens the merge-equivalence key, the exact key order, and the
-//!   family-specific group merge. [`merge_fold`] runs the worklist.
+//!   group merge. [`merge_fold`] runs the worklist.
 //!
 //! Everything here iterates in sorted or explicitly-queued order —
 //! `CompoundQueue` tracks membership in a `BTreeMap`, `merge_fold` sorts

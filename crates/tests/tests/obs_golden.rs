@@ -229,11 +229,11 @@ const GOLDEN: &str = r#"{"format":"xsi-metrics-v1","counters":[
 {"name":"final_blocks","labels":{"family":"A(2)-index(simple)"},"value":233},
 {"name":"final_blocks","labels":{"family":"1-index(propagate)"},"value":991},
 {"name":"snapshot_cow_clones","labels":{"family":"1-index"},"value":78},
-{"name":"snapshot_cow_clones","labels":{"family":"A(2)-index"},"value":87},
+{"name":"snapshot_cow_clones","labels":{"family":"A(2)-index"},"value":98},
 {"name":"snapshot_cow_clones","labels":{"family":"A(2)-index(simple)"},"value":0},
 {"name":"snapshot_cow_clones","labels":{"family":"1-index(propagate)"},"value":0},
 {"name":"snapshot_retained_bytes","labels":{"family":"1-index"},"value":121347},
-{"name":"snapshot_retained_bytes","labels":{"family":"A(2)-index"},"value":41062},
+{"name":"snapshot_retained_bytes","labels":{"family":"A(2)-index"},"value":40650},
 {"name":"snapshot_retained_bytes","labels":{"family":"A(2)-index(simple)"},"value":33558},
 {"name":"snapshot_retained_bytes","labels":{"family":"1-index(propagate)"},"value":113354}],"histograms":[
 {"name":"intermediate_blocks","labels":{"family":"1-index","phase":"split"},"count":92,"sum":89240,"max":987,"p50":987,"p90":987,"p99":987},
@@ -241,7 +241,7 @@ const GOLDEN: &str = r#"{"format":"xsi-metrics-v1","counters":[
 {"name":"intermediate_blocks","labels":{"family":"A(2)-index(simple)","phase":"split"},"count":30,"sum":7043,"max":250,"p50":250,"p90":250,"p99":250},
 {"name":"intermediate_blocks","labels":{"family":"1-index(propagate)","phase":"split"},"count":93,"sum":92458,"max":1031,"p50":1023,"p90":1023,"p99":1031},
 {"name":"queue_peak","labels":{"family":"1-index","phase":"split"},"count":92,"sum":202,"max":16,"p50":0,"p90":15,"p99":16},
-{"name":"queue_peak","labels":{"family":"A(2)-index","phase":"split"},"count":38,"sum":48,"max":2,"p50":2,"p90":2,"p99":2},
+{"name":"queue_peak","labels":{"family":"A(2)-index","phase":"split"},"count":38,"sum":178,"max":9,"p50":7,"p90":9,"p99":9},
 {"name":"queue_peak","labels":{"family":"A(2)-index(simple)","phase":"split"},"count":30,"sum":0,"max":0,"p50":0,"p90":0,"p99":0},
 {"name":"queue_peak","labels":{"family":"1-index(propagate)","phase":"split"},"count":93,"sum":160,"max":16,"p50":0,"p90":15,"p99":16},
 {"name":"rank_levels_touched","labels":{"family":"A(2)-index"},"count":38,"sum":65,"max":2,"p50":2,"p90":2,"p99":2},
