@@ -41,7 +41,6 @@
 
 use crate::fault::{one_index_canonical, one_index_partition, FaultyOneIndex};
 use crate::scenario::{Scenario, ScenarioOp};
-use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use xsi_core::obs::{LabeledSpan, SpanKind, SpanLabel, SpanRecord};
 use xsi_core::{
@@ -382,23 +381,8 @@ fn translate(op: &ScenarioOp, handles: &[NodeId], g: &Graph) -> Option<Vec<Updat
             if r == g.root() {
                 return None;
             }
-            // Child-reachable closure (the paper's subtree extraction
-            // follows containment edges only).
-            let mut seen: HashSet<NodeId> = HashSet::new();
-            let mut order = vec![r];
-            seen.insert(r);
-            let mut head = 0;
-            while head < order.len() {
-                let u = order[head];
-                head += 1;
-                for (v, kind) in g.succ_with_kind(u) {
-                    if kind == EdgeKind::Child && seen.insert(v) {
-                        order.push(v);
-                    }
-                }
-            }
             Some(
-                order
+                xsi_graph::subtree_members(g, r)
                     .into_iter()
                     .map(|node| UpdateOp::RemoveNode { node })
                     .collect(),

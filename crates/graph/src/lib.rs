@@ -43,7 +43,7 @@ mod traverse;
 pub use builder::GraphBuilder;
 pub use graph::{EdgeKind, Graph, GraphError, NodeId};
 pub use label::{Label, LabelInterner, ROOT_LABEL};
-pub use subgraph::{extract_subtree, DetachedSubgraph};
+pub use subgraph::{extract_subtree, subtree_members, DetachedSubgraph};
 pub use traverse::{
     bfs_descendants, is_acyclic, reachable_from_root, strongly_connected_components,
     topological_order,

@@ -8,7 +8,7 @@
 //! edge crossing the boundary.
 
 use crate::graph::{EdgeKind, Graph, NodeId};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 /// A rooted labeled graph detached from any host [`Graph`].
 ///
@@ -81,31 +81,39 @@ impl DetachedSubgraph {
     }
 }
 
-/// Extracts the subtree of `root` from `g` as a [`DetachedSubgraph`]
-/// *without modifying `g`*.
-///
-/// Membership is the set of nodes reachable from `root` by `Child` edges
-/// only, exactly like the paper's experiment setup ("we do not traverse
-/// IDREF edges"). Edges between two members (of either kind) become
-/// internal edges; all others crossing the boundary are recorded in
-/// `incoming` / `outgoing`. Returns the subgraph together with the member
-/// nodes in traversal order (position `i` is local id `i`).
-pub fn extract_subtree(g: &Graph, root: NodeId) -> (DetachedSubgraph, Vec<NodeId>) {
-    let mut members = Vec::new();
-    let mut local: HashMap<NodeId, u32> = HashMap::new();
+/// The nodes reachable from `root` by `Child` edges only — the paper's
+/// subtree ("we do not traverse IDREF edges") — `root` first, in the
+/// depth-first order [`extract_subtree`] numbers them in.
+pub fn subtree_members(g: &Graph, root: NodeId) -> Vec<NodeId> {
+    let mut members = vec![root];
+    let mut seen: HashSet<NodeId> = HashSet::from([root]);
     let mut stack = vec![root];
-    local.insert(root, 0);
-    members.push(root);
     while let Some(u) = stack.pop() {
         for (v, kind) in g.succ_with_kind(u) {
-            if kind == EdgeKind::Child && !local.contains_key(&v) {
-                let id = u32::try_from(members.len()).expect("subtree too large");
-                local.insert(v, id);
+            if kind == EdgeKind::Child && seen.insert(v) {
                 members.push(v);
                 stack.push(v);
             }
         }
     }
+    members
+}
+
+/// Extracts the subtree of `root` from `g` as a [`DetachedSubgraph`]
+/// *without modifying `g`*.
+///
+/// Membership is [`subtree_members`]. Edges between two members (of
+/// either kind) become internal edges; all others crossing the boundary
+/// are recorded in `incoming` / `outgoing`. Returns the subgraph together
+/// with the member nodes in traversal order (position `i` is local id
+/// `i`).
+pub fn extract_subtree(g: &Graph, root: NodeId) -> (DetachedSubgraph, Vec<NodeId>) {
+    let members = subtree_members(g, root);
+    let local: HashMap<NodeId, u32> = members
+        .iter()
+        .enumerate()
+        .map(|(i, &m)| (m, u32::try_from(i).expect("subtree too large")))
+        .collect();
 
     let mut sub = DetachedSubgraph::new();
     for &m in &members {
