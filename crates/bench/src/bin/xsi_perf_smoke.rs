@@ -10,7 +10,8 @@
 //!
 //! * `1index_pair` / `ak3_pair`: insert + delete of a pooled IDREF edge
 //!   (the index returns to its starting partition, so each iteration
-//!   does one full split phase and one full merge phase);
+//!   does one full split phase and one full merge phase); tier 2 adds
+//!   the same pair on A(5) (`ak5_pair`);
 //! * `1index_build` / `ak3_build`: Paige–Tarjan refinement from scratch
 //!   (pure splitter-scan throughput).
 //!
@@ -192,9 +193,9 @@ fn run(args: &Args) {
         };
         results.push(measure("1index_pair", want_counters, edges.len(), work));
     }
-    {
+    for (name, k) in [("ak3_pair", 3), ("ak5_pair", 5)] {
         let (mut g, edges) = setup(scale, seed);
-        let mut idx = AkIndex::build(&g, 3);
+        let mut idx = AkIndex::build(&g, k);
         let mut i = 0usize;
         let work = || {
             let (u, v) = edges[i % edges.len()]; // xsi-lint: allow(slice-index, i mod len is in range)
@@ -202,7 +203,7 @@ fn run(args: &Args) {
             idx.insert_edge(&mut g, u, v, EdgeKind::IdRef).unwrap(); // xsi-lint: allow(panic-unwrap, bench harness aborts loudly on a broken workload)
             idx.delete_edge(&mut g, u, v).unwrap(); // xsi-lint: allow(panic-unwrap, bench harness aborts loudly on a broken workload)
         };
-        results.push(measure("ak3_pair", want_counters, edges.len(), work));
+        results.push(measure(name, want_counters, edges.len(), work));
     }
     {
         let (g, _) = setup(scale, seed);
