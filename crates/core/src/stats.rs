@@ -5,7 +5,7 @@
 /// Counters describing what one incremental update did to an index.
 ///
 /// Besides the paper's split/merge counts, maintenance algorithms record
-/// the peak Paige–Tarjan work-queue size (`queue_peak`) and — for A(k)
+/// the peak size of their work set (`queue_peak`) and — for A(k)
 /// — how many refinement-chain levels the update touched
 /// (`levels_touched`). The engine hands one op's stats to the
 /// observability layer ([`crate::obs`]) as the label of its
@@ -19,6 +19,8 @@ pub struct UpdateStats {
     pub merges: usize,
     /// Index size after the split phase, before the merge phase — the
     /// intermediate index Φ₁ whose potential blow-up Figure 5 illustrates.
+    /// The A(k) maintainer counts Φ₁ without building it, so these three
+    /// fields keep the paper's definitions there too.
     pub intermediate_blocks: usize,
     /// Index size after the whole update (|Φ₂|).
     pub final_blocks: usize,
@@ -29,8 +31,10 @@ pub struct UpdateStats {
     /// [`UpdateStats::identity`], not [`Default::default`], for the flag
     /// to mean anything (`Default` is a non-no-op leaf value).
     pub no_op: bool,
-    /// Peak work-queue size during split propagation (blocks enqueued in
-    /// compound slots). Aggregates keep the maximum.
+    /// Peak work-set size: for the 1-index, the blocks enqueued in
+    /// compound slots during split propagation; for A(k), the largest
+    /// set of candidates (nodes whose class may change) at one level of
+    /// the placement sweep. Aggregates keep the maximum.
     pub queue_peak: usize,
     /// Refinement-chain levels touched by an A(k) update (k − j₀ + 1; 0
     /// for non-chain indexes). Aggregates keep the maximum.
