@@ -11,7 +11,7 @@
 //! * [`SplitDriver`] — weights, the splitter scan `Succ(I)`, the
 //!   parent probe that carves `Succ(I) ∩ Succ(S − I)` out of it, and the
 //!   stabilization primitive (`split_by_set`). [`process_compounds`]
-//!   runs the propagation loop over a level-tagged [`CompoundQueue`];
+//!   runs the propagation loop over a FIFO [`CompoundQueue`];
 //!   [`refine_to_fixpoint`] layers from-scratch refinement (construction,
 //!   rebuild) on the same stabilization primitive with one scan per
 //!   queued block.
@@ -33,12 +33,10 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt::Debug;
 use xsi_graph::{Graph, NodeId};
 
-/// The Paige–Tarjan compound-block queue, level-tagged: groups of blocks
-/// that resulted from splitting what used to be a single block, against
-/// whose *union* the rest of the partition is still known to be stable.
-/// `pop_lowest` serves the compound with the smallest level first (the
-/// Figure 7 requirement); the 1-index instantiates it with a single
-/// level, which degenerates to plain FIFO order.
+/// The Paige–Tarjan compound-block queue: groups of blocks that
+/// resulted from splitting what used to be a single block, against
+/// whose *union* the rest of the partition is still known to be stable,
+/// served first in, first out.
 ///
 /// A block belongs to at most one compound. When a member splits, its
 /// new half joins the same compound ("replace K in 𝓙 with the inodes in
@@ -46,31 +44,34 @@ use xsi_graph::{Graph, NodeId};
 /// compound is enqueued.
 #[derive(Debug)]
 pub struct CompoundQueue<K: Copy + Ord + Debug> {
-    slots: Vec<Option<(usize, Vec<K>)>>,
-    by_level: Vec<VecDeque<usize>>,
+    /// Queued compounds, oldest first.
+    fifo: VecDeque<Vec<K>>,
+    /// Compounds popped so far: the compound with sequence number `s`
+    /// sits at `fifo[s - popped]`.
+    popped: usize,
+    /// Block → sequence number of the compound holding it.
     member: BTreeMap<K, usize>,
 }
 
 impl<K: Copy + Ord + Debug> CompoundQueue<K> {
-    /// A queue over `levels` levels (use 1 for un-leveled families).
-    pub fn new(levels: usize) -> Self {
+    /// An empty queue.
+    pub fn new() -> Self {
         CompoundQueue {
-            slots: Vec::new(),
-            by_level: (0..levels.max(1)).map(|_| VecDeque::new()).collect(),
+            fifo: VecDeque::new(),
+            popped: 0,
             member: BTreeMap::new(),
         }
     }
 
-    /// Enqueues a compound of (≥2) blocks at `level`.
-    pub fn push(&mut self, level: usize, compound: Vec<K>) {
+    /// Enqueues a compound of (≥2) blocks.
+    pub fn push(&mut self, compound: Vec<K>) {
         debug_assert!(compound.len() >= 2);
-        let slot = self.slots.len();
+        let seq = self.popped + self.fifo.len();
         for &b in &compound {
-            let prev = self.member.insert(b, slot);
+            let prev = self.member.insert(b, seq);
             debug_assert!(prev.is_none(), "{b:?} already in a compound");
         }
-        self.slots.push(Some((level, compound)));
-        self.by_level[level].push_back(slot); // xsi-lint: allow(slice-index, push levels are bounded by the by_level vec built in new)
+        self.fifo.push_back(compound);
     }
 
     /// Current work-queue size: blocks enqueued in live compounds (peak
@@ -81,59 +82,49 @@ impl<K: Copy + Ord + Debug> CompoundQueue<K> {
 
     /// True when no compound is queued.
     pub fn is_empty(&self) -> bool {
-        self.member.is_empty()
+        self.fifo.is_empty()
     }
 
-    /// Dequeues the lowest-level compound (FIFO within a level),
-    /// unregistering its members.
-    pub fn pop_lowest(&mut self) -> Option<(usize, Vec<K>)> {
-        for level in 0..self.by_level.len() {
-            // xsi-lint: allow(slice-index, level iterates 0..by_level.len)
-            while let Some(slot) = self.by_level[level].pop_front() {
-                // xsi-lint: allow(slice-index, queued slot indexes a pushed slots entry)
-                if let Some((l, compound)) = self.slots[slot].take() {
-                    debug_assert_eq!(l, level);
-                    for b in &compound {
-                        self.member.remove(b);
-                    }
-                    return Some((level, compound));
-                }
-            }
+    /// Dequeues the oldest compound, unregistering its members.
+    pub fn pop(&mut self) -> Option<Vec<K>> {
+        let compound = self.fifo.pop_front()?;
+        self.popped += 1;
+        for b in &compound {
+            self.member.remove(b);
         }
-        None
+        Some(compound)
     }
 
-    /// A real split of `old` produced `new` at `level`: grow `old`'s
-    /// compound or open a fresh one.
-    pub fn on_split(&mut self, level: usize, old: K, new: K) {
-        match self.member.get(&old) {
-            Some(&slot) => {
-                self.slots[slot] // xsi-lint: allow(slice-index, member values index pushed slots entries)
-                    .as_mut()
-                    .expect("invariant: member lists only name occupied queue slots")
-                    .1
-                    .push(new);
-                self.member.insert(new, slot);
+    /// A real split of `old` produced `new`: grow `old`'s compound or
+    /// open a fresh one.
+    pub fn on_split(&mut self, old: K, new: K) {
+        match self.member.get(&old).copied() {
+            Some(seq) => {
+                if let Some(compound) = self.fifo.get_mut(seq - self.popped) {
+                    compound.push(new);
+                }
+                self.member.insert(new, seq);
             }
-            None => self.push(level, vec![old, new]),
+            None => self.push(vec![old, new]),
         }
     }
 
     /// `old` was wholly replaced by `new` (it is about to be released):
     /// swap the id inside its compound, if any.
     pub fn replace(&mut self, old: K, new: K) {
-        if let Some(slot) = self.member.remove(&old) {
-            let compound = &mut self.slots[slot] // xsi-lint: allow(slice-index, member values index pushed slots entries)
-                .as_mut()
-                .expect("invariant: member lists only name occupied queue slots")
-                .1;
-            let pos = compound
-                .iter()
-                .position(|&b| b == old)
-                .expect("invariant: compound and member list stay in lockstep");
-            compound[pos] = new; // xsi-lint: allow(slice-index, pos comes from position over the same compound)
-            self.member.insert(new, slot);
+        if let Some(seq) = self.member.remove(&old) {
+            let compound = self.fifo.get_mut(seq - self.popped);
+            if let Some(b) = compound.and_then(|c| c.iter_mut().find(|b| **b == old)) {
+                *b = new;
+            }
+            self.member.insert(new, seq);
         }
+    }
+}
+
+impl<K: Copy + Ord + Debug> Default for CompoundQueue<K> {
+    fn default() -> Self {
+        Self::new()
     }
 }
 
@@ -151,30 +142,27 @@ pub trait SplitDriver {
     /// splitter set `Succ(b)`.
     fn scan_succ(&mut self, g: &Graph, b: Self::Block) -> Vec<NodeId>;
     /// The members of `cands` with a dnode parent under one of the
-    /// level-`level` blocks `blocks`, in `cands` order, plus the number of
-    /// parent edges probed. Costs the candidates' in-degrees, never a
-    /// scan of `blocks`' extents.
+    /// blocks `blocks`, in `cands` order, plus the number of parent
+    /// edges probed. Costs the candidates' in-degrees, never a scan of
+    /// `blocks`' extents.
     fn with_parent_in(
         &mut self,
         g: &Graph,
         cands: &[NodeId],
         blocks: &[Self::Block],
-        level: usize,
     ) -> (Vec<NodeId>, u64);
-    /// Stabilizes the partition against `marked`, where `level` is the
-    /// splitter's level (un-leveled families ignore it).
+    /// Stabilizes the partition against `marked`.
     fn stabilize(
         &mut self,
         g: &Graph,
         marked: &[NodeId],
-        level: usize,
         cq: &mut CompoundQueue<Self::Block>,
         stats: &mut UpdateStats,
     );
 }
 
-/// The Paige–Tarjan propagation loop: repeatedly extract the
-/// lowest-level compound `S`, remove a small member `I`, re-enqueue the
+/// The Paige–Tarjan propagation loop: repeatedly extract the oldest
+/// compound `S`, remove a small member `I`, re-enqueue the
 /// rest if still compound, and split the partition three ways against
 /// `I` and `S − I` while scanning only the small half `Succ(I)`.
 ///
@@ -199,11 +187,15 @@ pub fn process_compounds<D: SplitDriver>(
     stats: &mut UpdateStats,
 ) {
     stats.queue_peak = stats.queue_peak.max(cq.work_size());
-    while let Some((level, mut compound)) = cq.pop_lowest() {
+    while !cq.is_empty() {
         // One CompoundProcess span per Fig. 7 iteration: the whole
-        // extract/re-enqueue/scan/probe/stabilize body is in-span so the
-        // span sum accounts for (nearly) the whole split phase.
+        // extract/re-enqueue/scan/probe/stabilize body, the pop
+        // included, is in-span so the span sum accounts for (nearly)
+        // the whole split phase.
         let sp = SpanGuard::enter(SpanKind::CompoundProcess);
+        let Some(mut compound) = cq.pop() else {
+            break;
+        };
         sp.add_blocks(compound.len() as u64);
         sp.set_queue_depth(cq.work_size() as u64);
         // Pick I with |I| ≤ ½ Σ|J| — the smallest member qualifies.
@@ -227,20 +219,20 @@ pub fn process_compounds<D: SplitDriver>(
             // probed — so the §5.1 counters still account for every
             // kernel step.
             let probe = SpanGuard::enter(SpanKind::KernelScan);
-            let (second, probed) = d.with_parent_in(g, &splitter, &rest, level);
+            let (second, probed) = d.with_parent_in(g, &splitter, &rest);
             probe.add_blocks(rest.len() as u64);
             probe.add_elems(probed);
             sp.add_elems(probed);
             second
         };
         if rest.len() >= 2 {
-            cq.push(level, rest);
+            cq.push(rest);
         }
-        d.stabilize(g, &splitter, level, cq, stats);
+        d.stabilize(g, &splitter, cq, stats);
         // `second ⊆ splitter`; when they are equal every block inside
         // `Succ(I)` is already inside `Succ(S − I)`.
         if second.len() < splitter.len() {
-            d.stabilize(g, &second, level, cq, stats);
+            d.stabilize(g, &second, cq, stats);
         }
         stats.queue_peak = stats.queue_peak.max(cq.work_size());
     }
@@ -249,8 +241,7 @@ pub fn process_compounds<D: SplitDriver>(
 /// From-scratch refinement: a plain worklist that scans one block per
 /// iteration and requeues both halves of every split, to the coarsest
 /// refinement of the seed partition stable w.r.t. itself. Used by
-/// 1-index construction and subgraph addition; `level` tags the seeds'
-/// level.
+/// 1-index construction and subgraph addition.
 ///
 /// This deliberately does NOT go through [`process_compounds`]: the
 /// compound loop's three-way split is sound only under the queue
@@ -265,7 +256,6 @@ pub fn refine_to_fixpoint<D: SplitDriver>(
     d: &mut D,
     g: &Graph,
     seeds: &[D::Block],
-    level: usize,
     cq: &mut CompoundQueue<D::Block>,
     stats: &mut UpdateStats,
 ) {
@@ -281,12 +271,12 @@ pub fn refine_to_fixpoint<D: SplitDriver>(
         let splitter = d.scan_succ(g, b);
         span.add_blocks(1);
         span.add_elems(splitter.len() as u64);
-        d.stabilize(g, &splitter, level, cq, stats);
+        d.stabilize(g, &splitter, cq, stats);
         stats.queue_peak = stats.queue_peak.max(work.len() + cq.work_size());
         // Pure splitting never retires a block id (the remainder keeps
         // the old handle), so flattening compounds into the FIFO is
         // sound: every member is live and just needs its own scan.
-        while let Some((_, compound)) = cq.pop_lowest() {
+        while let Some(compound) = cq.pop() {
             work.extend(compound);
         }
     }
@@ -332,17 +322,21 @@ pub fn merge_fold<D: MergeDriver>(d: &mut D, seed: D::Block, stats: &mut UpdateS
     let mut queued: BTreeSet<D::Block> = BTreeSet::new();
     queue.push_back(seed);
     queued.insert(seed);
-    while let Some(i) = queue.pop_front() {
-        queued.remove(&i);
+    while let Some(&i) = queue.front() {
         if !d.is_live(i) {
-            continue; // merged away after being enqueued
+            // Merged away after being enqueued: skipped without a span.
+            queue.pop_front();
+            queued.remove(&i);
+            continue;
         }
         // One CompoundProcess span per served work item (the merge-side
-        // analogue of the split loop's compound iteration); its elems
-        // counter is the successors examined, its blocks counter sums
-        // the folded groups.
+        // analogue of the split loop's compound iteration), the pop
+        // included; its elems counter is the successors examined, its
+        // blocks counter sums the folded groups.
         let sp = SpanGuard::enter(SpanKind::CompoundProcess);
-        sp.set_queue_depth(queue.len() as u64 + 1);
+        sp.set_queue_depth(queue.len() as u64);
+        queue.pop_front();
+        queued.remove(&i);
         let succ = d.merge_successors(i);
         sp.add_elems(succ.len() as u64);
         for group in merge_classes(d, succ) {
@@ -393,34 +387,24 @@ mod tests {
 
     #[test]
     fn compound_queue_grow_and_replace_semantics() {
-        let mut cq: CompoundQueue<u32> = CompoundQueue::new(1);
-        cq.push(0, vec![1, 2]);
-        cq.on_split(0, 1, 3); // 1 in a compound → same compound grows
-        cq.on_split(0, 4, 5); // 4 not in a compound → new compound
+        let mut cq: CompoundQueue<u32> = CompoundQueue::new();
+        cq.push(vec![1, 2]);
+        cq.on_split(1, 3); // 1 in a compound → same compound grows
+        cq.on_split(4, 5); // 4 not in a compound → new compound
         assert_eq!(cq.work_size(), 5);
-        let (_, first) = cq.pop_lowest().unwrap();
+        let first = cq.pop().unwrap();
         assert_eq!(first, vec![1, 2, 3]);
         cq.replace(4, 9); // 4 dies, 9 takes its place in the compound
-        let (_, second) = cq.pop_lowest().unwrap();
-        assert_eq!(second, vec![9, 5]);
-        assert!(cq.pop_lowest().is_none());
+        cq.on_split(9, 6); // the compound is found after a pop
+        let second = cq.pop().unwrap();
+        assert_eq!(second, vec![9, 5, 6]);
+        assert!(cq.pop().is_none());
         assert!(cq.is_empty());
     }
 
     #[test]
-    fn pop_lowest_serves_levels_ascending_fifo_within() {
-        let mut cq: CompoundQueue<u32> = CompoundQueue::new(3);
-        cq.push(2, vec![10, 11]);
-        cq.push(0, vec![1, 2]);
-        cq.push(2, vec![20, 21]);
-        cq.push(1, vec![5, 6]);
-        let order: Vec<usize> = std::iter::from_fn(|| cq.pop_lowest().map(|(l, _)| l)).collect();
-        assert_eq!(order, vec![0, 1, 2, 2]);
-    }
-
-    #[test]
     fn replace_outside_any_compound_is_a_noop() {
-        let mut cq: CompoundQueue<u32> = CompoundQueue::new(1);
+        let mut cq: CompoundQueue<u32> = CompoundQueue::new();
         cq.replace(7, 8);
         assert!(cq.is_empty());
     }

@@ -53,7 +53,6 @@ impl SplitDriver for OneIndex {
         g: &Graph,
         cands: &[NodeId],
         blocks: &[BlockId],
-        _level: usize,
     ) -> (Vec<NodeId>, u64) {
         self.p.with_parent_in(g, cands, blocks)
     }
@@ -62,13 +61,12 @@ impl SplitDriver for OneIndex {
         &mut self,
         g: &Graph,
         marked: &[NodeId],
-        _level: usize,
         cq: &mut CompoundQueue<BlockId>,
         stats: &mut UpdateStats,
     ) {
         for (old, new) in self.p.split_by_set(g, marked) {
             stats.splits += 1;
-            cq.on_split(0, old, new);
+            cq.on_split(old, new);
         }
     }
 }
@@ -251,8 +249,8 @@ impl OneIndex {
         let nb = self.p.new_block(self.p.label(bv));
         self.p.move_node(g, v, nb);
         stats.splits += 1;
-        let mut cq = CompoundQueue::new(1);
-        cq.push(0, vec![bv, nb]);
+        let mut cq = CompoundQueue::new();
+        cq.push(vec![bv, nb]);
         sp.add_blocks(2);
         drop(sp);
         kernel::process_compounds(self, g, &mut cq, stats);
