@@ -63,6 +63,25 @@ pub(crate) fn key_set_sig<K: SlotKey>(keys: impl IntoIterator<Item = K>) -> u32 
         .fold(0u32, |sig, k| sig.wrapping_add(key_hash(k)))
 }
 
+/// One dedge's (from slot, to slot) pair, packed for [`count_runs`].
+#[inline]
+pub(crate) fn slot_pair(from: u32, to: u32) -> u64 {
+    (u64::from(from) << 32) | u64::from(to)
+}
+
+/// The one-pass iedge count of both index families: sorts the packed
+/// [`slot_pair`]s, one per dedge, and yields each distinct
+/// `(from slot, to slot)` with the length of its run — that iedge's
+/// count — in ascending `(from, to)` order. So every `from`'s children
+/// arrive in ascending key order, and so does every `to`'s parents.
+pub(crate) fn count_runs(pairs: &mut [u64]) -> impl Iterator<Item = (u32, u32, u32)> + '_ {
+    pairs.sort_unstable();
+    pairs.chunk_by(|a, b| a == b).filter_map(|run| {
+        let &pair = run.first()?;
+        Some(((pair >> 32) as u32, pair as u32, run.len() as u32))
+    })
+}
+
 // Both variants carry the signature: a field beside the enum would
 // grow the map by 8 B, while inside the inline variant it fills the
 // padding after `len`.
@@ -598,6 +617,20 @@ mod tests {
             std::mem::size_of::<IedgeMap<crate::akindex::ABlockId>>(),
             104
         );
+    }
+
+    #[test]
+    fn count_runs_counts_each_pair_in_ascending_order() {
+        let mut pairs: Vec<u64> = [(2, 1), (0, 5), (2, 1), (0, 3), (2, 0), (0, 5), (0, 5)]
+            .iter()
+            .map(|&(f, t)| slot_pair(f, t))
+            .collect();
+        let runs: Vec<(u32, u32, u32)> = count_runs(&mut pairs).collect();
+        assert_eq!(runs, vec![(0, 3, 1), (0, 5, 3), (2, 0, 1), (2, 1, 2)]);
+        assert_eq!(count_runs(&mut []).count(), 0);
+        let mut wide = vec![slot_pair(u32::MAX, u32::MAX), slot_pair(u32::MAX, 0)];
+        let runs: Vec<(u32, u32, u32)> = count_runs(&mut wide).collect();
+        assert_eq!(runs, vec![(u32::MAX, 0, 1), (u32::MAX, u32::MAX, 1)]);
     }
 
     #[test]
