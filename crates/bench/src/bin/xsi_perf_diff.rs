@@ -8,18 +8,21 @@
 //! * median regression above `--fail-pct` (default 25%) on a **tier-1**
 //!   bench → **fail**;
 //! * median delta beyond the bench's recorded `noise_pct` threshold
-//!   (either direction, any tier) → **warn** — printed but exit 0.
+//!   (either direction, any tier) → **warn** — printed but exit 0;
+//! * any span counter (`spans`, `compound_process`, `kernel_scans`,
+//!   `blocks`, `elems`) that differs from the baseline's, on any tier
+//!   → **fail**, naming the bench, the counter and both values.
 //!
-//! Span counters ride along for context: a changed `compound_process`
-//! or `blocks` count under an unchanged workload usually explains a
-//! timing move (the workload shape shifted, not the kernel speed).
+//! Counters count work, not time: they repeat exactly under a seed, so
+//! host noise cannot move them and the gate on them is exact. A change
+//! that moves one refreshes the baseline in the same commit.
 //!
 //! ```text
 //! xsi_perf_diff --baseline BENCH_baseline.json \
 //!               --current target/perf/BENCH_current.json [--fail-pct 25]
 //! ```
 //!
-//! Exit codes: 0 ok/warn, 1 regression gate tripped, 2 usage/parse
+//! Exit codes: 0 ok/warn, 1 a median or counter gate tripped, 2 usage/parse
 //! error.
 
 #![forbid(unsafe_code)]
@@ -154,17 +157,23 @@ fn main() {
                 "", b.p90_ns, c.p90_ns
             );
         }
-        for (key, bval) in &b.counters {
-            let cval = c
-                .counters
+        let value = |counters: &[(String, u64)], key: &str| {
+            counters
                 .iter()
                 .find(|(k, _)| k == key)
-                .map(|&(_, v)| v)
-                .unwrap_or(0);
-            if cval != *bval {
+                .map_or(0, |&(_, v)| v)
+        };
+        let mut keys: Vec<&str> = b.counters.iter().map(|(k, _)| k.as_str()).collect();
+        keys.extend(c.counters.iter().map(|(k, _)| k.as_str()));
+        keys.sort_unstable();
+        keys.dedup();
+        for key in keys {
+            let (bval, cval) = (value(&b.counters, key), value(&c.counters, key));
+            if cval != bval {
+                failures += 1;
                 println!(
-                    "{:<28}      counter {key}: {bval} -> {cval} (workload shape changed)",
-                    ""
+                    "{:<28}      FAIL (counter {key}: baseline {bval}, current {cval})",
+                    b.name
                 );
             }
         }
@@ -180,7 +189,7 @@ fn main() {
 
     if failures > 0 {
         eprintln!(
-            "xsi_perf_diff: {failures} failing bench(es), {warnings} warning(s) — regression gate tripped"
+            "xsi_perf_diff: {failures} failure(s), {warnings} warning(s) — regression gate tripped"
         );
         std::process::exit(1);
     }

@@ -13,9 +13,10 @@
 //!   does one full split phase and one full merge phase); tier 2 adds
 //!   the same pair on A(5) (`ak5_pair`);
 //! * `1index_build` / `ak3_build`: Paige–Tarjan refinement from scratch
-//!   (pure splitter-scan throughput).
+//!   (pure splitter-scan throughput) and the A(3) chain's level splits.
 //!
-//! Tier 2 adds the freeze without a base (`snapshot_freeze`: the
+//! Tier 2 adds the restart path (`snapshot_decode`: the 1-index and the
+//! A(3)-index decoded from their snapshot bytes), the freeze without a base (`snapshot_freeze`: the
 //! snapshots are dropped every iteration) and with one (`freeze_held`:
 //! one pooled insert + delete, then a freeze while the previous
 //! iteration's snapshots are still held), the block walk of one query
@@ -212,6 +213,15 @@ fn run(args: &Args) {
         }));
         results.push(measure("ak3_build", want_counters, 1, || {
             AkIndex::build(&g, 3)
+        }));
+        let one = OneIndex::build(&g).to_snapshot();
+        let ak = AkIndex::build(&g, 3).to_snapshot();
+        results.push(measure("snapshot_decode", want_counters, 1, || {
+            let one =
+                OneIndex::from_snapshot(&g, &one).expect("invariant: the bytes were just encoded");
+            let ak =
+                AkIndex::from_snapshot(&g, &ak).expect("invariant: the bytes were just encoded");
+            (one, ak)
         }));
     }
     {
