@@ -14,7 +14,7 @@
 //! Run with `cargo bench --features bench --bench one_index_updates`.
 
 use xsi_bench::micro::{bench, group};
-use xsi_core::OneIndex;
+use xsi_core::{OneIndex, PropagateOneIndex, StructuralIndex};
 use xsi_graph::{EdgeKind, Graph, NodeId};
 use xsi_workload::{generate_xmark, EdgePool, XmarkParams};
 
@@ -44,14 +44,16 @@ fn main() {
             idx.insert_edge(&mut g, u, v, EdgeKind::IdRef).unwrap();
             idx.delete_edge(&mut g, u, v).unwrap();
         });
-        let (mut g, mut idx, edges) = setup(cyclicity);
+        let (mut g, idx, edges) = setup(cyclicity);
+        let mut idx = PropagateOneIndex(idx);
         let mut i = 0usize;
         bench(&format!("propagate_pair / xmark({cyclicity})"), || {
             let (u, v) = edges[i % edges.len()];
             i += 1;
-            idx.propagate_insert_edge(&mut g, u, v, EdgeKind::IdRef)
-                .unwrap();
-            idx.propagate_delete_edge(&mut g, u, v).unwrap();
+            g.insert_edge(u, v, EdgeKind::IdRef).unwrap();
+            idx.on_edge_inserted(&g, u, v);
+            g.delete_edge(u, v).unwrap();
+            idx.on_edge_deleted(&g, u, v);
         });
     }
 }

@@ -127,7 +127,6 @@ struct ABlock {
     succ_cross: IedgeMap<ABlockId>,
     /// Intra-level-k iedges (query structure); level k only.
     succ_intra: IedgeMap<ABlockId>,
-    pred_intra: IedgeMap<ABlockId>,
 }
 
 impl Default for ABlock {
@@ -142,19 +141,17 @@ impl Default for ABlock {
             pred_cross: IedgeMap::new(),
             succ_cross: IedgeMap::new(),
             succ_intra: IedgeMap::new(),
-            pred_intra: IedgeMap::new(),
         }
     }
 }
 
 impl HeapUse for ABlock {
-    /// The block's heap payload: extent run, all four iedge maps, and
+    /// The block's heap payload: extent run, all three iedge maps, and
     /// the refinement-tree child set. The struct itself is slab-resident.
     fn heap_use(&self) -> usize {
         self.extent.heap_bytes()
             + self.pred_cross.heap_use()
             + self.succ_cross.heap_use()
-            + self.pred_intra.heap_use()
             + self.succ_intra.heap_use()
             + btree_set_heap::<ABlockId>(self.tree_children.len())
     }
@@ -295,7 +292,6 @@ impl AkIndex {
                     idx.blocks[tb].pred_cross.add(fb, count);
                 } else {
                     idx.blocks[fb].succ_intra.add(tb, count);
-                    idx.blocks[tb].pred_intra.add(fb, count);
                 }
             }
         }
@@ -444,28 +440,11 @@ impl AkIndex {
         self.blocks[b].succ_intra.keys()
     }
 
-    /// Intra-level-k index parents of a level-k block, in ascending id
-    /// order.
-    pub fn ipred(&self, b: ABlockId) -> impl Iterator<Item = ABlockId> + '_ {
-        debug_assert_eq!(self.blocks[b].level as usize, self.k);
-        self.blocks[b].pred_intra.keys()
-    }
-
     /// The A(level−1)-index parents of a block (keys of `pred_cross`) —
     /// the Definition 6 merge test compares these sets. Ascending id
     /// order.
     pub fn cross_parents(&self, b: ABlockId) -> impl Iterator<Item = ABlockId> + '_ {
         self.blocks[b].pred_cross.keys()
-    }
-
-    /// Whether two same-level blocks have identical A(level−1)-index
-    /// parent sets. Rejects on parent count or signature in O(1);
-    /// otherwise both key iterations are sorted, so the exact check is
-    /// one linear sweep.
-    pub fn same_cross_parents(&self, a: ABlockId, b: ABlockId) -> bool {
-        self.blocks[a]
-            .pred_cross
-            .same_keys(&self.blocks[b].pred_cross)
     }
 
     /// `E_{level−1}` reversed: the dedge counts from each level−1 block
@@ -559,12 +538,7 @@ impl AkIndex {
             } else {
                 r.add_extent_bytes(blk.extent.heap_bytes(), blk.extent.is_shared());
             }
-            for m in [
-                &blk.pred_cross,
-                &blk.succ_cross,
-                &blk.pred_intra,
-                &blk.succ_intra,
-            ] {
+            for m in [&blk.pred_cross, &blk.succ_cross, &blk.succ_intra] {
                 match m.inline_occupancy() {
                     Some(occ) => r.record_inline_map(occ),
                     None => r.record_spilled_map(m.heap_use()),
@@ -601,7 +575,6 @@ impl AkIndex {
         // representation; clearing resets them to inline.
         blk.pred_cross.clear();
         blk.succ_cross.clear();
-        blk.pred_intra.clear();
         blk.succ_intra.clear();
         // Only level-k blocks are frozen: an interior block coming or
         // going leaves every frozen image as it was.
@@ -619,7 +592,7 @@ impl AkIndex {
         debug_assert!(blk.extent.is_empty());
         debug_assert!(blk.tree_children.is_empty());
         debug_assert!(blk.pred_cross.is_empty() && blk.succ_cross.is_empty());
-        debug_assert!(blk.pred_intra.is_empty() && blk.succ_intra.is_empty());
+        debug_assert!(blk.succ_intra.is_empty());
         let level = blk.level as usize;
         self.level_counts[level] -= 1;
         self.blocks.release(b);
@@ -693,14 +666,12 @@ impl AkIndex {
         if self.blocks[from].succ_intra.add(to, 1) == 1 {
             self.stamps.stamp(from.idx);
         }
-        self.blocks[to].pred_intra.add(from, 1);
     }
 
     fn dec_intra(&mut self, from: ABlockId, to: ABlockId) {
         if self.blocks[from].succ_intra.sub(to, 1) == 0 {
             self.stamps.stamp(from.idx);
         }
-        self.blocks[to].pred_intra.sub(from, 1);
     }
 
     /// Moves node `n` from its current chain to `new_chain` (which must
@@ -847,12 +818,7 @@ impl AkIndex {
             if blk.weight == 0 {
                 return Err(format!("live block {b:?} has weight 0"));
             }
-            for m in [
-                &blk.pred_cross,
-                &blk.succ_cross,
-                &blk.pred_intra,
-                &blk.succ_intra,
-            ] {
+            for m in [&blk.pred_cross, &blk.succ_cross, &blk.succ_intra] {
                 if m.key_sig() != key_set_sig(m.keys()) {
                     return Err(format!("an iedge map signature of {b:?} is stale"));
                 }
@@ -898,9 +864,6 @@ impl AkIndex {
                 }
                 if intra.get(&(b, c)) != Some(&cnt) {
                     return Err(format!("succ_intra ({b:?}→{c:?}) = {cnt} wrong"));
-                }
-                if self.blocks[c].pred_intra.get(b) != Some(cnt) {
-                    return Err(format!("intra edge ({b:?}→{c:?}) not mirrored"));
                 }
                 stored_intra += 1;
             }
@@ -1201,8 +1164,32 @@ mod tests {
         let idx = AkIndex::build(&g, 2);
         let r = idx.mem_report();
         assert_eq!(r.blocks as usize, idx.total_blocks());
-        assert_eq!(r.iedge_inline_maps + r.iedge_spilled_maps, r.blocks * 4);
+        assert_eq!(r.iedge_inline_maps + r.iedge_spilled_maps, r.blocks * 3);
         assert!(r.inline_occupancy_hist.iter().skip(1).sum::<u64>() > 0);
+    }
+
+    /// The intra-level-k counts have no mirror map, so the recount
+    /// against the graph is their one check: it must catch a wrong count
+    /// and a missing entry.
+    #[test]
+    fn intra_recount_catches_a_wrong_count_and_a_missing_entry() {
+        let g = sample();
+        let idx = AkIndex::build(&g, 2);
+        idx.check_consistency(&g).unwrap();
+        let (b, c) = idx
+            .blocks_at(2)
+            .find_map(|b| idx.isucc(b).next().map(|c| (b, c)))
+            .expect("the sample has an intra-level-k iedge");
+
+        let mut bumped = idx.clone();
+        bumped.blocks[b].succ_intra.add(c, 1);
+        let err = bumped.check_consistency(&g).unwrap_err();
+        assert!(err.contains("succ_intra"), "{err}");
+
+        let mut dropped = idx.clone();
+        dropped.blocks[b].succ_intra.remove(c);
+        let err = dropped.check_consistency(&g).unwrap_err();
+        assert!(err.contains("stored intra edges, recount"), "{err}");
     }
 
     /// The maintenance sweep's candidate marks survive the epoch wrap:

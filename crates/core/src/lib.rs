@@ -13,13 +13,14 @@
 //!   maintained incrementally by the paper's **split/merge** algorithm
 //!   (Figure 3: edge insertion/deletion; Figure 6: subgraph addition), which
 //!   keeps the index *minimal* at all times and *minimum* on acyclic graphs
-//!   (Theorem 1);
+//!   (Theorem 1); construction and maintenance run the refinement loops
+//!   of [`kernel`] directly on the index's [`Partition`];
 //! * [`AkIndex`] — the A(k)-index (Kaushik et al.), partitioning by
 //!   k-bisimilarity, maintained by the refinement-tree split/merge algorithm
 //!   of Figure 7, which keeps the whole A(0)..A(k) chain *minimum* on any
 //!   graph (Theorem 2);
 //! * the baselines the paper compares against: the split-only
-//!   [`propagate`](OneIndex::propagate_insert_edge) algorithm of Kaushik et
+//!   [`propagate`](PropagateOneIndex) algorithm of Kaushik et
 //!   al. (VLDB'02) and the [`simple`](SimpleAkIndex) BFS-repartitioning
 //!   A(k) updater of Qun et al. (SIGMOD'03), plus the periodic
 //!   [`rebuild`]-on-5 %-growth heuristic both baselines rely on;

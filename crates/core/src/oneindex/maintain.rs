@@ -28,81 +28,13 @@
 //! `I[u]`; otherwise split `v` out iff the iedge survives through a
 //! sibling, and always run the merge phase from `I[v]`.
 
-use crate::kernel::{self, CompoundQueue, MergeDriver, SplitDriver};
+use crate::kernel::{self, CompoundQueue};
 use crate::obs::span::{SpanGuard, SpanKind};
 use crate::partition::BlockId;
 use crate::stats::UpdateStats;
-use std::cmp::Ordering;
 use xsi_graph::{EdgeKind, Graph, GraphError, NodeId};
 
 use super::OneIndex;
-
-impl SplitDriver for OneIndex {
-    type Block = BlockId;
-
-    fn weight_of(&self, b: BlockId) -> usize {
-        self.p.size(b)
-    }
-
-    fn scan_succ(&mut self, g: &Graph, b: BlockId) -> Vec<NodeId> {
-        self.p.collect_succ(g, b)
-    }
-
-    fn with_parent_in(
-        &mut self,
-        g: &Graph,
-        cands: &[NodeId],
-        blocks: &[BlockId],
-    ) -> (Vec<NodeId>, u64) {
-        self.p.with_parent_in(g, cands, blocks)
-    }
-
-    fn stabilize(
-        &mut self,
-        g: &Graph,
-        marked: &[NodeId],
-        cq: &mut CompoundQueue<BlockId>,
-        stats: &mut UpdateStats,
-    ) {
-        for (old, new) in self.p.split_by_set(g, marked) {
-            stats.splits += 1;
-            cq.on_split(old, new);
-        }
-    }
-}
-
-impl MergeDriver for OneIndex {
-    type Block = BlockId;
-    /// (label, parent count, parent-set signature) — a coarsening of
-    /// Lemma 3's (label, index-parent set) merge equivalence.
-    type Bucket = (u32, u32, u32);
-
-    fn merge_successors(&self, b: BlockId) -> Vec<BlockId> {
-        self.p.children(b).map(|(c, _)| c).collect()
-    }
-
-    fn merge_bucket(&self, c: BlockId) -> (u32, u32, u32) {
-        self.p.merge_bucket(c)
-    }
-
-    fn merge_cmp(&self, a: BlockId, b: BlockId) -> Ordering {
-        self.p.merge_cmp(a, b)
-    }
-
-    fn is_live(&self, b: BlockId) -> bool {
-        self.p.is_live(b)
-    }
-
-    fn merge_group(&mut self, group: &[BlockId], stats: &mut UpdateStats) -> BlockId {
-        let m = self.p.merge_group(group);
-        stats.merges += group.len() - 1;
-        m
-    }
-
-    fn requeue(&self, _survivor: BlockId) -> bool {
-        true
-    }
-}
 
 impl OneIndex {
     /// Inserts the dedge `(u, v)` into the graph and maintains the index
@@ -187,7 +119,7 @@ impl OneIndex {
         stats.intermediate_blocks = self.p.block_count();
         if do_merge {
             let sp = SpanGuard::enter(SpanKind::Merge);
-            self.merge_phase(g, self.p.block_of(v), &mut stats);
+            self.merge_phase(self.p.block_of(v), &mut stats);
             sp.add_blocks(stats.merges as u64);
         }
         stats.final_blocks = self.p.block_count();
@@ -228,14 +160,14 @@ impl OneIndex {
         stats.intermediate_blocks = self.p.block_count();
         if do_merge {
             let sp = SpanGuard::enter(SpanKind::Merge);
-            self.merge_phase(g, self.p.block_of(v), &mut stats);
+            self.merge_phase(self.p.block_of(v), &mut stats);
             sp.add_blocks(stats.merges as u64);
         }
         stats.final_blocks = self.p.block_count();
         stats
     }
 
-    /// The split phase: single `v` out of its inode and run the shared
+    /// The split phase: single `v` out of its inode and run the
     /// [`kernel::process_compounds`] propagation loop.
     pub(crate) fn split_phase(&mut self, g: &Graph, v: NodeId, stats: &mut UpdateStats) {
         let bv = self.p.block_of(v);
@@ -249,18 +181,18 @@ impl OneIndex {
         let nb = self.p.new_block(self.p.label(bv));
         self.p.move_node(g, v, nb);
         stats.splits += 1;
-        let mut cq = CompoundQueue::new();
+        let mut cq = CompoundQueue::default();
         cq.push(vec![bv, nb]);
         sp.add_blocks(2);
         drop(sp);
-        kernel::process_compounds(self, g, &mut cq, stats);
+        kernel::process_compounds(&mut self.p, g, &mut cq, stats);
     }
 
     /// The merge phase: try to merge `start` with a twin, then fold
     /// merges iteratively among the index successors of every freshly
     /// merged inode ([`kernel::merge_fold`] over the (label, index-parent
     /// set) equivalence).
-    pub(crate) fn merge_phase(&mut self, _g: &Graph, start: BlockId, stats: &mut UpdateStats) {
+    pub(crate) fn merge_phase(&mut self, start: BlockId, stats: &mut UpdateStats) {
         // The seed twin-search is its own work item (the fold's served
         // blocks open their own CompoundProcess spans); closed before
         // merge_fold so CompoundProcess spans never self-nest. Its elems
@@ -275,7 +207,7 @@ impl OneIndex {
         let merged = self.p.merge_group(&[start, partner]);
         stats.merges += 1;
         drop(sp);
-        kernel::merge_fold(self, merged, stats);
+        kernel::merge_fold(&mut self.p, merged, stats);
     }
 }
 

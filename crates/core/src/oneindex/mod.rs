@@ -7,17 +7,19 @@
 //!   add/remove, and read-only queries;
 //! * [`maintain`] — edge insertion/deletion with split **and** merge
 //!   phases (Figure 3; Lemma 3/Theorem 1 guarantees);
-//! * [`propagate`] — the split-only *propagate* baseline of Kaushik et al.;
 //! * [`subgraph`] — Figure 6's batched subgraph addition, the hook
 //!   [`crate::UpdateEngine::add_subgraph`] hands a subgraph to whole.
+//!
+//! Construction and both phases run the refinement loops of
+//! [`crate::kernel`] directly on the index's [`Partition`]. The
+//! split-only *propagate* baseline of Kaushik et al. is the same index
+//! with the merge phase off: [`crate::PropagateOneIndex`].
 
 pub mod maintain;
-pub mod propagate;
 pub mod subgraph;
 
 use crate::kernel;
 use crate::partition::{BlockId, Partition};
-use crate::stats::UpdateStats;
 use xsi_graph::{Graph, Label, NodeId};
 
 /// A 1-index over a [`Graph`].
@@ -57,22 +59,10 @@ impl OneIndex {
             }
             p.attach_node(n, *b);
         }
-        let mut idx = OneIndex { p };
-        let seeds: Vec<BlockId> = idx.p.blocks().collect();
-        idx.refine_blocks(g, &seeds);
-        idx.p.rebuild_counts(g);
-        idx
-    }
-
-    /// Refines the partition to a self-stable fixpoint through the shared
-    /// [`kernel`]: each seed block is scanned once, and every resulting
-    /// split is propagated by compound-queue processing (both halves of a
-    /// split are rescanned). Used by `build` over all blocks, and by
-    /// subgraph addition over just the new blocks.
-    pub(crate) fn refine_blocks(&mut self, g: &Graph, seeds: &[BlockId]) {
-        let mut cq = kernel::CompoundQueue::new();
-        let mut stats = UpdateStats::default();
-        kernel::refine_to_fixpoint(self, g, seeds, &mut cq, &mut stats);
+        let seeds: Vec<BlockId> = p.blocks().collect();
+        kernel::refine_to_fixpoint(&mut p, g, &seeds);
+        p.rebuild_counts(g);
+        OneIndex { p }
     }
 
     /// Number of inodes.
@@ -151,7 +141,7 @@ impl OneIndex {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::check::{is_minimal_1index, is_valid_1index, minimality_violation};
     use crate::reference;

@@ -14,6 +14,7 @@
 //! member's edges through the maintained edge deletion, then the
 //! isolated node, so the index stays minimal throughout.
 
+use crate::kernel;
 use crate::obs::span::{SpanGuard, SpanKind};
 use crate::partition::BlockId;
 use crate::stats::UpdateStats;
@@ -70,7 +71,7 @@ impl OneIndex {
             // Refine the fresh blocks to a self-stable fixpoint. Their
             // successors all lie inside the subgraph, so this is exactly
             // "build Φ'(G') and union it with Φ(G)".
-            self.refine_blocks(g, &fresh);
+            kernel::refine_to_fixpoint(&mut self.p, g, &fresh);
             // The edges into the root can only require singling the root
             // out (Section 5.2).
             if root_has_host_parent {
@@ -82,7 +83,7 @@ impl OneIndex {
         stats.intermediate_blocks = self.p.block_count();
         if do_merge {
             let sp = SpanGuard::enter(SpanKind::Merge);
-            self.merge_phase(g, self.p.block_of(root), &mut stats);
+            self.merge_phase(self.p.block_of(root), &mut stats);
             sp.add_blocks(stats.merges as u64);
         }
         stats.final_blocks = self.p.block_count();

@@ -109,6 +109,7 @@ mod tests {
     use super::*;
     use crate::check::is_minimal_1index;
     use crate::reference;
+    use crate::{PropagateOneIndex, StructuralIndex};
     use xsi_graph::GraphBuilder;
 
     #[test]
@@ -130,12 +131,12 @@ mod tests {
             ])
             .root_to(1)
             .build_with_ids();
-        let mut idx = OneIndex::build(&g);
-        idx.propagate_insert_edge(&mut g, ids[&1], ids[&4], EdgeKind::IdRef)
-            .unwrap();
-        assert!(!is_minimal_1index(&g, idx.partition()));
+        let mut idx = PropagateOneIndex::build(&g);
+        g.insert_edge(ids[&1], ids[&4], EdgeKind::IdRef).unwrap();
+        idx.on_edge_inserted(&g, ids[&1], ids[&4]);
+        assert!(!is_minimal_1index(&g, idx.inner().partition()));
 
-        let rebuilt = reconstruct_1index(&g, &idx);
+        let rebuilt = reconstruct_1index(&g, idx.inner());
         rebuilt.partition().check_consistency(&g).unwrap();
         let classes = reference::bisim_classes(&g);
         assert_eq!(
@@ -173,6 +174,7 @@ mod tests {
 mod cyclic_tests {
     use super::*;
     use crate::reference;
+    use crate::{PropagateOneIndex, StructuralIndex};
     use xsi_graph::{EdgeKind, GraphBuilder};
 
     /// Reconstruction via the index graph also lands on the minimum for
@@ -188,14 +190,16 @@ mod cyclic_tests {
             .root_to(3)
             .root_to(5)
             .build_with_ids();
-        let mut idx = OneIndex::build(&g);
+        let mut idx = PropagateOneIndex::build(&g);
         // Drift with propagate: cut and restore a cycle edge.
-        idx.propagate_delete_edge(&mut g, ids[&2], ids[&1]).unwrap();
-        idx.propagate_insert_edge(&mut g, ids[&2], ids[&1], EdgeKind::IdRef)
-            .unwrap();
+        let (u, v) = (ids[&2], ids[&1]);
+        g.delete_edge(u, v).unwrap();
+        idx.on_edge_deleted(&g, u, v);
+        g.insert_edge(u, v, EdgeKind::IdRef).unwrap();
+        idx.on_edge_inserted(&g, u, v);
         let min = reference::partition_size(&g, &reference::bisim_classes(&g));
         assert!(idx.block_count() > min, "propagate should have drifted");
-        let rebuilt = reconstruct_1index(&g, &idx);
+        let rebuilt = reconstruct_1index(&g, idx.inner());
         assert_eq!(rebuilt.block_count(), min);
         rebuilt.partition().check_consistency(&g).unwrap();
     }

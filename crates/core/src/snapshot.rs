@@ -333,6 +333,7 @@ impl AkIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{PropagateOneIndex, StructuralIndex};
     use xsi_graph::EdgeKind;
     use xsi_workload::{generate_xmark, XmarkParams};
 
@@ -355,7 +356,7 @@ mod tests {
         // A propagate-drifted (non-minimum) index must round-trip exactly
         // — snapshots capture state, not an idealized rebuild.
         let mut g = dataset();
-        let mut idx = OneIndex::build(&g);
+        let mut propagate = PropagateOneIndex::build(&g);
         let edges: Vec<_> = g
             .edges()
             .filter(|&(_, _, k)| k == EdgeKind::IdRef)
@@ -363,8 +364,10 @@ mod tests {
             .map(|(u, v, _)| (u, v))
             .collect();
         for &(u, v) in &edges {
-            idx.propagate_delete_edge(&mut g, u, v).unwrap();
+            g.delete_edge(u, v).unwrap();
+            propagate.on_edge_deleted(&g, u, v);
         }
+        let idx = propagate.inner();
         let bytes = idx.to_snapshot();
         let restored = OneIndex::from_snapshot(&g, &bytes).unwrap();
         assert_eq!(restored.canonical(), idx.canonical());

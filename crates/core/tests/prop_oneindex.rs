@@ -12,7 +12,8 @@
 use xsi_core::check::{is_valid_1index, minimality_violation};
 use xsi_core::reference;
 use xsi_core::{
-    AkIndex, IndexHandle, OneIndex, PropagateOneIndex, SimpleAkIndex, UpdateEngine, UpdateOp,
+    AkIndex, IndexHandle, OneIndex, PropagateOneIndex, SimpleAkIndex, StructuralIndex,
+    UpdateEngine, UpdateOp,
 };
 use xsi_graph::{is_acyclic, EdgeKind, Graph, NodeId};
 use xsi_workload::SplitMix64;
@@ -148,7 +149,7 @@ fn propagate_preserves_validity() {
         let mut rng = SplitMix64::seed_from_u64(0x3C0D + case);
         let spec = random_spec(&mut rng, 7, 12, 16);
         let (mut g, nodes) = build_graph(&spec);
-        let mut idx = OneIndex::build(&g);
+        let mut idx = PropagateOneIndex::build(&g);
         let n = nodes.len();
         for &t in &spec.toggles {
             let (u, v) = (nodes[t / n], nodes[t % n]);
@@ -156,13 +157,15 @@ fn propagate_preserves_validity() {
                 continue;
             }
             if g.has_edge(u, v) {
-                idx.propagate_delete_edge(&mut g, u, v).unwrap();
+                g.delete_edge(u, v).unwrap();
+                idx.on_edge_deleted(&g, u, v);
             } else {
-                idx.propagate_insert_edge(&mut g, u, v, EdgeKind::IdRef)
-                    .unwrap();
+                g.insert_edge(u, v, EdgeKind::IdRef).unwrap();
+                idx.on_edge_inserted(&g, u, v);
             }
-            idx.partition().check_consistency(&g).unwrap();
-            assert!(is_valid_1index(&g, idx.partition()), "case {case}");
+            let p = idx.inner().partition();
+            p.check_consistency(&g).unwrap();
+            assert!(is_valid_1index(&g, p), "case {case}");
             // Propagate never drops below the minimum size.
             let min = reference::partition_size(&g, &reference::bisim_classes(&g));
             assert!(idx.block_count() >= min, "case {case}");

@@ -256,10 +256,10 @@ Checked entry points: in `core/src/engine.rs`, \
 `core/src/oneindex/maintain.rs` and `core/src/akindex/maintain.rs`, \
 every `pub fn` taking `&mut self`, plus snapshot entry points (`pub fn \
 freeze*`) and report publishers (`pub fn publish*`) regardless of \
-receiver; in `core/src/kernel.rs`, every `pub fn` that threads \
-`UpdateStats` (the driver surface — `process_compounds`, \
-`refine_to_fixpoint`, `merge_fold`; `CompoundQueue` plumbing is \
-exempt). The function (signature or body) must reference the span \
+receiver; in `core/src/kernel.rs`, every `pub fn` that takes the \
+`Partition` (the refinement loops — `process_compounds`, \
+`refine_to_fixpoint`, `merge_fold`; the `CompoundQueue`'s own methods \
+are exempt). The function (signature or body) must reference the span \
 vocabulary (`SpanGuard`, `enter`, `enter_family`, `SpanKind`, a `span` \
 binder). In the engine these count too: the per-call recording \
 (`Recording`, the `traced` wrapper), the hub (`obs`, `ObsHub`), and \

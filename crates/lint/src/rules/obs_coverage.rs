@@ -4,7 +4,7 @@
 //! "instrumented" means the function opens a span. In the engine it may
 //! instead run under the per-call recording, hand records to the hub,
 //! or report the `UpdateStats` that label its `IndexDispatch` span; a
-//! kernel driver or maintainer must open the span itself (or waive
+//! kernel loop or maintainer must open the span itself (or waive
 //! naming the delegate that does), since phase time is the `Split` /
 //! `Merge` span duration. Snapshot freezes and report publishers
 //! (`pub fn freeze*`, `pub fn publish*`) in the engine and maintainers
@@ -76,13 +76,13 @@ pub fn run(f: &SourceFile, out: &mut Vec<Finding>) {
         let sig = toks.get(i + 3..body_open).unwrap_or_default();
         let is_freeze = !is_kernel && name.starts_with("freeze");
         let is_publisher = !is_kernel && name.starts_with("publish");
-        // Kernel: the driver entry points are exactly the pub fns
-        // threading `UpdateStats` (process_compounds, refine_to_fixpoint,
-        // merge_fold); queue plumbing is exempt. Elsewhere: every pub
-        // `&mut self` fn, plus freezes and publishers.
+        // Kernel: the entry points are exactly the pub fns taking the
+        // `Partition` (process_compounds, refine_to_fixpoint,
+        // merge_fold); the queue's own methods are exempt. Elsewhere:
+        // every pub `&mut self` fn, plus freezes and publishers.
         let is_entry = if is_kernel {
             sig.iter()
-                .any(|t| t.kind == TokKind::Ident && t.text == "UpdateStats")
+                .any(|t| t.kind == TokKind::Ident && t.text == "Partition")
         } else {
             takes_mut_self(sig) || is_freeze || is_publisher
         };
@@ -101,7 +101,7 @@ pub fn run(f: &SourceFile, out: &mut Vec<Finding>) {
             });
         if !covered {
             let what = if is_kernel {
-                format!("kernel driver `pub fn {name}(…)`")
+                format!("kernel loop `pub fn {name}(…)`")
             } else if is_freeze {
                 format!("snapshot entry point `pub fn {name}(…)`")
             } else if is_publisher {
@@ -277,24 +277,25 @@ mod tests {
 
     #[test]
     fn kernel_driver_without_span_flagged() {
-        let src =
-            "pub fn process<D: SplitDriver>(d: &mut D, stats: &mut UpdateStats) { d.scan(); }";
+        // No `UpdateStats` in the signature: the loop is an entry point
+        // because it takes the partition.
+        let src = "pub fn refine(p: &mut Partition, g: &Graph, seeds: &[BlockId]) { p.scan(g); }";
         let hits = lint_at("crates/core/src/kernel.rs", src);
         assert_eq!(hits.len(), 1);
-        assert!(hits[0].message.contains("kernel driver `pub fn process"));
+        assert!(hits[0].message.contains("kernel loop `pub fn refine"));
     }
 
     #[test]
     fn kernel_driver_with_span_guard_is_clean() {
-        let src = "pub fn process<D: SplitDriver>(d: &mut D, stats: &mut UpdateStats) { \
-                   let sp = SpanGuard::enter(SpanKind::KernelScan); d.scan(); drop(sp); }";
+        let src = "pub fn refine(p: &mut Partition, g: &Graph, seeds: &[BlockId]) { \
+                   let span = SpanGuard::enter(SpanKind::KernelScan); p.scan(g); drop(span); }";
         assert!(lint_at("crates/core/src/kernel.rs", src).is_empty());
     }
 
     #[test]
     fn kernel_queue_plumbing_is_exempt() {
-        let src =
-            "impl<K> CompoundQueue<K> { pub fn push(&mut self, c: Vec<K>) { self.q.push(c); } }";
+        let src = "impl CompoundQueue { pub fn on_split(&mut self, old: BlockId, new: BlockId, \
+                   stats: &mut UpdateStats) { self.q.push(new); } }";
         assert!(lint_at("crates/core/src/kernel.rs", src).is_empty());
     }
 

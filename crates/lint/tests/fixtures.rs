@@ -132,8 +132,8 @@ fn obs_coverage_fires_in_kernel_respects_waiver_and_is_not_baselineable() {
         .into_iter()
         .filter(|h| h.0 == KERNEL)
         .collect();
-    // Exactly the uninstrumented driver; the instrumented one and the
-    // `UpdateStats`-free queue plumbing stay quiet.
+    // Exactly the uninstrumented loop; the instrumented one and the
+    // `Partition`-free queue plumbing stay quiet.
     assert_eq!(hits, vec![(KERNEL.to_string(), 15)]);
     let waived = r
         .findings

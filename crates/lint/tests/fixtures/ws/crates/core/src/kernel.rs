@@ -1,38 +1,38 @@
-//! Fixture for `obs-coverage` in the kernel: one uninstrumented driver entry point,
-//! one waived delegator, one instrumented driver, and exempt queue
-//! plumbing (no `UpdateStats` in the signature).
+//! Fixture for `obs-coverage` in the kernel: one uninstrumented loop over
+//! the partition, one waived delegator, one instrumented loop, and exempt
+//! queue plumbing (no `Partition` in the signature).
 
-pub struct Driver {
+pub struct Partition {
     pending: Vec<u32>,
 }
 
-pub struct UpdateStats {
-    pub scans: u64,
+pub struct Queue {
+    fifo: Vec<u32>,
 }
 
-/// Positive: a kernel driver threading `UpdateStats` with no causal
-/// span anywhere in its body.
-pub fn refine_pass(d: &mut Driver, stats: &mut UpdateStats) {
-    stats.scans += 1;
-    d.pending.clear();
+/// Positive: a kernel loop taking the partition with no causal span
+/// anywhere in its body.
+pub fn refine_pass(p: &mut Partition, q: &mut Queue) {
+    q.fifo.push(1);
+    p.pending.clear();
 }
 
 // xsi-lint: allow(obs-coverage, delegates to refine_pass, which opens the guard)
-pub fn refine_waived(d: &mut Driver, stats: &mut UpdateStats) {
-    refine_pass(d, stats);
+pub fn refine_waived(p: &mut Partition, q: &mut Queue) {
+    refine_pass(p, q);
 }
 
-/// Clean: opens a guard before touching the driver.
-pub fn refine_instrumented(d: &mut Driver, stats: &mut UpdateStats) {
+/// Clean: opens a guard before touching the partition.
+pub fn refine_instrumented(p: &mut Partition, q: &mut Queue) {
     let sp = SpanGuard::enter(SpanKind::KernelScan);
-    stats.scans += 1;
-    d.pending.clear();
+    q.fifo.push(1);
+    p.pending.clear();
     drop(sp);
 }
 
-impl Driver {
-    /// Exempt: queue plumbing, no `UpdateStats` in the signature.
+impl Queue {
+    /// Exempt: queue plumbing, no `Partition` in the signature.
     pub fn push(&mut self, b: u32) {
-        self.pending.push(b);
+        self.fifo.push(b);
     }
 }

@@ -5,7 +5,7 @@
 //! tens of thousands of nodes with exact-equality verification against
 //! fresh constructions, far beyond what the per-commit suite can afford.
 
-use xsi_core::{check, AkIndex, OneIndex};
+use xsi_core::{check, AkIndex, OneIndex, PropagateOneIndex, StructuralIndex};
 use xsi_graph::EdgeKind;
 use xsi_workload::{
     generate_dblp, generate_imdb, generate_xmark, DblpParams, EdgePool, ImdbParams, XmarkParams,
@@ -80,14 +80,16 @@ fn lemma3_imdb_minimality() {
 fn snapshots_at_scale() {
     let mut g = generate_xmark(&XmarkParams::new(0.3, 1.0, 99));
     let mut pool = EdgePool::extract(&mut g, 0.2, 99);
-    let mut idx = OneIndex::build(&g);
+    let mut propagate = PropagateOneIndex::build(&g);
     for _ in 0..200 {
         let (u, v) = pool.next_insert().unwrap();
-        idx.propagate_insert_edge(&mut g, u, v, EdgeKind::IdRef)
-            .unwrap();
+        g.insert_edge(u, v, EdgeKind::IdRef).unwrap();
+        propagate.on_edge_inserted(&g, u, v);
         let (u, v) = pool.next_delete().unwrap();
-        idx.propagate_delete_edge(&mut g, u, v).unwrap();
+        g.delete_edge(u, v).unwrap();
+        propagate.on_edge_deleted(&g, u, v);
     }
+    let idx = propagate.inner();
     let bytes = idx.to_snapshot();
     let mut restored = OneIndex::from_snapshot(&g, &bytes).unwrap();
     assert_eq!(restored.canonical(), idx.canonical());
